@@ -3,7 +3,8 @@
 Everything is float64.  Dense storage is column-major because the solver's
 hot loops read and write whole columns.  The sparse container is standard
 CSR with sorted column indices, restricted to nonnegative values since it
-only ever holds the data matrix of a nonnegative factorization.
+only ever holds the data matrix of a nonnegative factorization; its
+products run in scipy's compiled sparse kernels on that storage.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import math
 from typing import Union
 
 import numpy as np
+from scipy.sparse import csr_array
 
 __all__ = [
     "DenseMatrix",
     "SparseMatrixCSR",
+    "SparseView",
     "MatrixRef",
     "gram",
     "at_times",
@@ -30,7 +33,9 @@ class DenseMatrix:
     """Column-major dense real matrix.
 
     Wraps a Fortran-ordered, writable ``float64`` ndarray.  All stored
-    values must be finite.
+    values must be finite.  The one exception to the order is the view
+    :func:`transposed` returns, whose ``data`` is the row-major ``.T`` of
+    the original array.
     """
 
     __slots__ = ("data",)
@@ -46,8 +51,13 @@ class DenseMatrix:
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "DenseMatrix":
         # Fast path for freshly computed float64 results; skips validation.
+        return cls._view(np.asfortranarray(arr))
+
+    @classmethod
+    def _view(cls, arr: np.ndarray) -> "DenseMatrix":
+        # Holds ``arr`` itself, whatever its memory order.
         out = object.__new__(cls)
-        out.data = np.asfortranarray(arr)
+        out.data = arr
         return out
 
     @classmethod
@@ -73,48 +83,71 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
-class SparseMatrixCSR:
+class SparseView:
+    """A validated nonnegative sparse matrix held by a scipy compressed
+    array ``sp``.
+
+    :func:`transposed` returns one over the transpose of a
+    :class:`SparseMatrixCSR`'s storage; the products read ``sp`` directly,
+    so the view copies nothing.
+    """
+
+    __slots__ = ("sp",)
+
+    def __init__(self, sp):
+        self.sp = sp
+
+    @property
+    def rows(self) -> int:
+        return self.sp.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.sp.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.sp.shape
+
+    @property
+    def nnz(self) -> int:
+        return self.sp.nnz
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+class SparseMatrixCSR(SparseView):
     """Compressed sparse row matrix with nonnegative finite values.
 
     ``row_offsets`` has length ``rows + 1`` and is nondecreasing; column
     indices are strictly increasing within each row.  Duplicate entries are
     therefore impossible once constructed; use :meth:`from_coo` to build
-    from unsorted coordinate data.
+    from unsorted coordinate data.  The three arrays are validated once and
+    then held, uncopied, by a ``scipy.sparse.csr_array``.
     """
 
-    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values")
+    __slots__ = ()
 
     def __init__(self, rows, cols, row_offsets, col_indices, values):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._validate()
+        rows, cols = int(rows), int(cols)
+        off = np.ascontiguousarray(row_offsets, dtype=np.int64)
+        idx = np.ascontiguousarray(col_indices, dtype=np.int64)
+        vals = np.ascontiguousarray(values, dtype=np.float64)
+        _validate_csr(rows, cols, off, idx, vals)
+        super().__init__(csr_array((vals, idx, off), shape=(rows, cols), copy=False))
 
-    def _validate(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        off = self.row_offsets
-        if off.shape != (self.rows + 1,):
-            raise ValueError("row_offsets must have length rows + 1")
-        if off[0] != 0 or off[-1] != self.values.size:
-            raise ValueError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(off) < 0):
-            raise ValueError("row_offsets must be nondecreasing")
-        if self.col_indices.size != self.values.size:
-            raise ValueError("col_indices and values must have equal length")
-        if self.values.size:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.cols:
-                raise ValueError("column index out of range")
-            rows_of = np.repeat(np.arange(self.rows), np.diff(off))
-            same_row = rows_of[1:] == rows_of[:-1]
-            if np.any(same_row & (np.diff(self.col_indices) <= 0)):
-                raise ValueError("column indices must be strictly increasing per row")
-        if not np.isfinite(self.values).all():
-            raise ValueError("sparse values must be finite")
-        if self.values.size and self.values.min() < 0.0:
-            raise ValueError("sparse values must be nonnegative")
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return self.sp.indptr
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        return self.sp.indices
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.sp.data
 
     @classmethod
     def from_coo(cls, rows, cols, row_idx, col_idx, values) -> "SparseMatrixCSR":
@@ -137,36 +170,41 @@ class SparseMatrixCSR:
         offsets[1:] = np.cumsum(np.bincount(ri, minlength=rows))
         return cls(rows, cols, offsets, ci, vals)
 
-    @property
-    def nnz(self) -> int:
-        return self.values.size
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
     def to_dense(self) -> DenseMatrix:
-        out = np.zeros((self.rows, self.cols), order="F")
-        for i in range(self.rows):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            out[i, self.col_indices[lo:hi]] = self.values[lo:hi]
-        return DenseMatrix._wrap(out)
+        return DenseMatrix._wrap(self.sp.toarray(order="F"))
 
     def transpose(self) -> "SparseMatrixCSR":
         """CSR storage of the transpose (equivalently a CSC view of self)."""
-        rows_of = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-        order = np.argsort(self.col_indices, kind="stable")
-        offsets = np.zeros(self.cols + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(np.bincount(self.col_indices, minlength=self.cols))
-        return SparseMatrixCSR(
-            self.cols, self.rows, offsets, rows_of[order], self.values[order]
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseMatrixCSR({self.rows}x{self.cols}, nnz={self.nnz})"
+        t = self.sp.T.tocsr()
+        return SparseMatrixCSR(self.cols, self.rows, t.indptr, t.indices, t.data)
 
 
-MatrixRef = Union[DenseMatrix, SparseMatrixCSR]
+def _validate_csr(rows, cols, off, idx, vals) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    if off.shape != (rows + 1,):
+        raise ValueError("row_offsets must have length rows + 1")
+    if off[0] != 0 or off[-1] != vals.size:
+        raise ValueError("row_offsets must start at 0 and end at nnz")
+    if np.any(np.diff(off) < 0):
+        raise ValueError("row_offsets must be nondecreasing")
+    if idx.size != vals.size:
+        raise ValueError("col_indices and values must have equal length")
+    if vals.size:
+        if idx.min() < 0 or idx.max() >= cols:
+            raise ValueError("column index out of range")
+        rows_of = np.repeat(np.arange(rows), np.diff(off))
+        same_row = rows_of[1:] == rows_of[:-1]
+        if np.any(same_row & (np.diff(idx) <= 0)):
+            raise ValueError("column indices must be strictly increasing per row")
+    if not np.isfinite(vals).all():
+        raise ValueError("sparse values must be finite")
+    if vals.size and vals.min() < 0.0:
+        raise ValueError("sparse values must be nonnegative")
+
+
+# A SparseMatrixCSR is a SparseView; so is the transposed view of one.
+MatrixRef = Union[DenseMatrix, SparseView]
 
 
 def gram(U: DenseMatrix) -> DenseMatrix:
@@ -185,8 +223,10 @@ def gram(U: DenseMatrix) -> DenseMatrix:
 def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     """Product of the transpose of ``A`` (m x n) with ``U`` (m x r).
 
-    The sparse path walks CSR rows of ``A``, accumulating each scaled row
-    of ``U`` into the output row given by the column index.
+    Both paths read ``A``'s own storage: BLAS for dense input, and for
+    sparse input scipy's kernel on the transpose view of ``A.sp``, which
+    accumulates each scaled row of ``U`` into the output row given by the
+    column index, rows in increasing order.
     """
     u = U.data
     if A.rows != u.shape[0]:
@@ -195,14 +235,7 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
         )
     if isinstance(A, DenseMatrix):
         return DenseMatrix._wrap(A.data.T @ u)
-    r = u.shape[1]
-    out = np.zeros((A.cols, r), order="F")
-    if A.nnz:
-        rows_of = np.repeat(np.arange(A.rows), np.diff(A.row_offsets))
-        scaled = A.values[:, None] * u[rows_of, :]
-        for c in range(r):
-            out[:, c] = np.bincount(A.col_indices, weights=scaled[:, c], minlength=A.cols)
-    return DenseMatrix._wrap(out)
+    return DenseMatrix._wrap(A.sp.T @ u)
 
 
 def frobenius_norm(A: MatrixRef) -> float:
@@ -213,7 +246,7 @@ def _fro_squared(A: MatrixRef) -> float:
     if isinstance(A, DenseMatrix):
         flat = A.data.ravel(order="K")
         return float(np.dot(flat, flat))
-    return float(np.dot(A.values, A.values))
+    return float(np.dot(A.sp.data, A.sp.data))
 
 
 def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
@@ -236,19 +269,20 @@ def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
 
 
 def transposed(A: MatrixRef) -> MatrixRef:
-    """Materialized transpose, used to run the mirrored half-sweep."""
+    """The transpose of ``A`` as an O(1) view sharing ``A``'s storage,
+    used to run the mirrored half-sweep."""
     if isinstance(A, DenseMatrix):
-        return DenseMatrix._wrap(np.asfortranarray(A.data.T))
-    return A.transpose()
+        return DenseMatrix._view(A.data.T)
+    return SparseView(A.sp.T)
 
 
 def row_dense(A: MatrixRef, i: int) -> np.ndarray:
-    """Row ``i`` of ``A`` as a fresh dense vector of length ``A.cols``."""
+    """Row ``i`` of ``A`` as a fresh dense vector of length ``A.cols``.
+
+    On a transposed view this is column ``i`` of the original matrix.
+    """
     if not 0 <= i < A.rows:
         raise IndexError(f"row {i} out of range for {A.rows}-row matrix")
     if isinstance(A, DenseMatrix):
         return A.data[i, :].copy()
-    out = np.zeros(A.cols)
-    lo, hi = A.row_offsets[i], A.row_offsets[i + 1]
-    out[A.col_indices[lo:hi]] = A.values[lo:hi]
-    return out
+    return A.sp[i].toarray().ravel()

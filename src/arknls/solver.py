@@ -10,7 +10,8 @@ needed, repaired in place without changing the product ``U_i V_i^T``, so
 the closed form never divides by a vanishing determinant.
 
 The second half of a sweep updates ``U`` by running the identical code on
-the transposed data matrix with the factor roles swapped.
+a transposed view of the data matrix (no copy) with the factor roles
+swapped.
 """
 
 from __future__ import annotations
@@ -132,25 +133,15 @@ class SolveTrace:
 
 @dataclass
 class BlockWorkspace:
-    """Per-sweep caches and the latest block's intermediates.
+    """Per-sweep caches.
 
     ``H`` holds the data-times-coefficient product (one column per column
     of the coefficient factor) and ``M`` the coefficient Gram matrix; both
-    stay consistent with the coefficient factor through repairs.  The
-    residual columns ``r1..r3`` and the scalars are scratch from the most
-    recent block update.
+    stay consistent with the coefficient factor through repairs.
     """
 
     H: np.ndarray
     M: np.ndarray
-    r1: Optional[np.ndarray] = None
-    r2: Optional[np.ndarray] = None
-    r3: Optional[np.ndarray] = None
-    a: float = 0.0
-    b: float = 0.0
-    d12: float = 0.0
-    d13: float = 0.0
-    d23: float = 0.0
 
 
 @dataclass
@@ -322,7 +313,7 @@ def _guard(label: str, value: float, floor: float) -> None:
         )
 
 
-def _update_block(target, H, M, cols, rank_eps, ws: BlockWorkspace) -> None:
+def _update_block(target, H, M, cols, rank_eps) -> None:
     """Closed-form joint update of the target columns of one block.
 
     The residual columns are ``r_j = H[:, c_j] - target @ M[:, c_j]`` with
@@ -335,7 +326,6 @@ def _update_block(target, H, M, cols, rank_eps, ws: BlockWorkspace) -> None:
     m11 = M[c1, c1]
     _guard("|u1|^2", m11, rank_eps * max(M[c, c] for c in cols))
     r1 = H[:, c1] - target @ M[:, c1]
-    ws.r1, ws.r2, ws.r3 = r1, None, None
     if k == 1:
         target[:, c1] = np.maximum(target[:, c1] + r1 / m11, 0.0)
         return
@@ -345,9 +335,7 @@ def _update_block(target, H, M, cols, rank_eps, ws: BlockWorkspace) -> None:
     d12 = m11 * m22 - m12 * m12
     _guard("|u2|^2", m22, 0.0)
     _guard("d12", d12, rank_eps * m11 * m22)
-    ws.d12 = d12
     r2 = H[:, c2] - target @ M[:, c2]
-    ws.r2 = r2
     v1 = target[:, c1].copy()
     v2 = target[:, c2].copy()
     if k == 2:
@@ -369,9 +357,7 @@ def _update_block(target, H, M, cols, rank_eps, ws: BlockWorkspace) -> None:
     _guard("det(Ui^T Ui)", det, rank_eps * m11 * m22 * m33)
     a = m12 * m33 - m23 * m13
     b = m13 * m22 - m23 * m12
-    ws.a, ws.b, ws.d13, ws.d23 = a, b, d13, d23
     r3 = H[:, c3] - target @ M[:, c3]
-    ws.r3 = r3
     v3 = target[:, c3].copy()
 
     inner = np.maximum((d23 * r1 - a * r2 - b * r3) / det + v1, 0.0)
@@ -420,7 +406,7 @@ def update_block_V(
     the caches; it is part of the signature for parity with the repair.
     """
     cols = _block_columns(factors.r, factors.k)[block_index]
-    _update_block(factors.V.data, workspace.H, workspace.M, cols, rank_eps, workspace)
+    _update_block(factors.V.data, workspace.H, workspace.M, cols, rank_eps)
     return factors.V.data[:, list(cols)].copy()
 
 
@@ -443,12 +429,11 @@ def _half_sweep(
     r = coef_arr.shape[1]
     H = at_times(A, coef).data
     M = gram(coef).data.copy(order="F")
-    ws = BlockWorkspace(H=H, M=M)
     repairs = 0
     for idx, cols in enumerate(_block_columns(r, k)):
         plan = _repair(A, coef_arr, target_arr, H, M, cols, rank_eps)
         repairs += plan.events
-        _update_block(target_arr, H, M, cols, rank_eps, ws)
+        _update_block(target_arr, H, M, cols, rank_eps)
         if observer is not None:
             observer(side, idx)
     cross = float(np.sum(target_arr * H))
@@ -466,8 +451,8 @@ def sweep(
     """One half-sweep over every block of one factor.
 
     ``direction="V"`` updates V with U as coefficients; ``direction="U"``
-    runs the identical code on the transposed data matrix with the roles
-    swapped.  Returns the objective ``|A - U V^T|_F^2`` after the pass.
+    runs the identical code on the transposed view of the data matrix with
+    the roles swapped.  Returns the objective ``|A - U V^T|_F^2`` after the pass.
     """
     if direction == "V":
         obj, _ = _half_sweep(
@@ -498,12 +483,15 @@ def fit(
     """Run alternating V-then-U sweeps from a seeded random start.
 
     The trace records the relative residual once per full sweep, measured
-    after the U half from the caches that half maintained.  The sparse
-    transpose used by the U half is built once up front.
+    after the U half from the caches that half maintained.  The U half runs
+    on ``transposed(A)``, a view of ``A``'s own storage.  Negative dense
+    input is rejected here, as :class:`SparseMatrixCSR` rejects it.
     """
     config.validate()
     if config.rank > min(A.rows, A.cols):
         raise ValueError("rank exceeds min(A dimensions)")
+    if isinstance(A, DenseMatrix) and A.data.size and A.data.min() < 0.0:
+        raise ValueError("dense matrix entries must be nonnegative")
     fro2 = _fro_squared(A)
     if fro2 == 0.0:
         raise ValueError("cannot factorize an all-zero matrix")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,25 @@ class TestAtTimes:
         with pytest.raises(ValueError):
             at_times(DenseMatrix(np.ones((3, 2))), DenseMatrix(np.ones((4, 2))))
 
+    def test_sparse_peak_memory_scales_with_factors(self):
+        # The kernels read the stored entries in place: the peak is the
+        # O((m + n) r) operands and result, never an nnz x r temporary.
+        rng = np.random.default_rng(12)
+        m, n, r = 600, 400, 8
+        a = random_sparse(rng, m, n, 0.25)
+        u = DenseMatrix(rng.random((m, r)))
+        v = DenseMatrix(rng.random((n, r)))
+        a_t = transposed(a)
+        for left, right in ((a, u), (a_t, v)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                at_times(left, right)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 8 * (m + n) * r < 8 * a.nnz * r
+
 
 class TestRelativeResidual:
     def test_zero_factors(self):
@@ -165,6 +186,23 @@ class TestContainers:
         rng = np.random.default_rng(4)
         a = DenseMatrix(rng.random((5, 3)))
         np.testing.assert_array_equal(transposed(a).data, a.data.T)
+
+    def test_transposed_shares_storage(self):
+        rng = np.random.default_rng(7)
+        a = DenseMatrix(rng.random((5, 3)))
+        assert np.shares_memory(transposed(a).data, a.data)
+        s = random_sparse(rng, 9, 12, 0.3)
+        s_t = transposed(s)
+        assert s_t.shape == (12, 9) and s_t.nnz == s.nnz
+        assert np.shares_memory(s_t.sp.data, s.values)
+        assert np.shares_memory(s_t.sp.indices, s.col_indices)
+        d = s.to_dense().data
+        for j in range(12):
+            np.testing.assert_array_equal(row_dense(s_t, j), d[:, j])
+        u = rng.random((12, 4))
+        np.testing.assert_allclose(
+            at_times(s_t, DenseMatrix(u)).data, d @ u, rtol=1e-13, atol=0
+        )
 
     def test_row_dense(self):
         rng = np.random.default_rng(6)

@@ -336,9 +336,31 @@ class TestFit:
             relative_residual(s, f.U, f.V), rel=1e-9
         )
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dense_and_sparse_forms_agree(self, k):
+        # Rank 4x the data's rank, so repairs fire on both forms.
+        from arknls.synth import gen_sparse
+
+        s = gen_sparse(
+            SynthSpec(m=60, n=45, true_rank=3, noise_std=0.0, sparsity=0.3, seed=6)
+        )
+        cfg = SolverConfig(rank=12, k=k, max_sweeps=60, seed=1)
+        _, t_sparse = fit(s, cfg)
+        _, t_dense = fit(s.to_dense(), cfg)
+        assert t_sparse.repair_events == t_dense.repair_events > 0
+        np.testing.assert_allclose(
+            t_sparse.rel_residual, t_dense.rel_residual, rtol=0, atol=1e-10
+        )
+
     def test_zero_matrix_rejected(self):
         a = DenseMatrix(np.zeros((6, 5)))
         with pytest.raises(ValueError):
+            fit(a, SolverConfig(rank=2, k=2))
+
+    def test_negative_dense_rejected(self):
+        a = gen_dense(SynthSpec(m=8, n=6, true_rank=2, seed=0))
+        a.data[3, 2] = -1e-3
+        with pytest.raises(ValueError, match="nonnegative"):
             fit(a, SolverConfig(rank=2, k=2))
 
     def test_repairs_fire_in_overparameterized_runs(self):
