@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .matrix import MatrixRef
-from .mmio import MatrixMarketError, read_matrix_market, write_trace_csv
-from .nnls import RankDeficiencyError
+from .mmio import read_matrix_market, write_trace_csv
 from .solver import SolverConfig, fit, flops_per_sweep
 from .synth import SynthSpec, gen_dense, gen_sparse
 
@@ -188,7 +187,8 @@ def run(argv=None) -> int:
         )
     try:
         return execute(spec)
-    except (ValueError, OSError, RankDeficiencyError, MatrixMarketError) as exc:
+    # RankDeficiencyError and MatrixMarketError are ValueErrors.
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

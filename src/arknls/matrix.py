@@ -173,11 +173,6 @@ class SparseMatrixCSR(SparseView):
     def to_dense(self) -> DenseMatrix:
         return DenseMatrix._wrap(self.sp.toarray(order="F"))
 
-    def transpose(self) -> "SparseMatrixCSR":
-        """CSR storage of the transpose (equivalently a CSC view of self)."""
-        t = self.sp.T.tocsr()
-        return SparseMatrixCSR(self.cols, self.rows, t.indptr, t.indices, t.data)
-
 
 def _validate_csr(rows, cols, off, idx, vals) -> None:
     if rows < 0 or cols < 0:

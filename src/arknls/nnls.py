@@ -1,15 +1,19 @@
 """Closed-form nonnegative least squares for 1, 2 and 3 columns.
 
-Each kernel solves ``min |G y - b|`` subject to ``y >= 0`` for a full
-column rank ``G``, where the solution can be written with nested
-nonnegative clamps ``[x]_+ = max(x, 0)``.  The clamps are order dependent:
-the last unknown is resolved first and feeds the earlier ones, so the
-evaluation order below is part of the contract, not an implementation
-detail.
+``solve_block`` is the one implementation of the closed form.  For a
+full column rank coefficient block it solves ``min |G y - b|`` subject to
+``y >= 0`` for every row of a batch at once, written with nested
+nonnegative clamps ``[x]_+ = max(x, 0)`` in terms of the Gram matrix, the
+current values and their residual.  The clamps are order dependent: the
+last unknown is resolved first and feeds the earlier ones, so the
+evaluation order is part of the contract, not an implementation detail.
+The solver's block updates call it on whole factor columns, and
+``nnls_rank1/2/3`` call it on a single row.
 
 ``nnls_recursive`` lifts any rank-k solver to rank k+1 by projecting the
 problem off the final column, and ``nnls_oracle`` is a deliberately slow
-exhaustive active-set check used to validate all of the above.
+exhaustive active-set check; both are independent of ``solve_block`` and
+serve as its references.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .matrix import DenseMatrix, gram
 
 __all__ = [
     "NnlsSolution",
@@ -57,26 +63,98 @@ def _kkt_residual(G: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
     return float(viol.max()) if viol.size else 0.0
 
 
-def _as_column_vector(g) -> np.ndarray:
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim == 2 and g.shape[1] == 1:
-        g = g[:, 0]
-    if g.ndim != 1:
-        raise ValueError("expected a single column")
-    return g
+def _guard(label: str, value: float, floor: float) -> None:
+    if value <= floor:
+        raise RankDeficiencyError(
+            f"{label} = {value:.3e} at or below its rank threshold; "
+            "the coefficient columns are (numerically) linearly dependent"
+        )
+
+
+def _sym_det3(m11, m22, m33, m12, m13, m23) -> float:
+    return (
+        m11 * (m22 * m33 - m23 * m23)
+        - m12 * (m12 * m33 - m23 * m13)
+        + m13 * (m12 * m23 - m22 * m13)
+    )
+
+
+def solve_block(Mb, R, V, rank_eps: float = RANK_EPS) -> np.ndarray:
+    """Closed-form joint NNLS update of k = 1, 2 or 3 columns, row by row.
+
+    ``Mb`` is the k x k Gram matrix of the coefficient columns, ``V`` the
+    current n x k values and ``R = rhs - V Mb`` their residual; each row
+    of the result solves its own rank-k problem.  Everything is
+    elementwise over the rows.  For k = 3 the solve order is column 3,
+    then 2, then 1; the intermediate vectors p, p~ and z carry the nested
+    clamps.  Raises :class:`RankDeficiencyError` when a determinant or
+    norm is at or below its rank threshold.
+    """
+    k = Mb.shape[0]
+    m11 = Mb[0, 0]
+    _guard("|u1|^2", m11, rank_eps * max(Mb[j, j] for j in range(k)))
+    r1, v1 = R[:, 0], V[:, 0]
+    if k == 1:
+        return np.maximum(v1 + r1 / m11, 0.0)[:, None]
+
+    m22, m12 = Mb[1, 1], Mb[0, 1]
+    d12 = m11 * m22 - m12 * m12
+    _guard("|u2|^2", m22, 0.0)
+    _guard("d12", d12, rank_eps * m11 * m22)
+    r2, v2 = R[:, 1], V[:, 1]
+    if k == 2:
+        w = np.maximum(v1 + (m22 * r1 - m12 * r2) / d12, 0.0)
+        v2_new = np.maximum(v2 + r2 / m22 + (m12 / m22) * (v1 - w), 0.0)
+        v1_new = np.maximum(v1 + r1 / m11 + (m12 / m11) * (v2 - v2_new), 0.0)
+        return np.array((v1_new, v2_new)).T
+
+    m33, m13, m23 = Mb[2, 2], Mb[0, 2], Mb[1, 2]
+    det = _sym_det3(m11, m22, m33, m12, m13, m23)
+    d13 = m11 * m33 - m13 * m13
+    d23 = m22 * m33 - m23 * m23
+    _guard("|u3|^2", m33, 0.0)
+    _guard("d13", d13, 0.0)
+    _guard("d23", d23, 0.0)
+    _guard("det(Ui^T Ui)", det, rank_eps * m11 * m22 * m33)
+    a = m12 * m33 - m23 * m13
+    b = m13 * m22 - m23 * m12
+    r3, v3 = R[:, 2], V[:, 2]
+
+    inner = np.maximum((d23 * r1 - a * r2 - b * r3) / det + v1, 0.0)
+    p = np.maximum(v2 + (m33 * r2 - m23 * r3) / d23 + (a / d23) * (v1 - inner), 0.0)
+    p_tilde = np.maximum(v1 + (m33 * r1 - m13 * r3) / d13 + (a / d13) * (v2 - p), 0.0)
+    v3_new = np.maximum(
+        v3 + r3 / m33 + (m13 / m33) * (v1 - p_tilde) + (m23 / m33) * (v2 - p), 0.0
+    )
+    z = np.maximum(v1 + (m22 * r1 - m12 * r2) / d12 + (b / d12) * (v3 - v3_new), 0.0)
+    v2_new = np.maximum(
+        v2 + r2 / m22 + (m12 / m22) * (v1 - z) + (m23 / m22) * (v3 - v3_new), 0.0
+    )
+    v1_new = np.maximum(
+        v1 + r1 / m11 + (m12 / m11) * (v2 - v2_new) + (m13 / m11) * (v3 - v3_new), 0.0
+    )
+    return np.array((v1_new, v2_new, v3_new)).T
+
+
+def _closed_form(G, b, k: int) -> NnlsSolution:
+    # One right-hand side through the solver's kernel: rhs G^T b, start 0.
+    G = np.asarray(G, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if G.ndim != 2 or G.shape[1] != k or b.shape != (G.shape[0],):
+        raise ValueError(f"G must be m x {k} and b of length m")
+    Mb = gram(DenseMatrix._wrap(G)).data
+    t = G.T @ b
+    y = solve_block(Mb, t[None, :], np.zeros((1, k)))[0]
+    return NnlsSolution(y=y, kkt_residual=_kkt_residual(G, b, y))
 
 
 def nnls_rank1(g, b) -> NnlsSolution:
-    """Single-column case: ``y = [g.b]_+ / |g|^2``."""
-    g = _as_column_vector(g)
-    b = np.asarray(b, dtype=np.float64)
-    if g.shape != b.shape:
-        raise ValueError("g and b must have the same length")
-    n2 = float(g @ g)
-    if n2 <= 0.0:
-        raise RankDeficiencyError("rank-1 problem with a zero column")
-    y = np.array([max(float(g @ b), 0.0) / n2])
-    return NnlsSolution(y=y, kkt_residual=_kkt_residual(g[:, None], b, y))
+    """Single-column case: ``y = [g.b]_+ / |g|^2``.
+
+    ``g`` may be a vector or an m x 1 matrix.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    return _closed_form(g[:, None] if g.ndim == 1 else g, b, 1)
 
 
 def nnls_rank2(G, b) -> NnlsSolution:
@@ -88,69 +166,13 @@ def nnls_rank2(G, b) -> NnlsSolution:
         y2 = [ b.g2 - c [ (n2 b.g1 - b.g2 c) / d12 ]_+ ]_+ / n2
         y1 = [ b.g1 - c y2 ]_+ / n1
     """
-    G = np.asarray(G, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if G.ndim != 2 or G.shape[1] != 2 or b.shape != (G.shape[0],):
-        raise ValueError("G must be m x 2 and b of length m")
-    n1 = float(G[:, 0] @ G[:, 0])
-    n2 = float(G[:, 1] @ G[:, 1])
-    c = float(G[:, 1] @ G[:, 0])
-    d12 = n1 * n2 - c * c
-    if d12 <= RANK_EPS * n1 * n2:
-        raise RankDeficiencyError("rank-2 problem with dependent columns")
-    t1 = float(b @ G[:, 0])
-    t2 = float(b @ G[:, 1])
-    inner = max((n2 * t1 - t2 * c) / d12, 0.0)
-    y2 = max(t2 - c * inner, 0.0) / n2
-    y1 = max(t1 - c * y2, 0.0) / n1
-    y = np.array([y1, y2])
-    return NnlsSolution(y=y, kkt_residual=_kkt_residual(G, b, y))
-
-
-def _det3(a11, a12, a13, a21, a22, a23, a31, a32, a33) -> float:
-    # Cofactor expansion along the first row; branch free on purpose.
-    return (
-        a11 * (a22 * a33 - a23 * a32)
-        - a12 * (a21 * a33 - a23 * a31)
-        + a13 * (a21 * a32 - a22 * a31)
-    )
+    return _closed_form(G, b, 2)
 
 
 def nnls_rank3(G, b) -> NnlsSolution:
-    """Three-column case, resolved in the order y3, y2, y1.
-
-    The intermediate ``p`` needs the ratio of two 3x3 determinants: the
-    Gram matrix of the columns, and the same matrix with the first row
-    replaced by ``(b.g1, b.g2, b.g3)``.
-    """
-    G = np.asarray(G, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if G.ndim != 2 or G.shape[1] != 3 or b.shape != (G.shape[0],):
-        raise ValueError("G must be m x 3 and b of length m")
-    g1, g2, g3 = G[:, 0], G[:, 1], G[:, 2]
-    n1, n2, n3 = float(g1 @ g1), float(g2 @ g2), float(g3 @ g3)
-    c12 = float(g2 @ g1)
-    c13 = float(g3 @ g1)
-    c23 = float(g3 @ g2)
-    det_gram = _det3(n1, c12, c13, c12, n2, c23, c13, c23, n3)
-    if det_gram <= RANK_EPS * n1 * n2 * n3:
-        raise RankDeficiencyError("rank-3 problem with dependent columns")
-    d12 = n1 * n2 - c12 * c12
-    d13 = n1 * n3 - c13 * c13
-    d23 = n2 * n3 - c23 * c23
-    t1, t2, t3 = float(b @ g1), float(b @ g2), float(b @ g3)
-
-    det_mixed = _det3(t1, t2, t3, c12, n2, c23, c13, c23, n3)
-    ratio = max(det_mixed / det_gram, 0.0)
-    a = c12 * n3 - c23 * c13
-    p = max((t2 * n3 - t3 * c23) / d23 - (a / d23) * ratio, 0.0)
-    p_tilde = max((t1 * n3 - t3 * c13) / d13 - (a / d13) * p, 0.0)
-    y3 = max(t3 - c23 * p - c13 * p_tilde, 0.0) / n3
-    inner = max(((t1 * n2 - t2 * c12) - (c13 * n2 - c23 * c12) * y3) / d12, 0.0)
-    y2 = max(t2 - c23 * y3 - c12 * inner, 0.0) / n2
-    y1 = max(t1 - c13 * y3 - c12 * y2, 0.0) / n1
-    y = np.array([y1, y2, y3])
-    return NnlsSolution(y=y, kkt_residual=_kkt_residual(G, b, y))
+    """Three-column case, resolved in the order y3, y2, y1 as in
+    :func:`solve_block`."""
+    return _closed_form(G, b, 3)
 
 
 def nnls_recursive(

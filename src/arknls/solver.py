@@ -4,14 +4,16 @@ Factors ``U`` (m x r) and ``V`` (n x r) are updated in blocks of ``k``
 consecutive columns, ``k`` in {1, 2, 3}.  Per block the nonnegative
 least squares subproblem has a closed form driven entirely by two cached
 products: ``H`` (data matrix transposed times the coefficient factor) and
-the coefficient Gram matrix ``M``.  Before every block update the
+the coefficient Gram matrix ``M``.  This module assembles the block's
+residual from them and hands it to :func:`arknls.nnls.solve_block`, the
+one implementation of that closed form.  Before every block update the
 coefficient columns are checked for (numerical) rank deficiency and, if
 needed, repaired in place without changing the product ``U_i V_i^T``, so
 the closed form never divides by a vanishing determinant.
 
-The second half of a sweep updates ``U`` by running the identical code on
-a transposed view of the data matrix (no copy) with the factor roles
-swapped.
+One driver, ``_half_sweep``, runs both halves of a sweep for ``sweep`` and
+``fit``: the second half updates ``U`` by running the identical code on a
+transposed view of the data matrix (no copy) with the factor roles swapped.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .matrix import (
     row_dense,
     transposed,
 )
-from .nnls import RANK_EPS, RankDeficiencyError
+from .nnls import RANK_EPS, RankDeficiencyError, _sym_det3, solve_block
 from .rng import make_rng, uniform_matrix
 
 __all__ = [
@@ -209,14 +211,6 @@ def build_workspace(A: MatrixRef, factors: FactorPair) -> BlockWorkspace:
     )
 
 
-def _sym_det3(m11, m22, m33, m12, m13, m23) -> float:
-    return (
-        m11 * (m22 * m33 - m23 * m23)
-        - m12 * (m12 * m33 - m23 * m13)
-        + m13 * (m12 * m23 - m22 * m13)
-    )
-
-
 def _refresh_caches(A, coef, H, M, col: int, unit_row: int) -> None:
     # coef[:, col] was rebuilt as a unit vector e_{unit_row}; patch the
     # touched H column and M row/column instead of recomputing products.
@@ -305,77 +299,18 @@ def _repair(A, coef, target, H, M, cols, rank_eps) -> RepairPlan:
     return plan
 
 
-def _guard(label: str, value: float, floor: float) -> None:
-    if value <= floor:
-        raise RankDeficiencyError(
-            f"{label} = {value:.3e} at or below its rank threshold; "
-            "block update called on an unrepaired rank-deficient block"
-        )
-
-
 def _update_block(target, H, M, cols, rank_eps) -> None:
     """Closed-form joint update of the target columns of one block.
 
-    The residual columns are ``r_j = H[:, c_j] - target @ M[:, c_j]`` with
-    the current target, after which everything is elementwise over the
-    target rows.  For k = 3 the solve order is column 3, then 2, then 1;
-    the intermediate vectors p, p~ and z carry the nested clamps.
+    The residual columns ``r_j = H[:, c_j] - target @ M[:, c_j]`` are
+    formed with the current target, one column at a time, and
+    :func:`solve_block` turns them into the block's new columns.
     """
-    k = len(cols)
-    c1 = cols[0]
-    m11 = M[c1, c1]
-    _guard("|u1|^2", m11, rank_eps * max(M[c, c] for c in cols))
-    r1 = H[:, c1] - target @ M[:, c1]
-    if k == 1:
-        target[:, c1] = np.maximum(target[:, c1] + r1 / m11, 0.0)
-        return
-
-    c2 = cols[1]
-    m22, m12 = M[c2, c2], M[c1, c2]
-    d12 = m11 * m22 - m12 * m12
-    _guard("|u2|^2", m22, 0.0)
-    _guard("d12", d12, rank_eps * m11 * m22)
-    r2 = H[:, c2] - target @ M[:, c2]
-    v1 = target[:, c1].copy()
-    v2 = target[:, c2].copy()
-    if k == 2:
-        w = np.maximum(v1 + (m22 * r1 - m12 * r2) / d12, 0.0)
-        v2_new = np.maximum(v2 + r2 / m22 + (m12 / m22) * (v1 - w), 0.0)
-        v1_new = np.maximum(v1 + r1 / m11 + (m12 / m11) * (v2 - v2_new), 0.0)
-        target[:, c1] = v1_new
-        target[:, c2] = v2_new
-        return
-
-    c3 = cols[2]
-    m33, m13, m23 = M[c3, c3], M[c1, c3], M[c2, c3]
-    det = _sym_det3(m11, m22, m33, m12, m13, m23)
-    d13 = m11 * m33 - m13 * m13
-    d23 = m22 * m33 - m23 * m23
-    _guard("|u3|^2", m33, 0.0)
-    _guard("d13", d13, 0.0)
-    _guard("d23", d23, 0.0)
-    _guard("det(Ui^T Ui)", det, rank_eps * m11 * m22 * m33)
-    a = m12 * m33 - m23 * m13
-    b = m13 * m22 - m23 * m12
-    r3 = H[:, c3] - target @ M[:, c3]
-    v3 = target[:, c3].copy()
-
-    inner = np.maximum((d23 * r1 - a * r2 - b * r3) / det + v1, 0.0)
-    p = np.maximum(v2 + (m33 * r2 - m23 * r3) / d23 + (a / d23) * (v1 - inner), 0.0)
-    p_tilde = np.maximum(v1 + (m33 * r1 - m13 * r3) / d13 + (a / d13) * (v2 - p), 0.0)
-    v3_new = np.maximum(
-        v3 + r3 / m33 + (m13 / m33) * (v1 - p_tilde) + (m23 / m33) * (v2 - p), 0.0
-    )
-    z = np.maximum(v1 + (m22 * r1 - m12 * r2) / d12 + (b / d12) * (v3 - v3_new), 0.0)
-    v2_new = np.maximum(
-        v2 + r2 / m22 + (m12 / m22) * (v1 - z) + (m23 / m22) * (v3 - v3_new), 0.0
-    )
-    v1_new = np.maximum(
-        v1 + r1 / m11 + (m12 / m11) * (v2 - v2_new) + (m13 / m11) * (v3 - v3_new), 0.0
-    )
-    target[:, c1] = v1_new
-    target[:, c2] = v2_new
-    target[:, c3] = v3_new
+    block = slice(cols[0], cols[-1] + 1)
+    R = np.empty((target.shape[0], len(cols)), order="F")
+    for j, c in enumerate(cols):
+        np.subtract(H[:, c], target @ M[:, c], out=R[:, j])
+    target[:, block] = solve_block(M[block, block], R, target[:, block], rank_eps)
 
 
 def repair_block(
@@ -398,8 +333,8 @@ def update_block_V(
     workspace: BlockWorkspace,
     block_index: int,
     rank_eps: float = RANK_EPS,
-) -> np.ndarray:
-    """Update the V columns of one block; returns a copy of the new columns.
+) -> None:
+    """Update the V columns of one block in place.
 
     Requires current caches and a full-rank coefficient block (repair
     first).  ``A`` is unused by the formulas themselves, which read only
@@ -407,38 +342,47 @@ def update_block_V(
     """
     cols = _block_columns(factors.r, factors.k)[block_index]
     _update_block(factors.V.data, workspace.H, workspace.M, cols, rank_eps)
-    return factors.V.data[:, list(cols)].copy()
 
 
 def _half_sweep(
     A: MatrixRef,
-    coef: DenseMatrix,
-    target: DenseMatrix,
-    k: int,
+    factors: FactorPair,
+    side: str,
     rank_eps: float,
     fro2: float,
-    side: str,
     observer: Optional[BlockObserver],
 ) -> tuple[float, int]:
-    """Repair plus update every block once; returns (objective, repairs).
+    """The driver behind :func:`sweep` and :func:`fit`: repair plus update
+    every block of the ``side`` factor once; returns (objective, repairs).
 
-    The objective ``|A - coef target^T|_F^2`` comes from the trace
-    identity on the maintained caches, clamped at zero.
+    The objective comes from the trace identity on the maintained caches,
+    clamped at zero once it is known to be finite.
     """
+    if side == "V":
+        data, coef, target = A, factors.U, factors.V
+    elif side == "U":
+        data, coef, target = transposed(A), factors.V, factors.U
+    else:
+        raise ValueError('direction must be "V" or "U"')
     coef_arr, target_arr = coef.data, target.data
-    r = coef_arr.shape[1]
-    H = at_times(A, coef).data
+    H = at_times(data, coef).data
     M = gram(coef).data.copy(order="F")
     repairs = 0
-    for idx, cols in enumerate(_block_columns(r, k)):
-        plan = _repair(A, coef_arr, target_arr, H, M, cols, rank_eps)
+    for idx, cols in enumerate(_block_columns(factors.r, factors.k)):
+        plan = _repair(data, coef_arr, target_arr, H, M, cols, rank_eps)
         repairs += plan.events
         _update_block(target_arr, H, M, cols, rank_eps)
         if observer is not None:
             observer(side, idx)
     cross = float(np.sum(target_arr * H))
     quad = float(np.sum((target_arr.T @ target_arr) * M))
-    return max(fro2 - 2.0 * cross + quad, 0.0), repairs
+    objective = fro2 - 2.0 * cross + quad
+    if not math.isfinite(objective):
+        raise FloatingPointError(
+            f"numerical breakdown: objective is {objective} after the "
+            f"{side} half-sweep"
+        )
+    return max(objective, 0.0), repairs
 
 
 def sweep(
@@ -452,26 +396,10 @@ def sweep(
 
     ``direction="V"`` updates V with U as coefficients; ``direction="U"``
     runs the identical code on the transposed view of the data matrix with
-    the roles swapped.  Returns the objective ``|A - U V^T|_F^2`` after the pass.
+    the roles swapped.  Returns the objective ``|A - U V^T|_F^2`` after the
+    pass, and raises :class:`FloatingPointError` if it is not finite.
     """
-    if direction == "V":
-        obj, _ = _half_sweep(
-            A, factors.U, factors.V, factors.k, rank_eps, _fro_squared(A), "V", observer
-        )
-    elif direction == "U":
-        obj, _ = _half_sweep(
-            transposed(A),
-            factors.V,
-            factors.U,
-            factors.k,
-            rank_eps,
-            _fro_squared(A),
-            "U",
-            observer,
-        )
-    else:
-        raise ValueError('direction must be "V" or "U"')
-    return obj
+    return _half_sweep(A, factors, direction, rank_eps, _fro_squared(A), observer)[0]
 
 
 def fit(
@@ -485,7 +413,9 @@ def fit(
     The trace records the relative residual once per full sweep, measured
     after the U half from the caches that half maintained.  The U half runs
     on ``transposed(A)``, a view of ``A``'s own storage.  Negative dense
-    input is rejected here, as :class:`SparseMatrixCSR` rejects it.
+    input is rejected here, as :class:`SparseMatrixCSR` rejects it, and a
+    numerical breakdown (a non-finite objective) raises
+    :class:`FloatingPointError`.
     """
     config.validate()
     if config.rank > min(A.rows, A.cols):
@@ -497,20 +427,17 @@ def fit(
         raise ValueError("cannot factorize an all-zero matrix")
     fro = math.sqrt(fro2)
     factors = initialize(A, config.rank, config.seed, k=config.k)
-    A_t = transposed(A)
     tick = clock if clock is not None else time.perf_counter
     trace = SolveTrace()
     started = tick()
     previous = None
     for sweep_index in range(1, config.max_sweeps + 1):
-        _, rep_v = _half_sweep(
-            A, factors.U, factors.V, config.k, config.rank_eps, fro2, "V", observer
-        )
-        obj_u, rep_u = _half_sweep(
-            A_t, factors.V, factors.U, config.k, config.rank_eps, fro2, "U", observer
-        )
-        trace.repair_events += rep_v + rep_u
-        residual = math.sqrt(obj_u) / fro
+        for side in "VU":
+            objective, repairs = _half_sweep(
+                A, factors, side, config.rank_eps, fro2, observer
+            )
+            trace.repair_events += repairs
+        residual = math.sqrt(objective) / fro
         trace.append(sweep_index, tick() - started, residual)
         if (
             config.tol_residual_change is not None

@@ -6,6 +6,7 @@ import pytest
 from arknls.cli import run
 from arknls.matrix import DenseMatrix
 from arknls.mmio import read_trace_csv, write_matrix_market
+from arknls.synth import SynthSpec, gen_dense
 
 SUMMARY_RE = re.compile(
     r"^k=(\d+) rank=(\d+) final_rel_residual=([\d.eE+-]+)±([\d.eE+-]+)"
@@ -50,6 +51,16 @@ def test_missing_source_exits_2(capsys):
 def test_runtime_error_exits_1(capsys):
     assert run(["--input", "/no/such/file.mtx", "--rank", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_numerical_breakdown_exits_1(tmp_path, capsys):
+    a = gen_dense(SynthSpec(m=60, n=40, true_rank=5, noise_std=0.01, seed=1))
+    path = tmp_path / "huge.mtx"
+    write_matrix_market(DenseMatrix(1e150 * a.data), path)
+    with np.errstate(all="ignore"):
+        code = run(["--input", str(path), "--rank", "5", "--k", "2", "--seed", "0"])
+    assert code == 1
+    assert "error: numerical breakdown" in capsys.readouterr().err
 
 
 def test_rank_too_large_exits_1(capsys):

@@ -171,17 +171,6 @@ class TestContainers:
         assert s.nnz == 2
         np.testing.assert_array_equal(s.to_dense().data, [[0.0, 3.5], [4.0, 0.0]])
 
-    def test_transpose_roundtrip(self):
-        rng = np.random.default_rng(2)
-        s = random_sparse(rng, 13, 29, 0.15)
-        back = s.transpose().transpose()
-        np.testing.assert_array_equal(back.row_offsets, s.row_offsets)
-        np.testing.assert_array_equal(back.col_indices, s.col_indices)
-        np.testing.assert_array_equal(back.values, s.values)
-        np.testing.assert_array_equal(
-            s.transpose().to_dense().data, s.to_dense().data.T
-        )
-
     def test_transposed_dense(self):
         rng = np.random.default_rng(4)
         a = DenseMatrix(rng.random((5, 3)))

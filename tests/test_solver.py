@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from arknls.matrix import DenseMatrix, relative_residual
-from arknls.nnls import RankDeficiencyError, nnls_rank3
+from arknls.matrix import DenseMatrix, frobenius_norm, relative_residual
+from arknls.nnls import RankDeficiencyError, nnls_rank1, nnls_rank2, nnls_rank3
 from arknls.solver import (
     FactorPair,
     SolverConfig,
@@ -16,7 +16,7 @@ from arknls.solver import (
     sweep,
     update_block_V,
 )
-from arknls.synth import SynthSpec, gen_dense
+from arknls.synth import SynthSpec, gen_dense, gen_sparse
 
 
 def direct_objective(A, factors):
@@ -228,12 +228,14 @@ class TestSweep:
         assert np.max(np.abs(ws.H - h_ref)) <= 1e-11 * (1 + np.max(np.abs(h_ref)))
         assert np.max(np.abs(ws.M - m_ref)) <= 1e-11 * (1 + np.max(np.abs(m_ref)))
 
-    def test_row_decoupling(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_row_decoupling(self, k):
         # Each updated block row solves its own small NNLS against the
         # residual with every other block frozen.
+        reference = {1: nnls_rank1, 2: nnls_rank2, 3: nnls_rank3}[k]
         rng = np.random.default_rng(14)
         a = DenseMatrix(rng.random((20, 15)))
-        f = initialize(a, 6, seed=4, k=3)
+        f = initialize(a, 6, seed=4, k=k)
         ws = build_workspace(a, f)
         for i, cols in enumerate(_block_columns(f.r, f.k)):
             others = [c for c in range(f.r) if c not in cols]
@@ -241,7 +243,7 @@ class TestSweep:
             repair_block(f, ws, i, a)
             update_block_V(a, f, ws, i)
             for t in range(a.cols):
-                want = nnls_rank3(f.U.data[:, list(cols)], residual[:, t]).y
+                want = reference(f.U.data[:, list(cols)], residual[:, t]).y
                 assert np.max(np.abs(f.V.data[t, list(cols)] - want)) <= 1e-10
 
 
@@ -325,8 +327,6 @@ class TestFit:
             assert f.V.data.min() >= 0.0
 
     def test_sparse_input(self):
-        from arknls.synth import gen_sparse
-
         s = gen_sparse(SynthSpec(m=60, n=45, true_rank=4, sparsity=0.3, seed=6))
         f, trace = fit(s, SolverConfig(rank=4, k=3, max_sweeps=40, seed=1))
         res = trace.rel_residual
@@ -339,8 +339,6 @@ class TestFit:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_dense_and_sparse_forms_agree(self, k):
         # Rank 4x the data's rank, so repairs fire on both forms.
-        from arknls.synth import gen_sparse
-
         s = gen_sparse(
             SynthSpec(m=60, n=45, true_rank=3, noise_std=0.0, sparsity=0.3, seed=6)
         )
@@ -351,6 +349,27 @@ class TestFit:
         np.testing.assert_allclose(
             t_sparse.rel_residual, t_dense.rel_residual, rtol=0, atol=1e-10
         )
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_fit_is_sweep_pairs(self, form):
+        # fit runs the same half-sweep driver as sweep, V half first.
+        s = gen_sparse(SynthSpec(m=40, n=30, true_rank=3, sparsity=0.5, seed=8))
+        a = s if form == "sparse" else s.to_dense()
+        f, trace = fit(a, SolverConfig(rank=5, k=2, max_sweeps=3, seed=4))
+        g = initialize(a, 5, seed=4, k=2)
+        for _ in range(3):
+            sweep(a, g, "V")
+            obj_u = sweep(a, g, "U")
+        assert np.array_equal(f.U.data, g.U.data)
+        assert np.array_equal(f.V.data, g.V.data)
+        assert trace.final_residual == np.sqrt(obj_u) / frobenius_norm(a)
+
+    @pytest.mark.parametrize("k, scale", [(3, 1e60), (2, 1e150)])
+    def test_numerical_breakdown_raises(self, k, scale):
+        a = gen_dense(SynthSpec(m=60, n=40, true_rank=5, noise_std=0.01, seed=1))
+        big = DenseMatrix(a.data * scale)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            fit(big, SolverConfig(rank=5, k=k, max_sweeps=50, seed=0))
 
     def test_zero_matrix_rejected(self):
         a = DenseMatrix(np.zeros((6, 5)))
