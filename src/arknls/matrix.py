@@ -151,13 +151,22 @@ class SparseMatrixCSR(SparseView):
 
     @classmethod
     def from_coo(cls, rows, cols, row_idx, col_idx, values) -> "SparseMatrixCSR":
-        """Build from coordinate triples; duplicates are summed."""
+        """Build from coordinate triples; duplicates are summed.
+
+        Triples already in strictly increasing (row, column) order, the
+        order :func:`~arknls.mmio.write_matrix_market` writes, are taken
+        as they are: sorting them would be the identity and they hold no
+        duplicates to sum.
+        """
         ri = np.asarray(row_idx, dtype=np.int64)
         ci = np.asarray(col_idx, dtype=np.int64)
         vals = np.asarray(values, dtype=np.float64)
         if not (ri.shape == ci.shape == vals.shape):
             raise ValueError("coordinate arrays must have equal length")
-        if ri.size:
+        if _row_major_unique(ri, ci):
+            # Copies, so the matrix never shares the caller's arrays.
+            ci, vals = ci.copy(), vals.copy()
+        else:
             order = np.lexsort((ci, ri))
             ri, ci, vals = ri[order], ci[order], vals[order]
             fresh = np.empty(ri.size, dtype=bool)
@@ -172,6 +181,15 @@ class SparseMatrixCSR(SparseView):
 
     def to_dense(self) -> DenseMatrix:
         return DenseMatrix._wrap(self.sp.toarray(order="F"))
+
+
+def _row_major_unique(ri: np.ndarray, ci: np.ndarray) -> bool:
+    # True when the (row, column) pairs are strictly increasing.
+    rows_up = ri[1:] > ri[:-1]
+    return bool(
+        np.all(rows_up | (ri[1:] == ri[:-1]))
+        and np.all(rows_up | (ci[1:] > ci[:-1]))
+    )
 
 
 def _validate_csr(rows, cols, off, idx, vals) -> None:
@@ -218,10 +236,15 @@ def gram(U: DenseMatrix) -> DenseMatrix:
 def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     """Product of the transpose of ``A`` (m x n) with ``U`` (m x r).
 
-    Both paths read ``A``'s own storage: BLAS for dense input, and for
-    sparse input scipy's kernel on the transpose view of ``A.sp``, which
-    accumulates each scaled row of ``U`` into the output row given by the
-    column index, rows in increasing order.
+    Both paths read ``A``'s own storage.  Dense input runs as
+    ``(U^T A)^T``, the thin factor on the left: BLAS then takes ``A`` as
+    the wide operand of an r-row product, which OpenBLAS ran about twice
+    as fast as ``A^T U`` both on a column-major ``A`` and on the row-major
+    view :func:`transposed` returns, and the product's transpose is
+    already column-major.  Sparse input runs scipy's kernel on the
+    transpose view of ``A.sp``, which accumulates each scaled row of ``U``
+    into the output row given by the column index, rows in increasing
+    order.
     """
     u = U.data
     if A.rows != u.shape[0]:
@@ -229,7 +252,7 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
             f"dimension mismatch: A has {A.rows} rows, U has {u.shape[0]}"
         )
     if isinstance(A, DenseMatrix):
-        return DenseMatrix._wrap(A.data.T @ u)
+        return DenseMatrix._wrap((u.T @ A.data).T)
     return DenseMatrix._wrap(A.sp.T @ u)
 
 

@@ -10,6 +10,8 @@ feeds a nonnegative factorization.
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -37,23 +39,35 @@ def _fail(line_no: int, message: str) -> "MatrixMarketError":
     return MatrixMarketError(f"line {line_no}: {message}")
 
 
-def _data_lines(lines):
-    # Yields (1-based line number, stripped text) skipping comments/blanks
-    # after the banner.
-    for no, raw in enumerate(lines[1:], start=2):
+def _data_lines(numbered):
+    # Yields (1-based line number, stripped text) from the (number, raw
+    # line) pairs after the banner, skipping comments and blank lines;
+    # returns the number of the last line read.
+    no = 1
+    for no, raw in numbered:
         text = raw.strip()
         if not text or text.startswith("%"):
             continue
         yield no, text
+    return no
 
 
 def read_matrix_market(path) -> MatrixRef:
-    """Parse a Matrix Market file into a dense or sparse matrix."""
+    """Parse a Matrix Market file into a dense or sparse matrix.
+
+    The file is read one line at a time and the entries are gathered in
+    typed arrays, so the peak memory is a small multiple of the entry
+    count rather than of the file's text.
+    """
     with open(path, "r", encoding="ascii") as handle:
-        lines = handle.readlines()
-    if not lines:
+        return _read(enumerate(handle, start=1))
+
+
+def _read(numbered):
+    first = next(numbered, None)
+    if first is None:
         raise _fail(1, "empty file")
-    header = lines[0].strip().lower().split()
+    header = first[1].strip().lower().split()
     if len(header) != 5 or header[0] != _BANNER or header[1] != "matrix":
         raise _fail(1, "expected '%%MatrixMarket matrix <format> <field> <symmetry>'")
     layout, field, symmetry = header[2], header[3], header[4]
@@ -66,11 +80,11 @@ def read_matrix_market(path) -> MatrixRef:
     if layout == "array" and field == "pattern":
         raise _fail(1, "pattern field is only valid for coordinate format")
 
-    entries = _data_lines(lines)
+    entries = _data_lines(numbered)
     try:
         size_no, size_text = next(entries)
-    except StopIteration:
-        raise _fail(len(lines), "missing size line") from None
+    except StopIteration as end:
+        raise _fail(end.value, "missing size line") from None
 
     if layout == "coordinate":
         return _read_coordinate(entries, size_no, size_text, field, symmetry)
@@ -88,7 +102,7 @@ def _read_coordinate(entries, size_no, size_text, field, symmetry):
     if symmetry == "symmetric" and m != n:
         raise _fail(size_no, "symmetric matrix must be square")
     want = 3 if field == "real" else 2
-    rows, cols, vals = [], [], []
+    rows, cols, vals = array("q"), array("q"), array("d")
     count = 0
     for no, text in entries:
         parts = text.split()
@@ -103,7 +117,7 @@ def _read_coordinate(entries, size_no, size_text, field, symmetry):
             raise _fail(no, f"index ({i}, {j}) out of range for {m} x {n}")
         if v < 0.0:
             raise _fail(no, f"negative value {v} not allowed")
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise _fail(no, "non-finite value")
         rows.append(i - 1)
         cols.append(j - 1)
@@ -115,7 +129,13 @@ def _read_coordinate(entries, size_no, size_text, field, symmetry):
         count += 1
     if count != nnz:
         raise _fail(size_no, f"declared {nnz} entries, found {count}")
-    return SparseMatrixCSR.from_coo(m, n, rows, cols, vals)
+    return SparseMatrixCSR.from_coo(
+        m,
+        n,
+        np.frombuffer(rows, dtype=np.int64),
+        np.frombuffer(cols, dtype=np.int64),
+        np.frombuffer(vals, dtype=np.float64),
+    )
 
 
 def _read_array(entries, size_no, size_text, symmetry):
@@ -129,7 +149,7 @@ def _read_array(entries, size_no, size_text, symmetry):
     if symmetry == "symmetric" and m != n:
         raise _fail(size_no, "symmetric matrix must be square")
     expected = m * n if symmetry == "general" else m * (m + 1) // 2
-    values = []
+    values = array("d")
     last_no = size_no
     for no, text in entries:
         for token in text.split():
@@ -139,20 +159,21 @@ def _read_array(entries, size_no, size_text, symmetry):
                 raise _fail(no, f"malformed value '{token}'") from None
             if v < 0.0:
                 raise _fail(no, f"negative value {v} not allowed")
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise _fail(no, "non-finite value")
             values.append(v)
         last_no = no
     if len(values) != expected:
         raise _fail(last_no, f"expected {expected} values, found {len(values)}")
+    values = np.frombuffer(values, dtype=np.float64)
     out = np.zeros((m, n), order="F")
     if symmetry == "general":
-        out[:, :] = np.asarray(values).reshape((m, n), order="F")
+        out[:, :] = values.reshape((m, n), order="F")
     else:
         pos = 0
         for j in range(n):
             span = m - j
-            col = np.asarray(values[pos : pos + span])
+            col = values[pos : pos + span]
             out[j:, j] = col
             out[j, j:] = col
             pos += span

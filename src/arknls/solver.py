@@ -206,9 +206,7 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
 
 def build_workspace(A: MatrixRef, factors: FactorPair) -> BlockWorkspace:
     """Fresh caches for a V-side pass: ``H = A^T U`` and ``M = U^T U``."""
-    return BlockWorkspace(
-        H=at_times(A, factors.U).data, M=gram(factors.U).data.copy(order="F")
-    )
+    return BlockWorkspace(H=at_times(A, factors.U).data, M=gram(factors.U).data)
 
 
 def _refresh_caches(A, coef, H, M, col: int, unit_row: int) -> None:
@@ -366,7 +364,7 @@ def _half_sweep(
         raise ValueError('direction must be "V" or "U"')
     coef_arr, target_arr = coef.data, target.data
     H = at_times(data, coef).data
-    M = gram(coef).data.copy(order="F")
+    M = gram(coef).data
     repairs = 0
     for idx, cols in enumerate(_block_columns(factors.r, factors.k)):
         plan = _repair(data, coef_arr, target_arr, H, M, cols, rank_eps)

@@ -84,6 +84,18 @@ class TestAtTimes:
         want = triple_loop_atb(a.to_dense().data, u)
         assert np.max(np.abs(got - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("layout", ["column_major", "transposed_view"])
+    def test_dense_matches_triple_loop(self, layout):
+        rng = np.random.default_rng(5)
+        a = DenseMatrix(rng.random((37, 23)))
+        if layout == "transposed_view":
+            a = transposed(a)
+        u = rng.random((a.rows, 6))
+        got = at_times(a, DenseMatrix(u)).data
+        want = triple_loop_atb(a.data, u)
+        assert got.flags.f_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             at_times(DenseMatrix(np.ones((3, 2))), DenseMatrix(np.ones((4, 2))))
@@ -170,6 +182,31 @@ class TestContainers:
         s = SparseMatrixCSR.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.5, 4.0])
         assert s.nnz == 2
         np.testing.assert_array_equal(s.to_dense().data, [[0.0, 3.5], [4.0, 0.0]])
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "duplicated"])
+    def test_from_coo_any_order(self, order):
+        # Values are multiples of 1/4, so every summation order is exact
+        # and the expected arrays are independent of how duplicates add.
+        rng = np.random.default_rng(9)
+        m, n = 30, 20
+        rows, cols = np.nonzero(rng.random((m, n)) < 0.2)
+        vals = rng.integers(1, 40, rows.size) / 4.0
+        want_offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+        want = (want_offsets, cols.copy(), vals.copy())
+        if order == "shuffled":
+            perm = rng.permutation(rows.size)
+            rows, cols, vals = rows[perm], cols[perm], vals[perm]
+        elif order == "duplicated":
+            # Split every entry into two halves, listed in reverse order.
+            rows = np.concatenate((rows, rows))[::-1]
+            cols = np.concatenate((cols, cols))[::-1]
+            vals = np.concatenate((vals, vals))[::-1] / 2.0
+        s = SparseMatrixCSR.from_coo(m, n, rows, cols, vals)
+        for got, expected in zip((s.row_offsets, s.col_indices, s.values), want):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        assert not np.shares_memory(s.values, vals)
+        assert not np.shares_memory(s.col_indices, cols)
 
     def test_transposed_dense(self):
         rng = np.random.default_rng(4)

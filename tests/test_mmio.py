@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,41 @@ class TestReadErrors:
         with pytest.raises(MatrixMarketError, match="line 4"):
             read_matrix_market(p)
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_coordinate(self, tmp_path, token):
+        p = write(
+            tmp_path / "nf.mtx",
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"2 2 2\n1 1 1.0\n% note\n2 2 {token}\n",
+        )
+        with pytest.raises(MatrixMarketError, match="line 5: non-finite value"):
+            read_matrix_market(p)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_array(self, tmp_path, token):
+        p = write(
+            tmp_path / "nfa.mtx",
+            f"%%MatrixMarket matrix array real general\n2 1\n1.0\n{token}\n",
+        )
+        with pytest.raises(MatrixMarketError, match="line 4: non-finite value"):
+            read_matrix_market(p)
+
+    def test_empty_file(self, tmp_path):
+        p = write(tmp_path / "e.mtx", "")
+        with pytest.raises(MatrixMarketError, match="line 1: empty file"):
+            read_matrix_market(p)
+
+    @pytest.mark.parametrize(
+        "tail, line", [("", 1), ("% only a comment\n\n", 3)]
+    )
+    def test_missing_size_line_reports_last_line(self, tmp_path, tail, line):
+        p = write(
+            tmp_path / "s.mtx",
+            "%%MatrixMarket matrix coordinate real general\n" + tail,
+        )
+        with pytest.raises(MatrixMarketError, match=f"line {line}: missing size line"):
+            read_matrix_market(p)
+
 
 class TestRoundTrip:
     def assert_same_sparse(self, a, b):
@@ -170,6 +207,24 @@ class TestRoundTrip:
         path = tmp_path / "rt.mtx"
         write_matrix_market(a, path)
         self.assert_same_sparse(a, read_matrix_market(path))
+
+    def test_coordinate_read_peak_memory(self, tmp_path):
+        # The reader keeps the parsed entries in typed arrays, never the
+        # file's lines or per-entry Python objects, so its peak stays a
+        # small multiple of the file size.
+        rng = np.random.default_rng(2)
+        rows, cols = np.nonzero(rng.random((400, 300)) < 0.2)
+        a = SparseMatrixCSR.from_coo(400, 300, rows, cols, rng.random(rows.size))
+        path = tmp_path / "big.mtx"
+        write_matrix_market(a, path)
+        tracemalloc.start()
+        try:
+            b = read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assert_same_sparse(a, b)
+        assert peak <= 4 * path.stat().st_size
 
 
 class TestTraceCsv:
