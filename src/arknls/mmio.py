@@ -6,11 +6,17 @@ by column) and sparse matrices the ``coordinate real general`` format with
 ``symmetric`` storage is expanded on read.  Integer and complex fields are
 rejected rather than coerced, as are negative values: the reader's output
 feeds a nonnegative factorization.
+
+The reader parses the entry lines in one ``np.loadtxt`` call and checks the
+parsed arrays as a whole.  Text that call turns away, or that fails a
+check, is read again one line at a time; that reader names the line at
+fault, and it alone accepts comment lines between entries.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from typing import NamedTuple
 
@@ -52,18 +58,36 @@ def _data_lines(numbered):
     return no
 
 
+class _Header(NamedTuple):
+    layout: str
+    field: str
+    symmetry: str
+    size_no: int
+    dims: tuple
+
+
 def read_matrix_market(path) -> MatrixRef:
     """Parse a Matrix Market file into a dense or sparse matrix.
 
-    The file is read one line at a time and the entries are gathered in
-    typed arrays, so the peak memory is a small multiple of the entry
-    count rather than of the file's text.
+    The banner and the size line are read line by line.  The entry lines
+    after them are parsed in one call to numpy's compiled text reader and
+    checked as whole arrays: entry count, 1-based index range, finite and
+    nonnegative values.  Input that reader turns away, or that fails a
+    check, is read again one line at a time.  That pass raises a
+    :class:`MatrixMarketError` naming the offending line, or returns the
+    matrix for text only it accepts, such as comment lines between entries.
+    Either way the peak memory is a small multiple of the entry count
+    rather than of the file's text.
     """
     with open(path, "r", encoding="ascii") as handle:
-        return _read(enumerate(handle, start=1))
+        header, _ = _read_header(enumerate(handle, start=1))
+        matrix = _read_bulk(handle, header)
+    return _read_by_lines(path) if matrix is None else matrix
 
 
-def _read(numbered):
+def _read_header(numbered):
+    # Parses the banner and the size line from (line number, raw line)
+    # pairs; returns the header and the iterator over the entry lines.
     first = next(numbered, None)
     if first is None:
         raise _fail(1, "empty file")
@@ -85,22 +109,99 @@ def _read(numbered):
         size_no, size_text = next(entries)
     except StopIteration as end:
         raise _fail(end.value, "missing size line") from None
-
-    if layout == "coordinate":
-        return _read_coordinate(entries, size_no, size_text, field, symmetry)
-    return _read_array(entries, size_no, size_text, symmetry)
-
-
-def _read_coordinate(entries, size_no, size_text, field, symmetry):
     parts = size_text.split()
-    if len(parts) != 3:
+    if layout == "coordinate" and len(parts) != 3:
         raise _fail(size_no, "coordinate size line must be 'rows cols nnz'")
+    if layout == "array" and len(parts) != 2:
+        raise _fail(size_no, "array size line must be 'rows cols'")
     try:
-        m, n, nnz = (int(p) for p in parts)
+        dims = tuple(int(p) for p in parts)
     except ValueError:
         raise _fail(size_no, "size line entries must be integers") from None
-    if symmetry == "symmetric" and m != n:
+    if symmetry == "symmetric" and dims[0] != dims[1]:
         raise _fail(size_no, "symmetric matrix must be square")
+    return _Header(layout, field, symmetry, size_no, dims), entries
+
+
+_BULK_DTYPE = {
+    ("coordinate", "real"): [("i", "i8"), ("j", "i8"), ("v", "f8")],
+    ("coordinate", "pattern"): [("i", "i8"), ("j", "i8")],
+    ("array", "real"): "f8",
+}
+
+
+def _read_bulk(handle, header):
+    # Parses the entry lines left in ``handle`` with np.loadtxt and checks
+    # them as whole arrays.  Returns None when the parse or a check fails,
+    # so that the line reader can name the line at fault.
+    with warnings.catch_warnings():
+        # A warning (no data; a float read as an integer on older numpy)
+        # turns the parse away instead of letting it coerce the input.
+        warnings.simplefilter("error")
+        try:
+            parsed = np.loadtxt(
+                handle,
+                comments=None,
+                ndmin=1,
+                dtype=_BULK_DTYPE[header.layout, header.field],
+            )
+        except (ValueError, Warning):
+            return None
+    if header.layout == "array":
+        values = parsed.ravel()
+        if values.size != _array_count(header) or not _admissible(values):
+            return None
+        return _dense(values, header)
+
+    m, n, nnz = header.dims
+    # loadtxt warns on input without entries, so ``parsed`` is not empty.
+    rows, cols = parsed["i"], parsed["j"]
+    if parsed.size != nnz or not (
+        1 <= rows.min() and rows.max() <= m and 1 <= cols.min() and cols.max() <= n
+    ):
+        return None
+    if header.field == "real":
+        vals = parsed["v"]
+        if not _admissible(vals):
+            return None
+    else:
+        vals = np.ones(nnz)
+    rows -= 1
+    cols -= 1
+    if header.symmetry == "symmetric":
+        rows, cols, vals = _mirror(rows, cols, vals)
+    return SparseMatrixCSR.from_coo(m, n, rows, cols, vals)
+
+
+def _admissible(values) -> bool:
+    return bool(np.isfinite(values).all() and (values >= 0.0).all())
+
+
+def _mirror(rows, cols, vals):
+    # Expands symmetric storage in the line reader's order: each
+    # off-diagonal (i, j) is followed by (j, i), so from_coo sums any
+    # duplicates in the same order on both paths.
+    off = rows != cols
+    copies = 1 + off
+    mirrored = (np.cumsum(copies) - 1)[off]
+    rows, cols, vals = (np.repeat(a, copies) for a in (rows, cols, vals))
+    rows[mirrored], cols[mirrored] = cols[mirrored - 1], rows[mirrored - 1]
+    return rows, cols, vals
+
+
+def _read_by_lines(path) -> MatrixRef:
+    # The line-at-a-time reader: the reference for the bulk parse and the
+    # path that reports a malformed line by its number.
+    with open(path, "r", encoding="ascii") as handle:
+        header, entries = _read_header(enumerate(handle, start=1))
+        if header.layout == "coordinate":
+            return _read_coordinate(entries, header)
+        return _read_array(entries, header)
+
+
+def _read_coordinate(entries, header):
+    m, n, nnz = header.dims
+    field, symmetric = header.field, header.symmetry == "symmetric"
     want = 3 if field == "real" else 2
     rows, cols, vals = array("q"), array("q"), array("d")
     count = 0
@@ -122,13 +223,13 @@ def _read_coordinate(entries, size_no, size_text, field, symmetry):
         rows.append(i - 1)
         cols.append(j - 1)
         vals.append(v)
-        if symmetry == "symmetric" and i != j:
+        if symmetric and i != j:
             rows.append(j - 1)
             cols.append(i - 1)
             vals.append(v)
         count += 1
     if count != nnz:
-        raise _fail(size_no, f"declared {nnz} entries, found {count}")
+        raise _fail(header.size_no, f"declared {nnz} entries, found {count}")
     return SparseMatrixCSR.from_coo(
         m,
         n,
@@ -138,19 +239,10 @@ def _read_coordinate(entries, size_no, size_text, field, symmetry):
     )
 
 
-def _read_array(entries, size_no, size_text, symmetry):
-    parts = size_text.split()
-    if len(parts) != 2:
-        raise _fail(size_no, "array size line must be 'rows cols'")
-    try:
-        m, n = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise _fail(size_no, "size line entries must be integers") from None
-    if symmetry == "symmetric" and m != n:
-        raise _fail(size_no, "symmetric matrix must be square")
-    expected = m * n if symmetry == "general" else m * (m + 1) // 2
+def _read_array(entries, header):
+    expected = _array_count(header)
     values = array("d")
-    last_no = size_no
+    last_no = header.size_no
     for no, text in entries:
         for token in text.split():
             try:
@@ -165,9 +257,20 @@ def _read_array(entries, size_no, size_text, symmetry):
         last_no = no
     if len(values) != expected:
         raise _fail(last_no, f"expected {expected} values, found {len(values)}")
-    values = np.frombuffer(values, dtype=np.float64)
+    return _dense(np.frombuffer(values, dtype=np.float64), header)
+
+
+def _array_count(header) -> int:
+    m, n = header.dims
+    return m * n if header.symmetry == "general" else m * (m + 1) // 2
+
+
+def _dense(values, header):
+    # Lays out the listed values column by column; symmetric storage lists
+    # the lower triangle.
+    m, n = header.dims
     out = np.zeros((m, n), order="F")
-    if symmetry == "general":
+    if header.symmetry == "general":
         out[:, :] = values.reshape((m, n), order="F")
     else:
         pos = 0
@@ -180,24 +283,36 @@ def _read_array(entries, size_no, size_text, symmetry):
     return DenseMatrix(out)
 
 
+# Entries formatted per write call: large enough to amortize the call,
+# small enough that the file's text is never held at once.
+_WRITE_CHUNK = 65536
+
+
 def write_matrix_market(matrix: MatrixRef, path) -> None:
     """Canonical output: sorted coordinates, 17 significant digit values."""
     with open(path, "w", encoding="ascii") as handle:
         if isinstance(matrix, DenseMatrix):
             handle.write("%%MatrixMarket matrix array real general\n")
             handle.write(f"{matrix.rows} {matrix.cols}\n")
-            for v in matrix.data.ravel(order="F"):
-                handle.write(f"{v:.17g}\n")
+            values = matrix.data.ravel(order="F")
+            for start in range(0, values.size, _WRITE_CHUNK):
+                chunk = values[start : start + _WRITE_CHUNK].tolist()
+                handle.write("".join([f"{v:.17g}\n" for v in chunk]))
         else:
             handle.write("%%MatrixMarket matrix coordinate real general\n")
             handle.write(f"{matrix.rows} {matrix.cols} {matrix.nnz}\n")
-            offsets = matrix.row_offsets
-            for i in range(matrix.rows):
-                for pos in range(offsets[i], offsets[i + 1]):
-                    handle.write(
-                        f"{i + 1} {matrix.col_indices[pos] + 1} "
-                        f"{matrix.values[pos]:.17g}\n"
-                    )
+            rows = np.repeat(
+                np.arange(1, matrix.rows + 1), np.diff(matrix.row_offsets)
+            )
+            cols, values = matrix.col_indices, matrix.values
+            for start in range(0, matrix.nnz, _WRITE_CHUNK):
+                part = slice(start, start + _WRITE_CHUNK)
+                chunk = zip(
+                    rows[part].tolist(),
+                    (cols[part] + 1).tolist(),
+                    values[part].tolist(),
+                )
+                handle.write("".join([f"{i} {j} {v:.17g}\n" for i, j, v in chunk]))
 
 
 class TraceRow(NamedTuple):

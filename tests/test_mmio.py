@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arknls import mmio
 from arknls.matrix import DenseMatrix, SparseMatrixCSR
 from arknls.mmio import (
     MatrixMarketError,
@@ -89,6 +90,16 @@ class TestRead:
         )
         m = read_matrix_market(p)
         assert m.to_dense().data[1, 0] == 4.0
+
+    def test_underscore_digits_read_as_python_float(self, tmp_path):
+        # np.loadtxt turns '1_0' away; the line reader accepts it as float().
+        p = write(
+            tmp_path / "u.mtx",
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 2\n1 1 1_0\n2 2 0.5\n",
+        )
+        m = read_matrix_market(p)
+        np.testing.assert_array_equal(m.to_dense().data, [[10.0, 0], [0, 0.5]])
 
 
 class TestReadErrors:
@@ -177,6 +188,158 @@ class TestReadErrors:
         )
         with pytest.raises(MatrixMarketError, match=f"line {line}: missing size line"):
             read_matrix_market(p)
+
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ("2 2 1.0 7", "line 4: expected 3 fields per entry"),
+            ("1.0 2 1.0", "line 4: malformed entry"),
+            ("1e0 2 1.0", "line 4: malformed entry"),
+            ("2 2 1.0\n2 1 1.0", "line 2: declared 2 entries, found 3"),
+            ("2 2 0x1p0", "line 4: malformed entry"),
+            ("2 2 1.0x", "line 4: malformed entry"),
+            ("2 2 1.0 % note", "line 4: expected 3 fields per entry"),
+        ],
+    )
+    def test_entries_the_line_reader_rejects(self, tmp_path, entries, message):
+        p = write(
+            tmp_path / "r.mtx",
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"2 2 2\n1 1 1.0\n{entries}\n",
+        )
+        with pytest.raises(MatrixMarketError) as caught:
+            read_matrix_market(p)
+        assert str(caught.value) == message
+
+
+_GENERAL = b"%%MatrixMarket matrix coordinate real general\n"
+_SYMMETRIC = b"%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+class TestBulkParse:
+    """The bulk parse against the line reader, bitwise."""
+
+    @pytest.mark.parametrize(
+        "text, by_lines",
+        [
+            # Unsorted, with three copies of (3, 1) and empty rows 2 and 4.
+            (
+                _GENERAL + b"4 3 6\n3 1 0.1\n1 2 2.5\n3 1 0.2\n"
+                b"1 1 1e-300\n3 1 0.3\n4 3 5e-324\n",
+                False,
+            ),
+            (_GENERAL + b"3 3 0\n", True),
+            (
+                b"%%MatrixMarket matrix coordinate pattern general\n"
+                b"3 4 3\n3 4\n1 2\n3 1\n",
+                False,
+            ),
+            (
+                _SYMMETRIC + b"3 3 5\n2 1 0.1\n1 2 0.2\n2 1 0.3\n"
+                b"3 3 1.5\n3 1 0.7\n",
+                False,
+            ),
+            (
+                b"%%MatrixMarket matrix coordinate pattern symmetric\n"
+                b"3 3 3\n2 1\n2 2\n3 1\n",
+                False,
+            ),
+            (
+                b"%%MatrixMarket matrix coordinate real general\r\n"
+                b"% comment\r\n3 3 3\r\n1\t1\t0.5\r\n\r\n"
+                b"  2 3   1.25  \r\n \t \r\n3\t2 2\r\n",
+                False,
+            ),
+            (_GENERAL + b"2 2 2\n1 1 1.0\n% note\n2 2 3.0\n", True),
+            (
+                b"%%MatrixMarket matrix array real general\n"
+                b"3 2\n0.1 2\n3 4\n5 6e-300\n",
+                False,
+            ),
+            (
+                b"%%MatrixMarket matrix array real general\n"
+                b"2 2\n1\n2 3\n4\n",
+                True,
+            ),
+            (
+                b"%%MatrixMarket matrix array real symmetric\n"
+                b"3 3\n1\n2\n3\n4\n5\n6\n",
+                False,
+            ),
+        ],
+    )
+    def test_equals_line_reader(self, tmp_path, monkeypatch, text, by_lines):
+        path = tmp_path / "e.mtx"
+        path.write_bytes(text)
+        want = mmio._read_by_lines(path)
+        fallbacks = []
+        line_reader = mmio._read_by_lines
+        monkeypatch.setattr(
+            mmio, "_read_by_lines", lambda p: fallbacks.append(p) or line_reader(p)
+        )
+        got = read_matrix_market(path)
+        assert len(fallbacks) == int(by_lines)
+        assert type(got) is type(want)
+        if isinstance(want, DenseMatrix):
+            pairs = [(got.data, want.data)]
+            assert got.data.flags.f_contiguous and want.data.flags.f_contiguous
+        else:
+            pairs = [
+                (got.row_offsets, want.row_offsets),
+                (got.col_indices, want.col_indices),
+                (got.values, want.values),
+            ]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes(order="A") == b.tobytes(order="A")
+
+    def test_written_file_equals_line_reader(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows, cols = np.nonzero(rng.random((60, 40)) < 0.1)
+        a = SparseMatrixCSR.from_coo(60, 40, rows, cols, rng.random(rows.size))
+        path = tmp_path / "w.mtx"
+        write_matrix_market(a, path)
+        got, want = read_matrix_market(path), mmio._read_by_lines(path)
+        for name in ("row_offsets", "col_indices", "values"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+class TestWrite:
+    VALUES = [0.1, 2 / 3, 1e-300, 5e-324, 1.7976931348623157e308]
+
+    @pytest.mark.parametrize("chunk", [65536, 2])
+    def test_sparse_bytes(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(mmio, "_WRITE_CHUNK", chunk)
+        a = SparseMatrixCSR.from_coo(3, 4, [0, 0, 2, 2, 2], [0, 3, 0, 1, 3], self.VALUES)
+        path = tmp_path / "s.mtx"
+        write_matrix_market(a, path)
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix coordinate real general\n"
+            b"3 4 5\n"
+            b"1 1 0.10000000000000001\n"
+            b"1 4 0.66666666666666663\n"
+            b"3 1 1e-300\n"
+            b"3 2 4.9406564584124654e-324\n"
+            b"3 4 1.7976931348623157e+308\n"
+        )
+
+    @pytest.mark.parametrize("chunk", [65536, 2])
+    def test_dense_bytes(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(mmio, "_WRITE_CHUNK", chunk)
+        a = DenseMatrix(np.array([self.VALUES + [0.0]]).reshape((3, 2), order="F"))
+        path = tmp_path / "d.mtx"
+        write_matrix_market(a, path)
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix array real general\n"
+            b"3 2\n"
+            b"0.10000000000000001\n"
+            b"0.66666666666666663\n"
+            b"1e-300\n"
+            b"4.9406564584124654e-324\n"
+            b"1.7976931348623157e+308\n"
+            b"0\n"
+        )
 
 
 class TestRoundTrip:
