@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,31 +23,7 @@ from .mmio import read_matrix_market, write_trace_csv
 from .solver import SolverConfig, fit, flops_per_sweep
 from .synth import SynthSpec, gen_dense, gen_sparse
 
-__all__ = ["RunSpec", "build_parser", "run", "main"]
-
-
-@dataclass
-class RunSpec:
-    """One benchmark invocation: exactly one input source, rank, block
-    width, stopping settings, repetition count and output destinations."""
-
-    input_path: Optional[str]
-    synthetic: Optional[SynthSpec]
-    rank: int
-    k: int
-    max_sweeps: int
-    time_limit: Optional[float]
-    tol: Optional[float]
-    seed: int
-    reps: int
-    out: Optional[str]
-    summary: bool
-
-    def validate(self) -> None:
-        if (self.input_path is None) == (self.synthetic is None):
-            raise ValueError("exactly one input source is required")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+__all__ = ["build_parser", "run", "main"]
 
 
 def _synthetic_spec(text: str):
@@ -112,28 +86,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(spec: RunSpec) -> MatrixRef:
-    if spec.input_path is not None:
-        return read_matrix_market(spec.input_path)
-    assert spec.synthetic is not None
-    if spec.synthetic.sparsity == 0.0:
-        return gen_dense(spec.synthetic)
-    return gen_sparse(spec.synthetic)
+def _load_input(args: argparse.Namespace) -> MatrixRef:
+    if args.input is not None:
+        return read_matrix_market(args.input)
+    m, n, true_rank, noise, sparsity = args.synthetic
+    spec = SynthSpec(
+        m=m, n=n, true_rank=true_rank, noise_std=noise,
+        sparsity=sparsity, seed=args.seed,
+    )
+    return gen_dense(spec) if sparsity == 0.0 else gen_sparse(spec)
 
 
-def execute(spec: RunSpec) -> int:
-    spec.validate()
-    matrix = _load_input(spec)
+def execute(args: argparse.Namespace) -> int:
+    """Run the parsed flags' benchmark; returns the process exit code."""
+    matrix = _load_input(args)
     finals, wall_times = [], []
     first_trace = None
-    for rep in range(spec.reps):
+    for rep in range(args.reps):
         config = SolverConfig(
-            rank=spec.rank,
-            k=spec.k,
-            max_sweeps=spec.max_sweeps,
-            time_limit=spec.time_limit,
-            tol_residual_change=spec.tol,
-            seed=spec.seed + rep,
+            rank=args.rank,
+            k=args.k,
+            max_sweeps=args.max_sweeps,
+            time_limit=args.time_limit,
+            tol_residual_change=args.tol,
+            seed=args.seed + rep,
         )
         started = time.perf_counter()
         _, trace = fit(matrix, config)
@@ -141,18 +117,18 @@ def execute(spec: RunSpec) -> int:
         finals.append(trace.final_residual)
         if rep == 0:
             first_trace = trace
-    if spec.out is not None:
-        step = flops_per_sweep(matrix.rows, matrix.cols, spec.rank) / 1e9
+    if args.out is not None:
+        step = flops_per_sweep(matrix.rows, matrix.cols, args.rank) / 1e9
         rows = [
             (sweep, sweep * step, residual)
             for sweep, _, residual in first_trace.records()
         ]
-        write_trace_csv(rows, spec.out)
-    if spec.summary:
+        write_trace_csv(rows, args.out)
+    if args.summary:
         mean = float(np.mean(finals))
         std = float(np.std(finals))
         print(
-            f"k={spec.k} rank={spec.rank} "
+            f"k={args.k} rank={args.rank} "
             f"final_rel_residual={mean:.6g}±{std:.6g} "
             f"time_s={float(np.mean(wall_times)):.6g}"
         )
@@ -166,27 +142,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    spec = RunSpec(
-        input_path=args.input,
-        synthetic=None,
-        rank=args.rank,
-        k=args.k,
-        max_sweeps=args.max_sweeps,
-        time_limit=args.time_limit,
-        tol=args.tol,
-        seed=args.seed,
-        reps=args.reps,
-        out=args.out,
-        summary=args.summary,
-    )
-    if args.synthetic is not None:
-        m, n, true_rank, noise, sparsity = args.synthetic
-        spec.synthetic = SynthSpec(
-            m=m, n=n, true_rank=true_rank, noise_std=noise,
-            sparsity=sparsity, seed=args.seed,
-        )
     try:
-        return execute(spec)
+        return execute(args)
     # RankDeficiencyError and MatrixMarketError are ValueErrors.
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

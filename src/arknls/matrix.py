@@ -13,7 +13,7 @@ import math
 from typing import Union
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array
 
 __all__ = [
     "DenseMatrix",
@@ -60,10 +60,6 @@ class DenseMatrix:
         out.data = arr
         return out
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls._wrap(np.zeros((rows, cols), order="F"))
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -75,9 +71,6 @@ class DenseMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix._wrap(self.data.copy(order="F"))
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
@@ -151,45 +144,24 @@ class SparseMatrixCSR(SparseView):
 
     @classmethod
     def from_coo(cls, rows, cols, row_idx, col_idx, values) -> "SparseMatrixCSR":
-        """Build from coordinate triples; duplicates are summed.
+        """Build from coordinate triples in any order; duplicates are summed.
 
-        Triples already in strictly increasing (row, column) order, the
-        order :func:`~arknls.mmio.write_matrix_market` writes, are taken
-        as they are: sorting them would be the identity and they hold no
-        duplicates to sum.
+        scipy's COO to CSR conversion sorts and sums.  The result depends
+        only on the input arrays, and it equals an in-order sum whenever no
+        (row, column) pair occurs more than twice.  With three or more
+        copies the last bit may depend on scipy's per-row sort, which is
+        not stable.  The matrix never shares the caller's arrays.
         """
         ri = np.asarray(row_idx, dtype=np.int64)
         ci = np.asarray(col_idx, dtype=np.int64)
         vals = np.asarray(values, dtype=np.float64)
         if not (ri.shape == ci.shape == vals.shape):
             raise ValueError("coordinate arrays must have equal length")
-        if _row_major_unique(ri, ci):
-            # Copies, so the matrix never shares the caller's arrays.
-            ci, vals = ci.copy(), vals.copy()
-        else:
-            order = np.lexsort((ci, ri))
-            ri, ci, vals = ri[order], ci[order], vals[order]
-            fresh = np.empty(ri.size, dtype=bool)
-            fresh[0] = True
-            fresh[1:] = (ri[1:] != ri[:-1]) | (ci[1:] != ci[:-1])
-            starts = np.flatnonzero(fresh)
-            vals = np.add.reduceat(vals, starts)
-            ri, ci = ri[starts], ci[starts]
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(np.bincount(ri, minlength=rows))
-        return cls(rows, cols, offsets, ci, vals)
+        csr = coo_array((vals, (ri, ci)), shape=(rows, cols)).tocsr()
+        return cls(rows, cols, csr.indptr, csr.indices, csr.data)
 
     def to_dense(self) -> DenseMatrix:
         return DenseMatrix._wrap(self.sp.toarray(order="F"))
-
-
-def _row_major_unique(ri: np.ndarray, ci: np.ndarray) -> bool:
-    # True when the (row, column) pairs are strictly increasing.
-    rows_up = ri[1:] > ri[:-1]
-    return bool(
-        np.all(rows_up | (ri[1:] == ri[:-1]))
-        and np.all(rows_up | (ci[1:] > ci[:-1]))
-    )
 
 
 def _validate_csr(rows, cols, off, idx, vals) -> None:
@@ -274,6 +246,7 @@ def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
     ``|A - U V^T|^2 = |A|^2 - 2 <A^T U, V> + <U^T U, V^T V>``
     so the low-rank product is never materialized.  The radicand is clamped
     at zero: near an exact fit it can come out slightly negative in floats.
+    A non-finite radicand raises :class:`FloatingPointError`.
     """
     if U.rows != A.rows or V.rows != A.cols or U.cols != V.cols:
         raise ValueError("factor dimensions do not conform with A")
@@ -283,7 +256,10 @@ def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
     h = at_times(A, U).data
     cross = float(np.sum(h * V.data))
     quad = float(np.sum((U.data.T @ U.data) * (V.data.T @ V.data)))
-    return math.sqrt(max(a2 - 2.0 * cross + quad, 0.0) / a2)
+    radicand = a2 - 2.0 * cross + quad
+    if not math.isfinite(radicand):
+        raise FloatingPointError(f"numerical breakdown: residual is {radicand}")
+    return math.sqrt(max(radicand, 0.0) / a2)
 
 
 def transposed(A: MatrixRef) -> MatrixRef:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -79,10 +80,31 @@ def read_matrix_market(path) -> MatrixRef:
     Either way the peak memory is a small multiple of the entry count
     rather than of the file's text.
     """
-    with open(path, "r", encoding="ascii") as handle:
+    with _open_ascii(path) as handle:
         header, _ = _read_header(enumerate(handle, start=1))
         matrix = _read_bulk(handle, header)
     return _read_by_lines(path) if matrix is None else matrix
+
+
+@contextmanager
+def _open_ascii(path):
+    # Opens ``path`` as ASCII text.  A non-ASCII byte read while the file
+    # is open raises a MatrixMarketError naming its line.
+    with open(path, "r", encoding="ascii") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise _non_ascii(path) from None
+
+
+def _non_ascii(path) -> MatrixMarketError:
+    # Latin-1 maps each byte to one character and splits lines as the
+    # ASCII reader does, so the line numbers agree.
+    with open(path, "r", encoding="latin-1") as handle:
+        numbered = enumerate(handle, start=1)
+        no, line = next((no, ln) for no, ln in numbered if not ln.isascii())
+    byte = next(ord(c) for c in line if ord(c) > 0x7F)
+    return _fail(no, f"non-ASCII byte 0x{byte:02x}")
 
 
 def _read_header(numbered):
@@ -118,6 +140,8 @@ def _read_header(numbered):
         dims = tuple(int(p) for p in parts)
     except ValueError:
         raise _fail(size_no, "size line entries must be integers") from None
+    if min(dims) < 0:
+        raise _fail(size_no, "size line entries must be nonnegative")
     if symmetry == "symmetric" and dims[0] != dims[1]:
         raise _fail(size_no, "symmetric matrix must be square")
     return _Header(layout, field, symmetry, size_no, dims), entries
@@ -192,7 +216,7 @@ def _mirror(rows, cols, vals):
 def _read_by_lines(path) -> MatrixRef:
     # The line-at-a-time reader: the reference for the bulk parse and the
     # path that reports a malformed line by its number.
-    with open(path, "r", encoding="ascii") as handle:
+    with _open_ascii(path) as handle:
         header, entries = _read_header(enumerate(handle, start=1))
         if header.layout == "coordinate":
             return _read_coordinate(entries, header)

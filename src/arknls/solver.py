@@ -152,13 +152,11 @@ class RepairPlan:
 
     ``order`` is the local column permutation chosen by the sign cases of
     the three-column fix (identity unless exactly one mixing coefficient
-    was negative) and ``columns`` the block's global column indices in that
-    order.  ``scale`` is the multiplier that folded column 2 into column 1
-    in the pairwise fix; ``mix1``/``mix2`` are the (normalized, hence
-    nonnegative) coefficients expressing the dependent third column.
+    was negative).  ``scale`` is the multiplier that folded column 2 into
+    column 1 in the pairwise fix; ``mix1``/``mix2`` are the (normalized,
+    hence nonnegative) coefficients expressing the dependent third column.
     """
 
-    columns: tuple[int, ...]
     order: tuple[int, ...] = (0, 1, 2)
     scale: Optional[float] = None
     mix1: Optional[float] = None
@@ -228,7 +226,7 @@ def _repair(A, coef, target, H, M, cols, rank_eps) -> RepairPlan:
     lying in the span of the first two is folded into both with the sign
     cases deciding which column gets rebuilt.
     """
-    plan = RepairPlan(columns=cols)
+    plan = RepairPlan()
     k = len(cols)
     c1 = cols[0]
     scale_ref = max(M[c, c] for c in cols)
@@ -416,8 +414,6 @@ def fit(
     :class:`FloatingPointError`.
     """
     config.validate()
-    if config.rank > min(A.rows, A.cols):
-        raise ValueError("rank exceeds min(A dimensions)")
     if isinstance(A, DenseMatrix) and A.data.size and A.data.min() < 0.0:
         raise ValueError("dense matrix entries must be nonnegative")
     fro2 = _fro_squared(A)

@@ -48,6 +48,17 @@ def test_missing_source_exits_2(capsys):
     assert run(["--rank", "3"]) == 2
 
 
+def test_two_sources_exit_2(tmp_path, capsys):
+    args = ["--input", str(tmp_path / "a.mtx"), "--synthetic", "10,10,2,0,0"]
+    assert run(args + ["--rank", "2"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_zero_reps_exits_2(capsys):
+    assert run(["--synthetic", "10,10,2,0,0", "--rank", "2", "--reps", "0"]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_runtime_error_exits_1(capsys):
     assert run(["--input", "/no/such/file.mtx", "--rank", "2"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -162,6 +162,15 @@ class TestRelativeResidual:
         with pytest.raises(ValueError):
             relative_residual(a, u, v)
 
+    def test_numerical_breakdown_raises(self):
+        # |A|^2 overflows, so the trace identity's radicand is inf - inf.
+        rng = np.random.default_rng(11)
+        a = DenseMatrix(rng.random((30, 20)) * 1e160)
+        u = DenseMatrix(rng.random((30, 4)) * 1e160)
+        v = DenseMatrix(rng.random((20, 4)))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            relative_residual(a, u, v)
+
 
 class TestContainers:
     def test_dense_rejects_nonfinite(self):
@@ -183,10 +192,13 @@ class TestContainers:
         assert s.nnz == 2
         np.testing.assert_array_equal(s.to_dense().data, [[0.0, 3.5], [4.0, 0.0]])
 
-    @pytest.mark.parametrize("order", ["sorted", "shuffled", "duplicated"])
+    @pytest.mark.parametrize(
+        "order", ["sorted", "shuffled", "duplicated", "triplicated"]
+    )
     def test_from_coo_any_order(self, order):
-        # Values are multiples of 1/4, so every summation order is exact
-        # and the expected arrays are independent of how duplicates add.
+        # Values are multiples of 1/16, also once split, so every summation
+        # order is exact and the expected arrays are independent of how
+        # duplicates add.
         rng = np.random.default_rng(9)
         m, n = 30, 20
         rows, cols = np.nonzero(rng.random((m, n)) < 0.2)
@@ -201,12 +213,20 @@ class TestContainers:
             rows = np.concatenate((rows, rows))[::-1]
             cols = np.concatenate((cols, cols))[::-1]
             vals = np.concatenate((vals, vals))[::-1] / 2.0
+        elif order == "triplicated":
+            # Split every entry into v/2, v/4 and v/4, in shuffled order.
+            perm = rng.permutation(3 * rows.size)
+            rows = np.tile(rows, 3)[perm]
+            cols = np.tile(cols, 3)[perm]
+            vals = np.concatenate((vals / 2.0, vals / 4.0, vals / 4.0))[perm]
         s = SparseMatrixCSR.from_coo(m, n, rows, cols, vals)
-        for got, expected in zip((s.row_offsets, s.col_indices, s.values), want):
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
-        assert not np.shares_memory(s.values, vals)
-        assert not np.shares_memory(s.col_indices, cols)
+        got = (s.row_offsets, s.col_indices, s.values)
+        for array, expected in zip(got, want):
+            assert array.dtype == expected.dtype
+            np.testing.assert_array_equal(array, expected)
+        for array in got:
+            for given in (rows, cols, vals):
+                assert not np.shares_memory(array, given)
 
     def test_transposed_dense(self):
         rng = np.random.default_rng(4)

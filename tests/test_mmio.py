@@ -189,6 +189,40 @@ class TestReadErrors:
         with pytest.raises(MatrixMarketError, match=f"line {line}: missing size line"):
             read_matrix_market(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "%%MatrixMarket matrix array real general\n0 -1\n",
+                "line 2: size line entries must be nonnegative",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real general\n-1 -1 0\n",
+                "line 2: size line entries must be nonnegative",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real general\n2 -1 1\n1 1 1.0\n",
+                "line 2: size line entries must be nonnegative",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real general\n"
+                "2 2 2\n1 1 1.0\n2 2 \u0661\n",
+                "line 4: non-ASCII byte 0xd9",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real general\n"
+                "% caf\u00e9\n2 2 1\n1 1 1.0\n",
+                "line 2: non-ASCII byte 0xc3",
+            ),
+        ],
+    )
+    def test_both_readers_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "l.mtx"
+        path.write_bytes(text.encode("utf-8"))
+        for reader in (read_matrix_market, mmio._read_by_lines):
+            with pytest.raises(MatrixMarketError) as caught:
+                reader(path)
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         "entries, message",
