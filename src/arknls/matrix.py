@@ -274,9 +274,25 @@ def row_dense(A: MatrixRef, i: int) -> np.ndarray:
     """Row ``i`` of ``A`` as a fresh dense vector of length ``A.cols``.
 
     On a transposed view this is column ``i`` of the original matrix.
+    Sparse input is read straight from the compressed arrays.  A CSR
+    matrix costs O(nnz of row ``i``) plus the zero fill.  The CSC
+    transposed view stores its row ``i`` scattered over every column, so
+    it costs one vectorized pass over all ``nnz`` column indices; no copy
+    of ``A`` is kept to avoid that.
     """
     if not 0 <= i < A.rows:
         raise IndexError(f"row {i} out of range for {A.rows}-row matrix")
     if isinstance(A, DenseMatrix):
         return A.data[i, :].copy()
-    return A.sp[i].toarray().ravel()
+    sp = A.sp
+    if sp.format == "csr":
+        hits = slice(sp.indptr[i], sp.indptr[i + 1])
+        slots = sp.indices[hits]
+    else:
+        hits = np.flatnonzero(sp.indices == i)
+        slots = np.searchsorted(sp.indptr, hits, side="right") - 1
+    out = np.zeros(A.cols)
+    # Slots are distinct; adding into zeros stores -0.0 as 0.0, as
+    # scipy's toarray does.
+    out[slots] += sp.data[hits]
+    return out

@@ -80,10 +80,15 @@ class SolverConfig:
             raise ValueError("block width k must be 1, 2 or 3")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
-        if self.tol_residual_change is not None and self.tol_residual_change < 0:
-            raise ValueError("tol_residual_change must be nonnegative")
+        # NaN fails no comparison, so finiteness is checked explicitly.
+        if self.time_limit is not None and not (
+            math.isfinite(self.time_limit) and self.time_limit > 0
+        ):
+            raise ValueError("time_limit must be finite and positive")
+        if self.tol_residual_change is not None and not (
+            math.isfinite(self.tol_residual_change) and self.tol_residual_change >= 0
+        ):
+            raise ValueError("tol_residual_change must be finite and nonnegative")
         if self.rank_eps <= 0:
             raise ValueError("rank_eps must be positive")
         if self.rank < self.k:

@@ -9,6 +9,7 @@ longer exactly low rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,9 @@ class SynthSpec:
             raise ValueError("dimensions must be positive")
         if not 1 <= self.true_rank <= min(self.m, self.n):
             raise ValueError("true_rank must lie in [1, min(m, n)]")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError("noise_std must be finite and nonnegative")
+        # A NaN or infinite sparsity already fails this range test.
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must lie in [0, 1)")
 

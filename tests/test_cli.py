@@ -74,6 +74,26 @@ def test_numerical_breakdown_exits_1(tmp_path, capsys):
     assert "error: numerical breakdown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--tol", "nan"], "tol_residual_change must be finite"),
+        (["--time-limit", "nan"], "time_limit must be finite"),
+        (["--time-limit", "inf"], "time_limit must be finite"),
+    ],
+    ids=["tol-nan", "time-limit-nan", "time-limit-inf"],
+)
+def test_non_finite_stopping_exits_1(extra, message, capsys):
+    args = ["--synthetic", "10,10,2,0,0", "--rank", "2", "--max-sweeps", "5"]
+    assert run(args + extra) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_non_finite_noise_exits_1(capsys):
+    assert run(["--synthetic", "10,10,2,nan,0", "--rank", "2"]) == 1
+    assert "error: noise_std must be finite" in capsys.readouterr().err
+
+
 def test_rank_too_large_exits_1(capsys):
     assert run(["--synthetic", "6,5,2,0,0", "--rank", "12"]) == 1
 

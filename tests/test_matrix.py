@@ -258,6 +258,38 @@ class TestContainers:
             np.testing.assert_array_equal(row_dense(s, i), d[i])
         np.testing.assert_array_equal(row_dense(s.to_dense(), 3), d[3])
 
+    @pytest.mark.parametrize(
+        "name", ["empty-rows-and-cols", "nnz-zero", "full-first-last"]
+    )
+    def test_row_dense_edge_cases(self, name):
+        # Rows 1 and 4 and columns 0 and 5 hold no stored entry; the first
+        # and last index of both views are read.
+        d = np.zeros((6, 7))
+        if name == "empty-rows-and-cols":
+            d[[0, 2, 3, 5]] = np.arange(1.0, 29.0).reshape(4, 7)
+            d[:, [0, 5]] = 0.0
+        elif name == "full-first-last":
+            d[:] = np.arange(1.0, 43.0).reshape(6, 7)
+        rows, cols = np.nonzero(d)
+        s = SparseMatrixCSR.from_coo(6, 7, rows, cols, d[rows, cols])
+        for A, ref in ((s, d), (transposed(s), d.T)):
+            for i in range(A.rows):
+                got = row_dense(A, i)
+                assert got.dtype == np.float64 and got.flags.owndata
+                np.testing.assert_array_equal(got, ref[i])
+                assert not np.signbit(got).any()
+            for bad in (-1, A.rows):
+                with pytest.raises(IndexError):
+                    row_dense(A, bad)
+
+    def test_row_dense_negative_zero_reads_as_zero(self):
+        # scipy's densification turns a stored -0.0 into 0.0; so does
+        # row_dense, on both views.
+        s = SparseMatrixCSR(2, 3, [0, 2, 2], [0, 2], [-0.0, 1.0])
+        for A in (s, transposed(s)):
+            for i in range(A.rows):
+                assert not np.signbit(row_dense(A, i)).any()
+
     def test_frobenius_norm(self):
         rng = np.random.default_rng(8)
         a = rng.random((6, 7))

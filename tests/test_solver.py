@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import arknls.solver as solver_module
 from arknls.matrix import DenseMatrix, frobenius_norm, relative_residual
 from arknls.nnls import RankDeficiencyError, nnls_rank1, nnls_rank2, nnls_rank3
 from arknls.solver import (
@@ -408,6 +409,46 @@ class TestFit:
             fit(a, SolverConfig(rank=3, max_sweeps=0))
         with pytest.raises(ValueError):
             fit(a, SolverConfig(rank=20))  # above min(m, n)
+        for field in ("time_limit", "tol_residual_change"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    fit(a, SolverConfig(rank=2, k=2, **{field: value}))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sparse_row_reader_matches_scipy_indexing(self, k, monkeypatch):
+        # row_dense reads the compressed arrays directly; scipy's own row
+        # indexing is the reference.  Over-rank fits repair on the U side
+        # (CSC transposed view); a zeroed U column forces V-side (CSR)
+        # repairs in the sweeps that follow.
+        s = gen_sparse(
+            SynthSpec(m=60, n=45, true_rank=3, noise_std=0.0, sparsity=0.3, seed=6)
+        )
+        cfg = SolverConfig(rank=12, k=k, max_sweeps=60, seed=1)
+        reads = []
+
+        def run():
+            f, trace = fit(s, cfg)
+            g = initialize(s, 12, seed=1, k=k)
+            g.U.data[:, 0] = 0.0
+            objs = [sweep(s, g, side) for side in "VUVU"]
+            return f, trace, g, objs
+
+        new = run()
+
+        def scipy_row(A, i):
+            reads.append(A.sp.format)
+            return A.sp[i].toarray().ravel()
+
+        monkeypatch.setattr(solver_module, "row_dense", scipy_row)
+        ref = run()
+        assert reads.count("csc") > 0 and reads.count("csr") > 0
+        (f, trace, g, objs), (f_ref, trace_ref, g_ref, objs_ref) = new, ref
+        assert trace.repair_events == trace_ref.repair_events > 0
+        assert trace.rel_residual == trace_ref.rel_residual
+        assert objs == objs_ref
+        for x, y in ((f, f_ref), (g, g_ref)):
+            assert np.array_equal(x.U.data, y.U.data)
+            assert np.array_equal(x.V.data, y.V.data)
 
 
 class TestFlopsModel:

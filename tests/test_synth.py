@@ -70,3 +70,8 @@ def test_spec_validation():
         gen_dense(SynthSpec(m=10, n=10, true_rank=2, noise_std=-0.1))
     with pytest.raises(ValueError):
         gen_sparse(SynthSpec(m=10, n=10, true_rank=2, sparsity=1.0))
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_std must be finite"):
+            gen_dense(SynthSpec(m=10, n=10, true_rank=2, noise_std=value))
+        with pytest.raises(ValueError, match="sparsity must lie"):
+            gen_sparse(SynthSpec(m=10, n=10, true_rank=2, sparsity=value))
