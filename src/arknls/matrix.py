@@ -25,6 +25,7 @@ __all__ = [
     "relative_residual",
     "frobenius_norm",
     "transposed",
+    "read_rows",
     "row_dense",
 ]
 
@@ -216,7 +217,11 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     already column-major.  Sparse input runs scipy's kernel on the
     transpose view of ``A.sp``, which accumulates each scaled row of ``U``
     into the output row given by the column index, rows in increasing
-    order.
+    order.  Each sparse output column depends only on its own column of
+    ``U``, so a product on a subset of the columns equals those columns of
+    the full product bit for bit; the solver relies on this to skip
+    all-zero columns.  The dense BLAS product has no such property: on a
+    column subset OpenBLAS changed the last bits.
     """
     u = U.data
     if A.rows != u.shape[0]:
@@ -270,29 +275,51 @@ def transposed(A: MatrixRef) -> MatrixRef:
     return SparseView(A.sp.T)
 
 
-def row_dense(A: MatrixRef, i: int) -> np.ndarray:
-    """Row ``i`` of ``A`` as a fresh dense vector of length ``A.cols``.
+RowEntries = dict[int, tuple[Union[np.ndarray, slice], np.ndarray]]
 
-    On a transposed view this is column ``i`` of the original matrix.
-    Sparse input is read straight from the compressed arrays.  A CSR
-    matrix costs O(nnz of row ``i``) plus the zero fill.  The CSC
-    transposed view stores its row ``i`` scattered over every column, so
-    it costs one vectorized pass over all ``nnz`` column indices; no copy
-    of ``A`` is kept to avoid that.
+
+def read_rows(A: MatrixRef, rows) -> RowEntries:
+    """Rows ``rows`` of ``A``, each as a pair (column slots, values).
+
+    On a transposed view row ``i`` is column ``i`` of the original matrix.
+    This is the one read of ``A`` by rows; a repair writes a row into a
+    zeroed cache column as ``out[slots] = values``.  Dense input gives each
+    row as a view with slots ``slice(None)``.  Sparse input gives compact
+    pairs read straight from the compressed arrays, with a stored -0.0
+    read as 0.0, as scipy's ``toarray`` does.  A CSR matrix slices each
+    row, O(nnz of the row).  The CSC transposed view stores its rows
+    scattered over every column, so all wanted rows are found in one pass
+    over the ``nnz`` row indices through a boolean table of the wanted
+    rows: the pass allocates one byte per stored entry, and reading many
+    rows costs about as much as reading one.  No copy of ``A`` is kept.
     """
-    if not 0 <= i < A.rows:
-        raise IndexError(f"row {i} out of range for {A.rows}-row matrix")
+    wanted = np.unique(np.asarray(rows, dtype=np.int64))
+    if wanted.size and (wanted[0] < 0 or wanted[-1] >= A.rows):
+        bad = wanted[0] if wanted[0] < 0 else wanted[-1]
+        raise IndexError(f"row {bad} out of range for {A.rows}-row matrix")
     if isinstance(A, DenseMatrix):
-        return A.data[i, :].copy()
+        return {int(i): (slice(None), A.data[i, :]) for i in wanted}
     sp = A.sp
     if sp.format == "csr":
-        hits = slice(sp.indptr[i], sp.indptr[i + 1])
-        slots = sp.indices[hits]
-    else:
-        hits = np.flatnonzero(sp.indices == i)
-        slots = np.searchsorted(sp.indptr, hits, side="right") - 1
+        out = {}
+        for i in wanted:
+            span = slice(sp.indptr[i], sp.indptr[i + 1])
+            # Adding 0.0 turns -0.0 into 0.0 and copies the values.
+            out[int(i)] = (sp.indices[span], sp.data[span] + 0.0)
+        return out
+    table = np.zeros(A.rows, dtype=bool)
+    table[wanted] = True
+    hits = np.flatnonzero(table[sp.indices])
+    owner = sp.indices[hits]
+    slots = np.searchsorted(sp.indptr, hits, side="right") - 1
+    values = sp.data[hits] + 0.0
+    return {int(i): (slots[owner == i], values[owner == i]) for i in wanted}
+
+
+def row_dense(A: MatrixRef, i: int) -> np.ndarray:
+    """Row ``i`` of ``A`` as a fresh dense vector of length ``A.cols``,
+    written from :func:`read_rows` into zeros as a repair writes it."""
     out = np.zeros(A.cols)
-    # Slots are distinct; adding into zeros stores -0.0 as 0.0, as
-    # scipy's toarray does.
-    out[slots] += sp.data[hits]
+    slots, values = read_rows(A, [i])[i]
+    out[slots] = values
     return out

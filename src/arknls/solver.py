@@ -31,7 +31,7 @@ from .matrix import (
     _fro_squared,
     at_times,
     gram,
-    row_dense,
+    read_rows,
     transposed,
 )
 from .nnls import RANK_EPS, RankDeficiencyError, _sym_det3, solve_block
@@ -76,8 +76,6 @@ class SolverConfig:
     def validate(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.k not in (1, 2, 3):
-            raise ValueError("block width k must be 1, 2 or 3")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         # NaN fails no comparison, so finiteness is checked explicitly.
@@ -89,10 +87,17 @@ class SolverConfig:
             math.isfinite(self.tol_residual_change) and self.tol_residual_change >= 0
         ):
             raise ValueError("tol_residual_change must be finite and nonnegative")
-        if self.rank_eps <= 0:
-            raise ValueError("rank_eps must be positive")
-        if self.rank < self.k:
-            raise ValueError("rank must be at least the block width")
+        # A threshold of 1 or more calls every block rank deficient.
+        if not (math.isfinite(self.rank_eps) and 0.0 < self.rank_eps < 1.0):
+            raise ValueError("rank_eps must be finite and in (0, 1)")
+        _check_block_width(self.rank, self.k)
+
+
+def _check_block_width(rank: int, k: int) -> None:
+    if k not in (1, 2, 3):
+        raise ValueError("block width k must be 1, 2 or 3")
+    if rank < k:
+        raise ValueError("rank must be at least the block width")
 
 
 @dataclass
@@ -195,6 +200,7 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
     m, n = A.rows, A.cols
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} must lie in [1, min(m, n)] = [1, {min(m, n)}]")
+    _check_block_width(r, k)
     rng = make_rng(seed)
     v = uniform_matrix(rng, n, r)
     u = uniform_matrix(rng, m, r)
@@ -212,15 +218,19 @@ def build_workspace(A: MatrixRef, factors: FactorPair) -> BlockWorkspace:
     return BlockWorkspace(H=at_times(A, factors.U).data, M=gram(factors.U).data)
 
 
-def _refresh_caches(A, coef, H, M, col: int, unit_row: int) -> None:
+def _refresh_caches(A, coef, H, M, rows, col: int, unit_row: int) -> None:
     # coef[:, col] was rebuilt as a unit vector e_{unit_row}; patch the
     # touched H column and M row/column instead of recomputing products.
-    H[:, col] = row_dense(A, unit_row)
+    # The row of A comes from the half-sweep's gather ``rows`` when it
+    # holds it, and is read on its own otherwise.
+    slots, values = rows.get(unit_row) or read_rows(A, [unit_row])[unit_row]
+    H[:, col] = 0.0
+    H[slots, col] = values
     M[:, col] = coef[unit_row, :]
     M[col, :] = coef[unit_row, :]
 
 
-def _repair(A, coef, target, H, M, cols, rank_eps) -> RepairPlan:
+def _repair(A, coef, target, H, M, cols, rank_eps, rows) -> RepairPlan:
     """Make the coefficient block full rank while preserving its product
     with the target block.  No-op on already independent columns.
 
@@ -229,7 +239,8 @@ def _repair(A, coef, target, H, M, cols, rank_eps) -> RepairPlan:
     dependent second column is folded into the first (its target column
     absorbs ``scale`` times the second target column), and a third column
     lying in the span of the first two is folded into both with the sign
-    cases deciding which column gets rebuilt.
+    cases deciding which column gets rebuilt.  ``rows`` maps a row index
+    of ``A`` to its entries from :func:`read_rows`, gathered in advance.
     """
     plan = RepairPlan()
     k = len(cols)
@@ -239,7 +250,7 @@ def _repair(A, coef, target, H, M, cols, rank_eps) -> RepairPlan:
         coef[:, c1] = 0.0
         coef[c1, c1] = 1.0
         target[:, c1] = 0.0
-        _refresh_caches(A, coef, H, M, c1, c1)
+        _refresh_caches(A, coef, H, M, rows, c1, c1)
         plan.reset_first = True
     if k == 1:
         return plan
@@ -253,7 +264,7 @@ def _repair(A, coef, target, H, M, cols, rank_eps) -> RepairPlan:
         coef[:, c2] = 0.0
         unit_row = c2 if coef[c1, c1] != 0.0 else c1
         coef[unit_row, c2] = 1.0
-        _refresh_caches(A, coef, H, M, c2, unit_row)
+        _refresh_caches(A, coef, H, M, rows, c2, unit_row)
         plan.scale = alpha
         plan.reset_pair = True
     if k == 2:
@@ -293,7 +304,7 @@ def _repair(A, coef, target, H, M, cols, rank_eps) -> RepairPlan:
         else:
             unit_row = j2
         coef[unit_row, j3] = 1.0
-        _refresh_caches(A, coef, H, M, j3, unit_row)
+        _refresh_caches(A, coef, H, M, rows, j3, unit_row)
         plan.order = order
         plan.mix1, plan.mix2 = mix1, mix2
         plan.reset_triple = True
@@ -323,9 +334,8 @@ def repair_block(
 ) -> RepairPlan:
     """Repair the coefficient block ``U_i`` for a V-side pass."""
     cols = _block_columns(factors.r, factors.k)[block_index]
-    return _repair(
-        A, factors.U.data, factors.V.data, workspace.H, workspace.M, cols, rank_eps
-    )
+    U, V = factors.U.data, factors.V.data
+    return _repair(A, U, V, workspace.H, workspace.M, cols, rank_eps, {})
 
 
 def update_block_V(
@@ -345,6 +355,33 @@ def update_block_V(
     _update_block(factors.V.data, workspace.H, workspace.M, cols, rank_eps)
 
 
+def _dead_columns(coef: np.ndarray, M: np.ndarray) -> list[int]:
+    # An all-zero column has a zero Gram diagonal.  A diagonal can also
+    # underflow to zero, so each candidate is confirmed on the column.
+    zero_diag = np.flatnonzero(np.diagonal(M) == 0.0)
+    return [int(c) for c in zero_diag if not coef[:, c].any()]
+
+
+def _products(data: MatrixRef, coef: DenseMatrix, dead: list[int]) -> np.ndarray:
+    """``H = data^T coef``, skipping the all-zero columns ``dead`` on
+    sparse input.
+
+    scipy's sparse kernels compute every output column on its own, so the
+    live columns come out bitwise as in the full product, and a dead
+    column's exact zeros are what the kernel would have written.  Dense
+    input always runs the full product: BLAS on a column subset changed
+    the last bits of the live columns.
+    """
+    if not dead or isinstance(data, DenseMatrix):
+        return at_times(data, coef).data
+    r = coef.cols
+    live = np.setdiff1d(np.arange(r), dead)
+    H = np.zeros((data.cols, r), order="F")
+    if live.size:
+        H[:, live] = at_times(data, DenseMatrix._view(coef.data[:, live])).data
+    return H
+
+
 def _half_sweep(
     A: MatrixRef,
     factors: FactorPair,
@@ -352,12 +389,21 @@ def _half_sweep(
     rank_eps: float,
     fro2: float,
     observer: Optional[BlockObserver],
-) -> tuple[float, int]:
+    M: Optional[np.ndarray] = None,
+) -> tuple[float, int, np.ndarray]:
     """The driver behind :func:`sweep` and :func:`fit`: repair plus update
-    every block of the ``side`` factor once; returns (objective, repairs).
+    every block of the ``side`` factor once.
 
-    The objective comes from the trace identity on the maintained caches,
-    clamped at zero once it is known to be finite.
+    ``M`` is the coefficient factor's Gram matrix if the caller has it
+    (Fortran-ordered, as :func:`gram` returns it); it is computed
+    otherwise, and updated in place.  Coefficient columns that are all
+    zero (dead) are read off its diagonal before the product: sparse input
+    skips their product columns, and the rows of ``A`` their repairs will
+    read are gathered in one pass by :func:`read_rows`.  Returns the
+    objective, the number of repairs and the updated factor's Gram matrix,
+    which is the next half-sweep's ``M``.  The objective comes from the
+    trace identity on the maintained caches, clamped at zero once it is
+    known to be finite.
     """
     if side == "V":
         data, coef, target = A, factors.U, factors.V
@@ -366,24 +412,31 @@ def _half_sweep(
     else:
         raise ValueError('direction must be "V" or "U"')
     coef_arr, target_arr = coef.data, target.data
-    H = at_times(data, coef).data
-    M = gram(coef).data
+    if M is None:
+        M = gram(coef).data
+    dead = _dead_columns(coef_arr, M)
+    H = _products(data, coef, dead)
+    # A dead column is rebuilt as e_c, so its repair reads row c.
+    rows = read_rows(data, dead) if dead else {}
     repairs = 0
     for idx, cols in enumerate(_block_columns(factors.r, factors.k)):
-        plan = _repair(data, coef_arr, target_arr, H, M, cols, rank_eps)
+        plan = _repair(data, coef_arr, target_arr, H, M, cols, rank_eps, rows)
         repairs += plan.events
         _update_block(target_arr, H, M, cols, rank_eps)
         if observer is not None:
             observer(side, idx)
     cross = float(np.sum(target_arr * H))
-    quad = float(np.sum((target_arr.T @ target_arr) * M))
+    # BLAS computes X^T X as exactly symmetric, so its transpose is the
+    # Fortran-ordered gram(target) bit for bit.
+    target_gram = target_arr.T @ target_arr
+    quad = float(np.sum(target_gram * M))
     objective = fro2 - 2.0 * cross + quad
     if not math.isfinite(objective):
         raise FloatingPointError(
             f"numerical breakdown: objective is {objective} after the "
             f"{side} half-sweep"
         )
-    return max(objective, 0.0), repairs
+    return max(objective, 0.0), repairs, target_gram.T
 
 
 def sweep(
@@ -413,7 +466,9 @@ def fit(
 
     The trace records the relative residual once per full sweep, measured
     after the U half from the caches that half maintained.  The U half runs
-    on ``transposed(A)``, a view of ``A``'s own storage.  Negative dense
+    on ``transposed(A)``, a view of ``A``'s own storage.  Each half hands
+    the Gram matrix of the factor it updated, already computed for its
+    objective, to the next half as that half's coefficient Gram.  Negative dense
     input is rejected here, as :class:`SparseMatrixCSR` rejects it, and a
     numerical breakdown (a non-finite objective) raises
     :class:`FloatingPointError`.
@@ -430,10 +485,11 @@ def fit(
     trace = SolveTrace()
     started = tick()
     previous = None
+    gram_next = None
     for sweep_index in range(1, config.max_sweeps + 1):
         for side in "VU":
-            objective, repairs = _half_sweep(
-                A, factors, side, config.rank_eps, fro2, observer
+            objective, repairs, gram_next = _half_sweep(
+                A, factors, side, config.rank_eps, fro2, observer, gram_next
             )
             trace.repair_events += repairs
         residual = math.sqrt(objective) / fro

@@ -9,6 +9,7 @@ from arknls.matrix import (
     at_times,
     frobenius_norm,
     gram,
+    read_rows,
     relative_residual,
     row_dense,
     transposed,
@@ -289,6 +290,55 @@ class TestContainers:
         for A in (s, transposed(s)):
             for i in range(A.rows):
                 assert not np.signbit(row_dense(A, i)).any()
+
+    def test_read_rows(self):
+        # One call returns every wanted row (repeats and any order allowed)
+        # as distinct increasing slots with their values, on both views.
+        rng = np.random.default_rng(9)
+        s = random_sparse(rng, 14, 11, 0.25)
+        d = s.to_dense().data
+        for A, ref in ((s, d), (transposed(s), d.T), (s.to_dense(), d)):
+            wanted = [A.rows - 1, 0, 3, 3, 7]
+            got = read_rows(A, wanted)
+            assert sorted(got) == [0, 3, 7, A.rows - 1]
+            for i, (slots, values) in got.items():
+                row = np.zeros(A.cols)
+                row[slots] = values
+                np.testing.assert_array_equal(row, ref[i])
+                np.testing.assert_array_equal(row, row_dense(A, i))
+                if isinstance(slots, np.ndarray):
+                    assert np.all(np.diff(slots) > 0)
+                    assert values.size == np.count_nonzero(ref[i])
+            assert read_rows(A, []) == {}
+            for bad in ([-1], [0, A.rows]):
+                with pytest.raises(IndexError):
+                    read_rows(A, bad)
+
+    def test_read_rows_transposed_allocates_no_index_copy(self):
+        # The U-side gather on a sparse-mtx-shaped input (10000 x 5000,
+        # 1% dense) finds 17 columns in one pass over the nnz row indices
+        # of the CSC view.  Its boolean table costs one byte per stored
+        # entry; an nnz-length int64 array (8 bytes each) must not appear.
+        rng = np.random.default_rng(10)
+        m, n, nnz = 10000, 5000, 500_000
+        s = SparseMatrixCSR.from_coo(
+            m, n, rng.integers(0, m, nnz), rng.integers(0, n, nnz), rng.random(nnz)
+        )
+        s_t = transposed(s)
+        wanted = list(range(0, 20 * 17, 20))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = read_rows(s_t, wanted)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * s.nnz
+        for j in wanted:
+            slots, values = got[j]
+            col = s.sp[:, [j]].tocoo()
+            np.testing.assert_array_equal(slots, col.row)
+            np.testing.assert_array_equal(values, col.data)
 
     def test_frobenius_norm(self):
         rng = np.random.default_rng(8)

@@ -51,6 +51,14 @@ class TestInitialize:
         with pytest.raises(ValueError):
             initialize(a, 5, seed=0)
 
+    def test_block_width_checked(self):
+        a = gen_dense(SynthSpec(m=12, n=9, true_rank=3, seed=0))
+        for k in (0, 4, -1):
+            with pytest.raises(ValueError, match="block width k must be 1, 2 or 3"):
+                initialize(a, 4, seed=0, k=k)
+        with pytest.raises(ValueError, match="rank must be at least the block width"):
+            initialize(a, 2, seed=0, k=3)
+
 
 class TestBlockPartition:
     def test_exact_division(self):
@@ -352,12 +360,19 @@ class TestFit:
         )
 
     @pytest.mark.parametrize("form", ["dense", "sparse"])
-    def test_fit_is_sweep_pairs(self, form):
-        # fit runs the same half-sweep driver as sweep, V half first.
-        s = gen_sparse(SynthSpec(m=40, n=30, true_rank=3, sparsity=0.5, seed=8))
+    @pytest.mark.parametrize(
+        "m, n, rank, k",
+        [(40, 30, 5, 2), (300, 200, 30, 1), (300, 200, 30, 2), (300, 200, 30, 3)],
+    )
+    def test_fit_is_sweep_pairs(self, form, m, n, rank, k):
+        # fit runs the same half-sweep driver as sweep, V half first, and
+        # hands each half's Gram matrix to the next; sweep computes it
+        # afresh.  At r=30 a Gram handed over in the wrong memory order
+        # changes the last bits.
+        s = gen_sparse(SynthSpec(m=m, n=n, true_rank=3, sparsity=0.5, seed=8))
         a = s if form == "sparse" else s.to_dense()
-        f, trace = fit(a, SolverConfig(rank=5, k=2, max_sweeps=3, seed=4))
-        g = initialize(a, 5, seed=4, k=2)
+        f, trace = fit(a, SolverConfig(rank=rank, k=k, max_sweeps=3, seed=4))
+        g = initialize(a, rank, seed=4, k=k)
         for _ in range(3):
             sweep(a, g, "V")
             obj_u = sweep(a, g, "U")
@@ -413,10 +428,13 @@ class TestFit:
             for value in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     fit(a, SolverConfig(rank=2, k=2, **{field: value}))
+        for value in (float("nan"), float("inf"), -float("inf"), 2.0, 1.0, 0.0, -1e-12):
+            with pytest.raises(ValueError, match="rank_eps must be finite and in"):
+                fit(a, SolverConfig(rank=2, k=2, rank_eps=value))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sparse_row_reader_matches_scipy_indexing(self, k, monkeypatch):
-        # row_dense reads the compressed arrays directly; scipy's own row
+        # read_rows reads the compressed arrays directly; scipy's own row
         # indexing is the reference.  Over-rank fits repair on the U side
         # (CSC transposed view); a zeroed U column forces V-side (CSR)
         # repairs in the sweeps that follow.
@@ -434,12 +452,7 @@ class TestFit:
             return f, trace, g, objs
 
         new = run()
-
-        def scipy_row(A, i):
-            reads.append(A.sp.format)
-            return A.sp[i].toarray().ravel()
-
-        monkeypatch.setattr(solver_module, "row_dense", scipy_row)
+        monkeypatch.setattr(solver_module, "read_rows", scipy_rows(reads))
         ref = run()
         assert reads.count("csc") > 0 and reads.count("csr") > 0
         (f, trace, g, objs), (f_ref, trace_ref, g_ref, objs_ref) = new, ref
@@ -449,6 +462,51 @@ class TestFit:
         for x, y in ((f, f_ref), (g, g_ref)):
             assert np.array_equal(x.U.data, y.U.data)
             assert np.array_equal(x.V.data, y.V.data)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dead_columns_match_full_products(self, k, monkeypatch):
+        # Over-rank sparse input on which most V columns vanish in the
+        # first V half.  The U half then skips their product columns and
+        # gathers the rows their repairs read in one pass.  The reference
+        # multiplies every column and reads each repaired row through
+        # scipy's indexing.
+        s = gen_sparse(
+            SynthSpec(m=120, n=90, true_rank=5, noise_std=0.0, sparsity=0.03, seed=6)
+        )
+        rank = 12
+        g = initialize(s, rank, seed=1, k=k)
+        sweep(s, g, "V")
+        dead = sum(not g.V.data[:, c].any() for c in range(rank))
+        assert 2 * dead >= rank
+        cfg = SolverConfig(rank=rank, k=k, max_sweeps=20, seed=1)
+        f, trace = fit(s, cfg)
+        reads = []
+        monkeypatch.setattr(
+            solver_module,
+            "_products",
+            lambda data, coef, dead: solver_module.at_times(data, coef).data,
+        )
+        monkeypatch.setattr(solver_module, "read_rows", scipy_rows(reads))
+        f_ref, trace_ref = fit(s, cfg)
+        assert reads.count("csc") >= dead
+        assert trace.repair_events == trace_ref.repair_events >= dead
+        assert trace.rel_residual == trace_ref.rel_residual
+        assert np.array_equal(f.U.data, f_ref.U.data)
+        assert np.array_equal(f.V.data, f_ref.V.data)
+
+
+def scipy_rows(reads):
+    """A stand-in for ``read_rows`` that densifies each row with scipy's
+    own indexing and records the storage format of every row read."""
+
+    def read(A, rows):
+        out = {}
+        for i in rows:
+            reads.append(A.sp.format)
+            out[int(i)] = (slice(None), A.sp[int(i)].toarray().ravel())
+        return out
+
+    return read
 
 
 class TestFlopsModel:
