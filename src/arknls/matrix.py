@@ -26,7 +26,6 @@ __all__ = [
     "frobenius_norm",
     "transposed",
     "read_rows",
-    "row_dense",
 ]
 
 
@@ -315,11 +314,3 @@ def read_rows(A: MatrixRef, rows) -> RowEntries:
     values = sp.data[hits] + 0.0
     return {int(i): (slots[owner == i], values[owner == i]) for i in wanted}
 
-
-def row_dense(A: MatrixRef, i: int) -> np.ndarray:
-    """Row ``i`` of ``A`` as a fresh dense vector of length ``A.cols``,
-    written from :func:`read_rows` into zeros as a repair writes it."""
-    out = np.zeros(A.cols)
-    slots, values = read_rows(A, [i])[i]
-    out[slots] = values
-    return out

@@ -323,13 +323,13 @@ def write_matrix_market(matrix: MatrixRef, path) -> None:
                 chunk = values[start : start + _WRITE_CHUNK].tolist()
                 handle.write("".join([f"{v:.17g}\n" for v in chunk]))
         else:
+            # A no-op on CSR; the CSC transposed view becomes sorted CSR.
+            csr = matrix.sp.tocsr()
             handle.write("%%MatrixMarket matrix coordinate real general\n")
-            handle.write(f"{matrix.rows} {matrix.cols} {matrix.nnz}\n")
-            rows = np.repeat(
-                np.arange(1, matrix.rows + 1), np.diff(matrix.row_offsets)
-            )
-            cols, values = matrix.col_indices, matrix.values
-            for start in range(0, matrix.nnz, _WRITE_CHUNK):
+            handle.write(f"{matrix.rows} {matrix.cols} {csr.nnz}\n")
+            rows = np.repeat(np.arange(1, matrix.rows + 1), np.diff(csr.indptr))
+            cols, values = csr.indices, csr.data
+            for start in range(0, csr.nnz, _WRITE_CHUNK):
                 part = slice(start, start + _WRITE_CHUNK)
                 chunk = zip(
                     rows[part].tolist(),

@@ -8,7 +8,9 @@ current values and their residual.  The clamps are order dependent: the
 last unknown is resolved first and feeds the earlier ones, so the
 evaluation order is part of the contract, not an implementation detail.
 The solver's block updates call it on whole factor columns, and
-``nnls_rank1/2/3`` call it on a single row.
+``nnls_rank1/2/3`` call it on a single row.  ``rank_deficiency`` is the
+one rank test: ``solve_block`` raises through it and the solver's repair
+decides with it.
 
 ``nnls_recursive`` lifts any rank-k solver to rank k+1 by projecting the
 problem off the final column, and ``nnls_oracle`` is a deliberately slow
@@ -19,7 +21,7 @@ serve as its references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,61 +65,77 @@ def _kkt_residual(G: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
     return float(viol.max()) if viol.size else 0.0
 
 
-def _guard(label: str, value: float, floor: float) -> None:
+def rank_deficiency(Mb, j: int, rank_eps: float = RANK_EPS) -> Optional[str]:
+    """The one rank test: why column ``j`` (0, 1 or 2) of a coefficient
+    block with Gram matrix ``Mb`` is numerically dependent on the columns
+    before it, or ``None`` if it is not.
+
+    Tested against ``rank_eps`` times a scale: ``|u1|^2`` against the
+    block's largest squared norm, ``d12`` against ``m11 m22`` and the 3 x 3
+    determinant against ``m11 m22 m33``.
+    """
+    m11 = Mb[0, 0]
+    if j == 0:
+        label, value = "|u1|^2", m11
+        floor = rank_eps * max(Mb[i, i] for i in range(Mb.shape[0]))
+    elif j == 1:
+        m22, m12 = Mb[1, 1], Mb[0, 1]
+        label, value, floor = "d12", m11 * m22 - m12 * m12, rank_eps * m11 * m22
+    else:
+        m22, m33, m12, m13, m23 = Mb[1, 1], Mb[2, 2], Mb[0, 1], Mb[0, 2], Mb[1, 2]
+        label, floor = "det(Ui^T Ui)", rank_eps * m11 * m22 * m33
+        value = (
+            m11 * (m22 * m33 - m23 * m23)
+            - m12 * (m12 * m33 - m23 * m13)
+            - m13 * (m13 * m22 - m23 * m12)
+        )
     if value <= floor:
-        raise RankDeficiencyError(
+        return (
             f"{label} = {value:.3e} at or below its rank threshold; "
             "the coefficient columns are (numerically) linearly dependent"
         )
+    return None
 
 
-def _sym_det3(m11, m22, m33, m12, m13, m23) -> float:
-    return (
-        m11 * (m22 * m33 - m23 * m23)
-        - m12 * (m12 * m33 - m23 * m13)
-        + m13 * (m12 * m23 - m22 * m13)
-    )
-
-
-def solve_block(Mb, R, V, rank_eps: float = RANK_EPS) -> np.ndarray:
-    """Closed-form joint NNLS update of k = 1, 2 or 3 columns, row by row.
+def solve_block(Mb, R, V, rank_eps: float = RANK_EPS) -> None:
+    """Closed-form joint NNLS update of k = 1, 2 or 3 columns, row by row,
+    written into ``V``.
 
     ``Mb`` is the k x k Gram matrix of the coefficient columns, ``V`` the
     current n x k values and ``R = rhs - V Mb`` their residual; each row
     of the result solves its own rank-k problem.  Everything is
     elementwise over the rows.  For k = 3 the solve order is column 3,
     then 2, then 1; the intermediate vectors p, p~ and z carry the nested
-    clamps.  Raises :class:`RankDeficiencyError` when a determinant or
-    norm is at or below its rank threshold.
+    clamps.  Raises :class:`RankDeficiencyError`, with ``V`` untouched,
+    where :func:`rank_deficiency` fails.
     """
     k = Mb.shape[0]
+    for j in range(k):
+        failed = rank_deficiency(Mb, j, rank_eps)
+        if failed is not None:
+            raise RankDeficiencyError(failed)
     m11 = Mb[0, 0]
-    _guard("|u1|^2", m11, rank_eps * max(Mb[j, j] for j in range(k)))
     r1, v1 = R[:, 0], V[:, 0]
     if k == 1:
-        return np.maximum(v1 + r1 / m11, 0.0)[:, None]
+        np.maximum(v1 + r1 / m11, 0.0, out=v1)
+        return
 
     m22, m12 = Mb[1, 1], Mb[0, 1]
     d12 = m11 * m22 - m12 * m12
-    _guard("|u2|^2", m22, 0.0)
-    _guard("d12", d12, rank_eps * m11 * m22)
     r2, v2 = R[:, 1], V[:, 1]
     if k == 2:
         w = np.maximum(v1 + (m22 * r1 - m12 * r2) / d12, 0.0)
         v2_new = np.maximum(v2 + r2 / m22 + (m12 / m22) * (v1 - w), 0.0)
         v1_new = np.maximum(v1 + r1 / m11 + (m12 / m11) * (v2 - v2_new), 0.0)
-        return np.array((v1_new, v2_new)).T
+        V[:, 0], V[:, 1] = v1_new, v2_new
+        return
 
     m33, m13, m23 = Mb[2, 2], Mb[0, 2], Mb[1, 2]
-    det = _sym_det3(m11, m22, m33, m12, m13, m23)
     d13 = m11 * m33 - m13 * m13
     d23 = m22 * m33 - m23 * m23
-    _guard("|u3|^2", m33, 0.0)
-    _guard("d13", d13, 0.0)
-    _guard("d23", d23, 0.0)
-    _guard("det(Ui^T Ui)", det, rank_eps * m11 * m22 * m33)
     a = m12 * m33 - m23 * m13
     b = m13 * m22 - m23 * m12
+    det = m11 * d23 - m12 * a - m13 * b
     r3, v3 = R[:, 2], V[:, 2]
 
     inner = np.maximum((d23 * r1 - a * r2 - b * r3) / det + v1, 0.0)
@@ -133,7 +151,7 @@ def solve_block(Mb, R, V, rank_eps: float = RANK_EPS) -> np.ndarray:
     v1_new = np.maximum(
         v1 + r1 / m11 + (m12 / m11) * (v2 - v2_new) + (m13 / m11) * (v3 - v3_new), 0.0
     )
-    return np.array((v1_new, v2_new, v3_new)).T
+    V[:, 0], V[:, 1], V[:, 2] = v1_new, v2_new, v3_new
 
 
 def _closed_form(G, b, k: int) -> NnlsSolution:
@@ -144,8 +162,9 @@ def _closed_form(G, b, k: int) -> NnlsSolution:
         raise ValueError(f"G must be m x {k} and b of length m")
     Mb = gram(DenseMatrix._wrap(G)).data
     t = G.T @ b
-    y = solve_block(Mb, t[None, :], np.zeros((1, k)))[0]
-    return NnlsSolution(y=y, kkt_residual=_kkt_residual(G, b, y))
+    y = np.zeros((1, k))
+    solve_block(Mb, t[None, :], y)
+    return NnlsSolution(y=y[0], kkt_residual=_kkt_residual(G, b, y[0]))
 
 
 def nnls_rank1(g, b) -> NnlsSolution:

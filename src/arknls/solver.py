@@ -7,9 +7,9 @@ products: ``H`` (data matrix transposed times the coefficient factor) and
 the coefficient Gram matrix ``M``.  This module assembles the block's
 residual from them and hands it to :func:`arknls.nnls.solve_block`, the
 one implementation of that closed form.  Before every block update the
-coefficient columns are checked for (numerical) rank deficiency and, if
-needed, repaired in place without changing the product ``U_i V_i^T``, so
-the closed form never divides by a vanishing determinant.
+coefficient columns are checked by :func:`arknls.nnls.rank_deficiency`,
+the test the closed form raises through, and repaired in place where it
+fails, without changing the product ``U_i V_i^T``.
 
 One driver, ``_half_sweep``, runs both halves of a sweep for ``sweep`` and
 ``fit``: the second half updates ``U`` by running the identical code on a
@@ -34,7 +34,7 @@ from .matrix import (
     read_rows,
     transposed,
 )
-from .nnls import RANK_EPS, RankDeficiencyError, _sym_det3, solve_block
+from .nnls import RANK_EPS, RankDeficiencyError, rank_deficiency, solve_block
 from .rng import make_rng, uniform_matrix
 
 __all__ = [
@@ -158,19 +158,9 @@ class BlockWorkspace:
 
 @dataclass
 class RepairPlan:
-    """Outcome of the rank repair applied to one coefficient block.
+    """Which of the three rank fixes the repair applied to one coefficient
+    block."""
 
-    ``order`` is the local column permutation chosen by the sign cases of
-    the three-column fix (identity unless exactly one mixing coefficient
-    was negative).  ``scale`` is the multiplier that folded column 2 into
-    column 1 in the pairwise fix; ``mix1``/``mix2`` are the (normalized,
-    hence nonnegative) coefficients expressing the dependent third column.
-    """
-
-    order: tuple[int, ...] = (0, 1, 2)
-    scale: Optional[float] = None
-    mix1: Optional[float] = None
-    mix2: Optional[float] = None
     reset_first: bool = False
     reset_pair: bool = False
     reset_triple: bool = False
@@ -218,11 +208,15 @@ def build_workspace(A: MatrixRef, factors: FactorPair) -> BlockWorkspace:
     return BlockWorkspace(H=at_times(A, factors.U).data, M=gram(factors.U).data)
 
 
-def _refresh_caches(A, coef, H, M, rows, col: int, unit_row: int) -> None:
-    # coef[:, col] was rebuilt as a unit vector e_{unit_row}; patch the
-    # touched H column and M row/column instead of recomputing products.
-    # The row of A comes from the half-sweep's gather ``rows`` when it
-    # holds it, and is read on its own otherwise.
+def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
+    # The step all three fixes end with: zero target[:, col], rebuild
+    # coef[:, col] as the unit vector e_{unit_row}, and patch the touched
+    # H column and M row/column instead of recomputing products.  The row
+    # of A comes from the half-sweep's gather ``rows`` when it holds it,
+    # and is read on its own otherwise.
+    target[:, col] = 0.0
+    coef[:, col] = 0.0
+    coef[unit_row, col] = 1.0
     slots, values = rows.get(unit_row) or read_rows(A, [unit_row])[unit_row]
     H[:, col] = 0.0
     H[slots, col] = values
@@ -234,46 +228,37 @@ def _repair(A, coef, target, H, M, cols, rank_eps, rows) -> RepairPlan:
     """Make the coefficient block full rank while preserving its product
     with the target block.  No-op on already independent columns.
 
-    Detection runs on Gram entries only.  Column checks proceed left to
-    right: a vanished leading column is rebuilt as a unit vector, a
-    dependent second column is folded into the first (its target column
-    absorbs ``scale`` times the second target column), and a third column
-    lying in the span of the first two is folded into both with the sign
-    cases deciding which column gets rebuilt.  ``rows`` maps a row index
-    of ``A`` to its entries from :func:`read_rows`, gathered in advance.
+    :func:`rank_deficiency` checks the columns left to right on the live
+    Gram block, so each test sees the fixes before it: a vanished leading
+    column is rebuilt as a unit vector, a dependent second column is
+    folded into the first, and a third column lying in the span of the
+    first two is folded into both with the sign cases deciding which
+    column gets rebuilt.  ``rows`` maps a row index of ``A`` to its
+    entries from :func:`read_rows`, gathered in advance.
     """
     plan = RepairPlan()
     k = len(cols)
     c1 = cols[0]
-    scale_ref = max(M[c, c] for c in cols)
-    if M[c1, c1] <= rank_eps * scale_ref:
-        coef[:, c1] = 0.0
-        coef[c1, c1] = 1.0
-        target[:, c1] = 0.0
-        _refresh_caches(A, coef, H, M, rows, c1, c1)
+    block = slice(c1, cols[-1] + 1)
+    Mb = M[block, block]
+    if rank_deficiency(Mb, 0, rank_eps):
+        _rebuild(A, coef, target, H, M, rows, c1, c1)
         plan.reset_first = True
     if k == 1:
         return plan
 
     c2 = cols[1]
-    m11, m22, m12 = M[c1, c1], M[c2, c2], M[c1, c2]
-    if m11 * m22 - m12 * m12 <= rank_eps * m11 * m22:
-        alpha = math.sqrt(m22 / m11)
-        target[:, c1] += alpha * target[:, c2]
-        target[:, c2] = 0.0
-        coef[:, c2] = 0.0
+    if rank_deficiency(Mb, 1, rank_eps):
+        target[:, c1] += math.sqrt(Mb[1, 1] / Mb[0, 0]) * target[:, c2]
         unit_row = c2 if coef[c1, c1] != 0.0 else c1
-        coef[unit_row, c2] = 1.0
-        _refresh_caches(A, coef, H, M, rows, c2, unit_row)
-        plan.scale = alpha
+        _rebuild(A, coef, target, H, M, rows, c2, unit_row)
         plan.reset_pair = True
     if k == 2:
         return plan
 
-    c3 = cols[2]
-    m11, m22, m33 = M[c1, c1], M[c2, c2], M[c3, c3]
-    m12, m13, m23 = M[c1, c2], M[c1, c3], M[c2, c3]
-    if _sym_det3(m11, m22, m33, m12, m13, m23) <= rank_eps * m11 * m22 * m33:
+    if rank_deficiency(Mb, 2, rank_eps):
+        m11, m22, m12 = Mb[0, 0], Mb[1, 1], Mb[0, 1]
+        m13, m23 = Mb[0, 2], Mb[1, 2]
         d12 = m11 * m22 - m12 * m12
         mix1 = (m22 * m13 - m23 * m12) / d12
         mix2 = (m11 * m23 - m12 * m13) / d12
@@ -294,8 +279,6 @@ def _repair(A, coef, target, H, M, cols, rank_eps, rows) -> RepairPlan:
         j1, j2, j3 = (cols[i] for i in order)
         target[:, j1] += mix1 * target[:, j3]
         target[:, j2] += mix2 * target[:, j3]
-        target[:, j3] = 0.0
-        coef[:, j3] = 0.0
         minor = coef[j1, j1] * coef[j2, j2] - coef[j2, j1] * coef[j1, j2]
         if minor != 0.0:
             unit_row = j3
@@ -303,10 +286,7 @@ def _repair(A, coef, target, H, M, cols, rank_eps, rows) -> RepairPlan:
             unit_row = j1
         else:
             unit_row = j2
-        coef[unit_row, j3] = 1.0
-        _refresh_caches(A, coef, H, M, rows, j3, unit_row)
-        plan.order = order
-        plan.mix1, plan.mix2 = mix1, mix2
+        _rebuild(A, coef, target, H, M, rows, j3, unit_row)
         plan.reset_triple = True
     return plan
 
@@ -322,7 +302,7 @@ def _update_block(target, H, M, cols, rank_eps) -> None:
     R = np.empty((target.shape[0], len(cols)), order="F")
     for j, c in enumerate(cols):
         np.subtract(H[:, c], target @ M[:, c], out=R[:, j])
-    target[:, block] = solve_block(M[block, block], R, target[:, block], rank_eps)
+    solve_block(M[block, block], R, target[:, block], rank_eps)
 
 
 def repair_block(
@@ -426,9 +406,7 @@ def _half_sweep(
         if observer is not None:
             observer(side, idx)
     cross = float(np.sum(target_arr * H))
-    # BLAS computes X^T X as exactly symmetric, so its transpose is the
-    # Fortran-ordered gram(target) bit for bit.
-    target_gram = target_arr.T @ target_arr
+    target_gram = gram(target).data
     quad = float(np.sum(target_gram * M))
     objective = fro2 - 2.0 * cross + quad
     if not math.isfinite(objective):
@@ -436,7 +414,7 @@ def _half_sweep(
             f"numerical breakdown: objective is {objective} after the "
             f"{side} half-sweep"
         )
-    return max(objective, 0.0), repairs, target_gram.T
+    return max(objective, 0.0), repairs, target_gram
 
 
 def sweep(

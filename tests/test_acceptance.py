@@ -4,10 +4,15 @@ Each test exercises one release criterion at its stated tolerance and
 prints a single PASS/FAIL line (run with ``pytest -s`` to see them all).
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import arknls
 from arknls.cli import run as cli_run
 from arknls.matrix import DenseMatrix, SparseMatrixCSR
 from arknls.mmio import (
@@ -244,22 +249,53 @@ def test_c07_row_decoupling():
     report(7, "row decoupling", worst <= 1e-10, f"max row diff = {worst:.2e}")
 
 
+# Run in a child process with BLAS on one thread, so that the calling
+# thread's CPU time (thread_time) is the whole cost of a sweep and load on
+# other cores cannot stretch one size's wall time.  Each rep fits both
+# sizes back to back, in alternating order, and takes each fit's fastest
+# sweep after the first; the median over reps of the paired ratios
+# cancels drift that hits both fits of a rep and ignores a rep that a
+# transient hit.
+_C08_CHILD = """
+import json, time
+import numpy as np
+from arknls.solver import SolverConfig, fit
+from arknls.synth import SynthSpec, gen_dense
+
+data = {n: gen_dense(SynthSpec(m=2000, n=n, true_rank=10, noise_std=0.0, seed=8))
+        for n in (2000, 4000)}
+reps = []
+for rep in range(7):
+    sweep_s = {}
+    for n in (2000, 4000) if rep % 2 else (4000, 2000):
+        cfg = SolverConfig(rank=30, k=3, max_sweeps=3, seed=0)
+        _, trace = fit(data[n], cfg, clock=time.thread_time)
+        sweep_s[n] = float(np.min(np.diff(trace.elapsed_s)))
+    reps.append(sweep_s)
+print(json.dumps(reps))
+"""
+
+
 def test_c08_cost_scaling():
-    m, r = 2000, 30
-    per_sweep = {}
-    for n in (2000, 4000):
-        A = gen_dense(SynthSpec(m=m, n=n, true_rank=10, noise_std=0.0, seed=8))
-        cfg = SolverConfig(rank=r, k=3, max_sweeps=4, seed=0)
-        _, trace = fit(A, cfg)
-        steps = np.diff([0.0] + trace.elapsed_s)
-        per_sweep[n] = float(np.min(steps[1:]))  # skip the warmup sweep
-    ratio = per_sweep[4000] / per_sweep[2000]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    package_root = os.path.dirname(os.path.dirname(arknls.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_root, env.get("PYTHONPATH")))
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _C08_CHILD],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    reps = json.loads(child.stdout)
+    ratio = float(np.median([rep["4000"] / rep["2000"] for rep in reps]))
+    ms = {n: 1e3 * float(np.median([rep[n] for rep in reps])) for n in ("2000", "4000")}
     report(
         8,
         "cost scaling in n",
         1.5 <= ratio <= 2.8,
-        f"per-sweep {per_sweep[2000]*1e3:.1f}ms -> {per_sweep[4000]*1e3:.1f}ms, "
-        f"ratio = {ratio:.2f}",
+        f"per-sweep {ms['2000']:.1f}ms -> {ms['4000']:.1f}ms (medians), "
+        f"median paired ratio = {ratio:.2f}",
     )
 
 

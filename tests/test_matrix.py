@@ -11,7 +11,6 @@ from arknls.matrix import (
     gram,
     read_rows,
     relative_residual,
-    row_dense,
     transposed,
 )
 
@@ -27,6 +26,15 @@ def triple_loop_atb(a, b):
             for t in range(m):
                 s += a[t, i] * b[t, j]
             out[i, j] = s
+    return out
+
+
+def dense_row(A, i):
+    """Row ``i`` of ``A`` from :func:`read_rows`, written into zeros as a
+    repair writes it."""
+    out = np.zeros(A.cols)
+    slots, values = read_rows(A, [i])[i]
+    out[slots] = values
     return out
 
 
@@ -245,24 +253,24 @@ class TestContainers:
         assert np.shares_memory(s_t.sp.indices, s.col_indices)
         d = s.to_dense().data
         for j in range(12):
-            np.testing.assert_array_equal(row_dense(s_t, j), d[:, j])
+            np.testing.assert_array_equal(dense_row(s_t, j), d[:, j])
         u = rng.random((12, 4))
         np.testing.assert_allclose(
             at_times(s_t, DenseMatrix(u)).data, d @ u, rtol=1e-13, atol=0
         )
 
-    def test_row_dense(self):
+    def test_read_rows_single(self):
         rng = np.random.default_rng(6)
         s = random_sparse(rng, 8, 11, 0.2)
         d = s.to_dense().data
         for i in range(8):
-            np.testing.assert_array_equal(row_dense(s, i), d[i])
-        np.testing.assert_array_equal(row_dense(s.to_dense(), 3), d[3])
+            np.testing.assert_array_equal(dense_row(s, i), d[i])
+        np.testing.assert_array_equal(dense_row(s.to_dense(), 3), d[3])
 
     @pytest.mark.parametrize(
         "name", ["empty-rows-and-cols", "nnz-zero", "full-first-last"]
     )
-    def test_row_dense_edge_cases(self, name):
+    def test_read_rows_edge_cases(self, name):
         # Rows 1 and 4 and columns 0 and 5 hold no stored entry; the first
         # and last index of both views are read.
         d = np.zeros((6, 7))
@@ -275,21 +283,23 @@ class TestContainers:
         s = SparseMatrixCSR.from_coo(6, 7, rows, cols, d[rows, cols])
         for A, ref in ((s, d), (transposed(s), d.T)):
             for i in range(A.rows):
-                got = row_dense(A, i)
-                assert got.dtype == np.float64 and got.flags.owndata
-                np.testing.assert_array_equal(got, ref[i])
-                assert not np.signbit(got).any()
+                _, values = read_rows(A, [i])[i]
+                # Fresh values, never the matrix's own storage.
+                assert values.dtype == np.float64 and values.flags.owndata
+                assert not np.signbit(values).any()
+                np.testing.assert_array_equal(dense_row(A, i), ref[i])
             for bad in (-1, A.rows):
                 with pytest.raises(IndexError):
-                    row_dense(A, bad)
+                    read_rows(A, [bad])
 
-    def test_row_dense_negative_zero_reads_as_zero(self):
+    def test_read_rows_negative_zero_reads_as_zero(self):
         # scipy's densification turns a stored -0.0 into 0.0; so does
-        # row_dense, on both views.
+        # read_rows, on both views.
         s = SparseMatrixCSR(2, 3, [0, 2, 2], [0, 2], [-0.0, 1.0])
         for A in (s, transposed(s)):
             for i in range(A.rows):
-                assert not np.signbit(row_dense(A, i)).any()
+                assert not np.signbit(read_rows(A, [i])[i][1]).any()
+                assert not np.signbit(dense_row(A, i)).any()
 
     def test_read_rows(self):
         # One call returns every wanted row (repeats and any order allowed)
@@ -305,7 +315,8 @@ class TestContainers:
                 row = np.zeros(A.cols)
                 row[slots] = values
                 np.testing.assert_array_equal(row, ref[i])
-                np.testing.assert_array_equal(row, row_dense(A, i))
+                # The gather equals reading the row on its own.
+                np.testing.assert_array_equal(row, dense_row(A, i))
                 if isinstance(slots, np.ndarray):
                     assert np.all(np.diff(slots) > 0)
                     assert values.size == np.count_nonzero(ref[i])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arknls import mmio
-from arknls.matrix import DenseMatrix, SparseMatrixCSR
+from arknls.matrix import DenseMatrix, SparseMatrixCSR, transposed
 from arknls.mmio import (
     MatrixMarketError,
     TraceRow,
@@ -398,6 +398,19 @@ class TestRoundTrip:
         path = tmp_path / "rt.mtx"
         write_matrix_market(a, path)
         self.assert_same_sparse(a, read_matrix_market(path))
+
+    def test_transposed_sparse_view(self, tmp_path):
+        # The transposed view of S writes the bytes of the CSR matrix S^T
+        # and reads back as S^T.
+        rng = np.random.default_rng(3)
+        rows, cols = np.nonzero(rng.random((9, 7)) < 0.3)
+        s = SparseMatrixCSR.from_coo(9, 7, rows, cols, rng.random(rows.size))
+        s_t = SparseMatrixCSR.from_coo(7, 9, cols, rows, s.values)
+        view_path, csr_path = tmp_path / "view.mtx", tmp_path / "csr.mtx"
+        write_matrix_market(transposed(s), view_path)
+        write_matrix_market(s_t, csr_path)
+        assert view_path.read_bytes() == csr_path.read_bytes()
+        self.assert_same_sparse(s_t, read_matrix_market(view_path))
 
     def test_sparse_with_empty_rows(self, tmp_path):
         a = SparseMatrixCSR.from_coo(5, 4, [0, 4], [1, 3], [2.0, 7.5])

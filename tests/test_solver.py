@@ -124,7 +124,7 @@ class TestRepairBlock:
         ws = build_workspace(a, f)
         plan = repair_block(f, ws, 0, a)
         self.check_state(a, f, ws, before)
-        return plan, f
+        return plan, f, v
 
     def check_state(self, a, f, ws, before):
         after = f.U.data @ f.V.data.T
@@ -140,9 +140,18 @@ class TestRepairBlock:
         assert np.max(np.abs(ws.M - m)) <= 1e-11 * (1.0 + np.max(np.abs(m)))
         assert f.V.data.min() >= 0.0
 
+    def rebuilt_column(self, f):
+        # The one column a single fix rebuilt: its V column is zero and
+        # its U column a unit vector.
+        zero = [j for j in range(f.r) if not f.V.data[:, j].any()]
+        assert len(zero) == 1
+        u = f.U.data[:, zero[0]]
+        assert np.count_nonzero(u) == 1 and u.max() == 1.0
+        return zero[0]
+
     def test_zero_first_column(self):
         rng = np.random.default_rng(4)
-        plan, f = self.run_repair(
+        plan, f, _ = self.run_repair(
             [np.zeros(12), rng.random(12), rng.random(12)]
         )
         assert plan.reset_first and plan.events == 1
@@ -150,45 +159,93 @@ class TestRepairBlock:
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_dependent_pair(self, alpha):
+        # u2 = alpha u1: the second V column is folded into the first.
         rng = np.random.default_rng(5)
         u1 = rng.random(12)
-        plan, _ = self.run_repair([u1, alpha * u1, rng.random(12)])
-        assert plan.reset_pair
-        assert plan.scale == pytest.approx(alpha, rel=1e-12)
+        plan, f, v0 = self.run_repair([u1, alpha * u1, rng.random(12)])
+        assert plan.reset_pair and plan.events == 1
+        v = f.V.data
+        np.testing.assert_allclose(
+            v[:, 0], v0[:, 0] + alpha * v0[:, 1], rtol=0.0, atol=1e-12
+        )
+        assert np.all(v[:, 1] == 0.0)
 
     def test_dependent_triple_identity_case(self):
+        # u3 = 0.5 u1 + 0.25 u2: the first two V columns absorb 0.5 and
+        # 0.25 of the third, which is zeroed.
         rng = np.random.default_rng(6)
         u1, u2 = rng.random(12), rng.random(12)
-        plan, _ = self.run_repair([u1, u2, 0.5 * u1 + 0.25 * u2])
-        assert plan.reset_triple and plan.order == (0, 1, 2)
-        assert plan.mix1 == pytest.approx(0.5, abs=1e-10)
-        assert plan.mix2 == pytest.approx(0.25, abs=1e-10)
+        plan, f, v0 = self.run_repair([u1, u2, 0.5 * u1 + 0.25 * u2])
+        assert plan.reset_triple and plan.events == 1
+        v = f.V.data
+        for j, mix in ((0, 0.5), (1, 0.25)):
+            np.testing.assert_allclose(
+                v[:, j], v0[:, j] + mix * v0[:, 2], rtol=0.0, atol=1e-10
+            )
+        assert self.rebuilt_column(f) == 2
 
     def test_dependent_triple_sign_cases(self):
+        # One negative mixing coefficient: the sign cases reorder the
+        # block as (0, 2, 1) or (1, 2, 0), and the column the order puts
+        # last is the one rebuilt.
         rng = np.random.default_rng(7)
         base = np.ones(12)
         bigger = base + rng.random(12)
-        # third column = -1 * first + 2 * second, still nonnegative
-        plan, _ = self.run_repair([base, bigger, 2.0 * bigger - base])
-        assert plan.reset_triple and plan.order == (0, 2, 1)
-        assert plan.mix1 >= 0.0 and plan.mix2 >= 0.0
-        # third column = 2 * first - 1 * second
-        plan, _ = self.run_repair([bigger, base, 2.0 * bigger - base])
-        assert plan.reset_triple and plan.order == (1, 2, 0)
-        assert plan.mix1 >= 0.0 and plan.mix2 >= 0.0
+        # third column = -1 * first + 2 * second: order (0, 2, 1)
+        plan, f, _ = self.run_repair([base, bigger, 2.0 * bigger - base])
+        assert plan.reset_triple and plan.events == 1
+        assert self.rebuilt_column(f) == 1
+        # third column = 2 * first - 1 * second: order (1, 2, 0)
+        plan, f, _ = self.run_repair([bigger, base, 2.0 * bigger - base])
+        assert plan.reset_triple and plan.events == 1
+        assert self.rebuilt_column(f) == 0
 
     def test_noop_on_full_rank(self):
         rng = np.random.default_rng(8)
         u = [rng.random(12) for _ in range(3)]
-        plan, f = self.run_repair(u)
+        plan, f, _ = self.run_repair(u)
         assert plan.events == 0
         np.testing.assert_array_equal(f.U.data, np.column_stack(u))
 
     def test_cascaded_degeneracies(self):
         rng = np.random.default_rng(9)
         u2 = rng.random(12)
-        plan, _ = self.run_repair([np.zeros(12), u2, 3.0 * u2])
+        plan, _, _ = self.run_repair([np.zeros(12), u2, 3.0 * u2])
         assert plan.reset_first and plan.reset_triple and plan.events == 2
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("family", ["vanishing-first", "dependent-last"])
+    def test_one_rank_decision(self, k, family):
+        # Unit-scale blocks straddling the rank threshold: the first
+        # column scaled by delta, or the last a nonnegative mix of the
+        # others plus delta times a fixed noise vector.  The tested
+        # quantity grows as delta^2, so the grid puts a point in every
+        # factor-1.6 band of it.  The kernel refuses the unrepaired block
+        # exactly when the repair fires, and accepts every repaired one.
+        rng = np.random.default_rng(k)
+        m, n = 12, 9
+        a = DenseMatrix(rng.random((m, n)))
+        base, noise, mix = rng.random((m, k)), rng.random(m), rng.random(k - 1)
+        v = rng.random((n, k))
+        fired = []
+        for delta in np.logspace(-9, -3, 61):
+            u = base.copy()
+            if family == "vanishing-first":
+                u[:, 0] *= delta
+            else:
+                u[:, -1] = u[:, :-1] @ mix + delta * noise
+            raw, fixed = make_factors(u, v, k=k), make_factors(u, v, k=k)
+            try:
+                update_block_V(a, raw, build_workspace(a, raw), 0)
+                raised = False
+            except RankDeficiencyError:
+                raised = True
+            ws = build_workspace(a, fixed)
+            plan = repair_block(fixed, ws, 0, a)
+            assert raised == (plan.events > 0), f"delta = {delta:.3e}"
+            update_block_V(a, fixed, ws, 0)
+            fired.append(raised)
+        assert any(fired) and not all(fired)
 
 
 class TestSweep:
