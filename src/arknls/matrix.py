@@ -188,6 +188,14 @@ def _validate_csr(rows, cols, off, idx, vals) -> None:
         raise ValueError("sparse values must be nonnegative")
 
 
+def _check_integers(spec, names) -> None:
+    # A float such as 2.0 passes range checks and fails deep in numpy.
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # A SparseMatrixCSR is a SparseView; so is the transposed view of one.
 MatrixRef = Union[DenseMatrix, SparseView]
 
@@ -244,26 +252,29 @@ def _fro_squared(A: MatrixRef) -> float:
 
 
 def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
-    """Frobenius norm of ``A - U V^T`` divided by the norm of ``A``.
-
-    Uses the trace identity
-    ``|A - U V^T|^2 = |A|^2 - 2 <A^T U, V> + <U^T U, V^T V>``
-    so the low-rank product is never materialized.  The radicand is clamped
-    at zero: near an exact fit it can come out slightly negative in floats.
-    A non-finite radicand raises :class:`FloatingPointError`.
+    """Frobenius norm of ``A - U V^T`` divided by the norm of ``A``, from
+    :func:`_trace_residual`, so the low-rank product is never materialized.
     """
     if U.rows != A.rows or V.rows != A.cols or U.cols != V.cols:
         raise ValueError("factor dimensions do not conform with A")
     a2 = _fro_squared(A)
     if a2 == 0.0:
         raise ValueError("relative residual undefined for an all-zero matrix")
-    h = at_times(A, U).data
-    cross = float(np.sum(h * V.data))
-    quad = float(np.sum((U.data.T @ U.data) * (V.data.T @ V.data)))
-    radicand = a2 - 2.0 * cross + quad
-    if not math.isfinite(radicand):
-        raise FloatingPointError(f"numerical breakdown: residual is {radicand}")
-    return math.sqrt(max(radicand, 0.0) / a2)
+    return math.sqrt(_trace_residual(a2, at_times(A, U).data, V, gram(U).data)[0] / a2)
+
+
+def _trace_residual(fro2: float, H, X: DenseMatrix, M) -> tuple[float, np.ndarray]:
+    """``|A - C X^T|^2 = |A|^2 - 2 <H, X> + <X^T X, M>`` from ``fro2 = |A|^2``,
+    ``H = A^T C`` and ``M = C^T C``, clamped at zero (near an exact fit it
+    can come out slightly negative), and ``X^T X`` from :func:`gram`.  A
+    non-finite value raises :class:`FloatingPointError`.
+    """
+    cross = float(np.sum(X.data * H))
+    x_gram = gram(X).data
+    value = fro2 - 2.0 * cross + float(np.sum(x_gram * M))
+    if not math.isfinite(value):
+        raise FloatingPointError(f"numerical breakdown: squared residual is {value}")
+    return max(value, 0.0), x_gram
 
 
 def transposed(A: MatrixRef) -> MatrixRef:

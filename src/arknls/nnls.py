@@ -2,15 +2,15 @@
 
 ``solve_block`` is the one implementation of the closed form.  For a
 full column rank coefficient block it solves ``min |G y - b|`` subject to
-``y >= 0`` for every row of a batch at once, written with nested
-nonnegative clamps ``[x]_+ = max(x, 0)`` in terms of the Gram matrix, the
-current values and their residual.  The clamps are order dependent: the
-last unknown is resolved first and feeds the earlier ones, so the
-evaluation order is part of the contract, not an implementation detail.
-The solver's block updates call it on whole factor columns, and
-``nnls_rank1/2/3`` call it on a single row.  ``rank_deficiency`` is the
-one rank test: ``solve_block`` raises through it and the solver's repair
-decides with it.
+``y >= 0`` for every row of a batch at once, in terms of the Gram matrix,
+the current values and their residual, by one rule: a single column is
+the clamped update ``[v + r/m]_+``, and k columns lift a solve of their
+first k - 1, resolving the last column first.  The clamps are order
+dependent, so this evaluation order is part of the contract, not an
+implementation detail.  The solver's block updates call it on whole factor
+columns, and ``nnls_rank1/2/3`` on a single row.  ``rank_deficiency`` is
+the one rank test: ``solve_block`` raises through it and the solver's
+repair decides with it.
 
 ``nnls_recursive`` lifts any rank-k solver to rank k+1 by projecting the
 problem off the final column, and ``nnls_oracle`` is a deliberately slow
@@ -20,6 +20,7 @@ serve as its references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,7 +73,8 @@ def rank_deficiency(Mb, j: int, rank_eps: float = RANK_EPS) -> Optional[str]:
 
     Tested against ``rank_eps`` times a scale: ``|u1|^2`` against the
     block's largest squared norm, ``d12`` against ``m11 m22`` and the 3 x 3
-    determinant against ``m11 m22 m33``.
+    determinant against ``m11 m22 m33``.  Where these products overflow,
+    a value or threshold that is not finite raises :class:`FloatingPointError`.
     """
     m11 = Mb[0, 0]
     if j == 0:
@@ -89,6 +91,8 @@ def rank_deficiency(Mb, j: int, rank_eps: float = RANK_EPS) -> Optional[str]:
             - m12 * (m12 * m33 - m23 * m13)
             - m13 * (m13 * m22 - m23 * m12)
         )
+    if not (math.isfinite(value) and math.isfinite(floor)):
+        raise FloatingPointError(f"numerical breakdown: {label} = {value} vs {floor}")
     if value <= floor:
         return (
             f"{label} = {value:.3e} at or below its rank threshold; "
@@ -103,55 +107,42 @@ def solve_block(Mb, R, V, rank_eps: float = RANK_EPS) -> None:
 
     ``Mb`` is the k x k Gram matrix of the coefficient columns, ``V`` the
     current n x k values and ``R = rhs - V Mb`` their residual; each row
-    of the result solves its own rank-k problem.  Everything is
-    elementwise over the rows.  For k = 3 the solve order is column 3,
-    then 2, then 1; the intermediate vectors p, p~ and z carry the nested
-    clamps.  Raises :class:`RankDeficiencyError`, with ``V`` untouched,
-    where :func:`rank_deficiency` fails.
+    of the result solves its own rank-k problem, elementwise over the
+    rows, by the lift in :func:`_lift`.  Raises :class:`RankDeficiencyError`,
+    with ``V`` untouched, where :func:`rank_deficiency` fails.
     """
-    k = Mb.shape[0]
-    for j in range(k):
+    for j in range(Mb.shape[0]):
         failed = rank_deficiency(Mb, j, rank_eps)
         if failed is not None:
             raise RankDeficiencyError(failed)
-    m11 = Mb[0, 0]
-    r1, v1 = R[:, 0], V[:, 0]
-    if k == 1:
-        np.maximum(v1 + r1 / m11, 0.0, out=v1)
+    _lift(Mb.tolist(), R.T, V.T)
+
+
+def _lift(M, R, V) -> None:
+    # nnls_recursive's rank-(k-1) -> k lift in Gram/residual form.  M holds
+    # Gram rows as floats (its leading block is read); R and V are sequences
+    # of residual and value columns.  With l the last column:
+    #   1. solve the head with column l projected out: on the Schur complement
+    #      m_ij - (m_il/m_ll) m_jl and the residual r_i - (m_il/m_ll) r_l;
+    #   2. update column l against the residual that head solution leaves;
+    #   3. solve the head in place against the residual the new column leaves.
+    l = len(V) - 1
+    m = M[l][l]
+    if l == 0:
+        np.maximum(V[0] + R[0] / m, 0.0, out=V[0])
         return
-
-    m22, m12 = Mb[1, 1], Mb[0, 1]
-    d12 = m11 * m22 - m12 * m12
-    r2, v2 = R[:, 1], V[:, 1]
-    if k == 2:
-        w = np.maximum(v1 + (m22 * r1 - m12 * r2) / d12, 0.0)
-        v2_new = np.maximum(v2 + r2 / m22 + (m12 / m22) * (v1 - w), 0.0)
-        v1_new = np.maximum(v1 + r1 / m11 + (m12 / m11) * (v2 - v2_new), 0.0)
-        V[:, 0], V[:, 1] = v1_new, v2_new
-        return
-
-    m33, m13, m23 = Mb[2, 2], Mb[0, 2], Mb[1, 2]
-    d13 = m11 * m33 - m13 * m13
-    d23 = m22 * m33 - m23 * m23
-    a = m12 * m33 - m23 * m13
-    b = m13 * m22 - m23 * m12
-    det = m11 * d23 - m12 * a - m13 * b
-    r3, v3 = R[:, 2], V[:, 2]
-
-    inner = np.maximum((d23 * r1 - a * r2 - b * r3) / det + v1, 0.0)
-    p = np.maximum(v2 + (m33 * r2 - m23 * r3) / d23 + (a / d23) * (v1 - inner), 0.0)
-    p_tilde = np.maximum(v1 + (m33 * r1 - m13 * r3) / d13 + (a / d13) * (v2 - p), 0.0)
-    v3_new = np.maximum(
-        v3 + r3 / m33 + (m13 / m33) * (v1 - p_tilde) + (m23 / m33) * (v2 - p), 0.0
-    )
-    z = np.maximum(v1 + (m22 * r1 - m12 * r2) / d12 + (b / d12) * (v3 - v3_new), 0.0)
-    v2_new = np.maximum(
-        v2 + r2 / m22 + (m12 / m22) * (v1 - z) + (m23 / m22) * (v3 - v3_new), 0.0
-    )
-    v1_new = np.maximum(
-        v1 + r1 / m11 + (m12 / m11) * (v2 - v2_new) + (m13 / m11) * (v3 - v3_new), 0.0
-    )
-    V[:, 0], V[:, 1], V[:, 2] = v1_new, v2_new, v3_new
+    head = range(l)
+    ratio = [M[i][l] / m for i in head]
+    shifted = [V[i].copy() for i in head]
+    schur = [[M[i][j] - ratio[i] * M[j][l] for j in head] for i in head]
+    _lift(schur, [R[i] - ratio[i] * R[l] for i in head], shifted)
+    r = R[l]
+    for i in head:
+        r = r - M[i][l] * (shifted[i] - V[i])
+    before = V[l].copy()
+    _lift([[m]], [r], V[l:])
+    step = V[l] - before
+    _lift(M, [R[i] - M[i][l] * step for i in head], V[:l])
 
 
 def _closed_form(G, b, k: int) -> NnlsSolution:
@@ -177,20 +168,22 @@ def nnls_rank1(g, b) -> NnlsSolution:
 
 
 def nnls_rank2(G, b) -> NnlsSolution:
-    """Two-column case.
+    """Two-column case, one lift of the one-column update.
 
-    With Gram entries ``n1 = |g1|^2``, ``n2 = |g2|^2``, ``c = g2.g1`` and
-    ``d12 = n1 n2 - c^2``::
+    With Gram entries ``n1 = |g1|^2``, ``n2 = |g2|^2`` and ``c = g2.g1``,
+    from the start ``y = 0``::
 
-        y2 = [ b.g2 - c [ (n2 b.g1 - b.g2 c) / d12 ]_+ ]_+ / n2
-        y1 = [ b.g1 - c y2 ]_+ / n1
+        s  = [ (b.g1 - (c/n2) b.g2) / (n1 - (c/n2) c) ]_+
+        y2 = [ (b.g2 - c s) / n2 ]_+
+        y1 = [ (b.g1 - c y2) / n1 ]_+
     """
     return _closed_form(G, b, 2)
 
 
 def nnls_rank3(G, b) -> NnlsSolution:
-    """Three-column case, resolved in the order y3, y2, y1 as in
-    :func:`solve_block`."""
+    """Three-column case: the two-column case lifted once more, so y3 is
+    resolved first from the projected two-column solve, then y2 and y1,
+    as in :func:`solve_block`."""
     return _closed_form(G, b, 3)
 
 

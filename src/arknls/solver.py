@@ -28,7 +28,9 @@ import numpy as np
 from .matrix import (
     DenseMatrix,
     MatrixRef,
+    _check_integers,
     _fro_squared,
+    _trace_residual,
     at_times,
     gram,
     read_rows,
@@ -74,6 +76,7 @@ class SolverConfig:
     rank_eps: float = RANK_EPS
 
     def validate(self) -> None:
+        _check_integers(self, ("rank", "k", "max_sweeps", "seed"))
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.max_sweeps < 1:
@@ -382,8 +385,7 @@ def _half_sweep(
     read are gathered in one pass by :func:`read_rows`.  Returns the
     objective, the number of repairs and the updated factor's Gram matrix,
     which is the next half-sweep's ``M``.  The objective comes from the
-    trace identity on the maintained caches, clamped at zero once it is
-    known to be finite.
+    trace identity on the maintained caches (:func:`_trace_residual`).
     """
     if side == "V":
         data, coef, target = A, factors.U, factors.V
@@ -405,16 +407,8 @@ def _half_sweep(
         _update_block(target_arr, H, M, cols, rank_eps)
         if observer is not None:
             observer(side, idx)
-    cross = float(np.sum(target_arr * H))
-    target_gram = gram(target).data
-    quad = float(np.sum(target_gram * M))
-    objective = fro2 - 2.0 * cross + quad
-    if not math.isfinite(objective):
-        raise FloatingPointError(
-            f"numerical breakdown: objective is {objective} after the "
-            f"{side} half-sweep"
-        )
-    return max(objective, 0.0), repairs, target_gram
+    objective, target_gram = _trace_residual(fro2, H, target, M)
+    return objective, repairs, target_gram
 
 
 def sweep(

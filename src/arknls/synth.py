@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import DenseMatrix, SparseMatrixCSR
+from .matrix import DenseMatrix, SparseMatrixCSR, _check_integers
 from .rng import gaussian_matrix, make_rng, uniform_matrix
 
 __all__ = ["SynthSpec", "gen_dense", "gen_sparse"]
@@ -36,6 +36,7 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_integers(self, ("m", "n", "true_rank", "seed"))
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
         if not 1 <= self.true_rank <= min(self.m, self.n):

@@ -9,6 +9,8 @@ from arknls.nnls import (
     nnls_rank2,
     nnls_rank3,
     nnls_recursive,
+    rank_deficiency,
+    solve_block,
 )
 
 
@@ -197,3 +199,42 @@ class TestSharedProperties:
                 for _ in range(100):
                     other = rng.random(k) * 2.0
                     assert best <= np.linalg.norm(g @ other - b) + 1e-9
+
+
+def unit_gram(rng, k):
+    g = well_conditioned(rng, 12, k)
+    return np.asfortranarray(g.T @ g)
+
+
+class TestRankDeficiency:
+    def test_overflowing_products_raise(self):
+        # d12's m11 m22 and the determinant's m11 m22 m33 overflow while
+        # every Gram entry is finite; NaN <= inf is false, so unless the
+        # test refuses non-finite values these blocks pass as full rank.
+        gram3 = unit_gram(np.random.default_rng(5), 3)
+        with np.errstate(all="ignore"):
+            for scale, j in [(1e110, 2), (1e160, 1)]:
+                with pytest.raises(FloatingPointError, match="^numerical breakdown"):
+                    rank_deficiency(gram3 * scale, j)
+
+    def test_finite_products_still_decide(self):
+        gram3 = unit_gram(np.random.default_rng(5), 3)
+        with np.errstate(all="ignore"):
+            assert rank_deficiency(gram3 * 1e110, 1) is None
+
+
+class TestSolveBlock:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [2.0**-100, 2.0**100])
+    def test_scale_equivariant(self, k, scale):
+        # Powers of two scale exactly, so scaling the Gram block and the
+        # residual together must leave the written values bitwise equal.
+        rng = np.random.default_rng(40 + k)
+        gram_k = unit_gram(rng, k)
+        R = np.asfortranarray(rng.standard_normal((200, k)))
+        V0 = np.asfortranarray(rng.random((200, k)))
+        want, got = V0.copy(order="F"), V0.copy(order="F")
+        solve_block(gram_k, R, want)
+        solve_block(scale * gram_k, scale * R, got)
+        assert np.array_equal(got, want)
+        assert 0 < np.count_nonzero(want == 0.0) < want.size

@@ -489,6 +489,26 @@ class TestFit:
             with pytest.raises(ValueError, match="rank_eps must be finite and in"):
                 fit(a, SolverConfig(rank=2, k=2, rank_eps=value))
 
+    @pytest.mark.parametrize("field", ["rank", "k", "max_sweeps", "seed"])
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_config_rejects_non_integer_sizes(self, field, value):
+        # 2.0 passes every range check and would fail deep in numpy;
+        # True is an int only by inheritance.
+        config = SolverConfig(rank=4, k=2, max_sweeps=3, seed=0)
+        setattr(config, field, value)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            config.validate()
+
+    def test_config_accepts_numpy_integers(self):
+        a = gen_dense(SynthSpec(m=10, n=8, true_rank=2, seed=0))
+        config = SolverConfig(
+            rank=np.int64(4), k=np.int64(2), max_sweeps=np.int32(2), seed=np.int64(3)
+        )
+        f, trace = fit(a, config)
+        g, want = fit(a, SolverConfig(rank=4, k=2, max_sweeps=2, seed=3))
+        assert trace.rel_residual == want.rel_residual
+        assert np.array_equal(f.V.data, g.V.data)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sparse_row_reader_matches_scipy_indexing(self, k, monkeypatch):
         # read_rows reads the compressed arrays directly; scipy's own row

@@ -75,3 +75,18 @@ def test_spec_validation():
             gen_dense(SynthSpec(m=10, n=10, true_rank=2, noise_std=value))
         with pytest.raises(ValueError, match="sparsity must lie"):
             gen_sparse(SynthSpec(m=10, n=10, true_rank=2, sparsity=value))
+
+
+@pytest.mark.parametrize("field", ["m", "n", "true_rank", "seed"])
+@pytest.mark.parametrize("value", [2.0, True])
+def test_spec_rejects_non_integer_sizes(field, value):
+    fields = dict(m=30, n=20, true_rank=2, seed=0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        gen_dense(SynthSpec(**fields))
+
+
+def test_spec_accepts_numpy_integers():
+    spec = SynthSpec(m=np.int64(30), n=np.int32(20), true_rank=np.int64(2), seed=np.int64(4))
+    want = gen_dense(SynthSpec(m=30, n=20, true_rank=2, seed=4))
+    assert np.array_equal(gen_dense(spec).data, want.data)
