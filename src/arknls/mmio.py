@@ -7,14 +7,27 @@ by column) and sparse matrices the ``coordinate real general`` format with
 rejected rather than coerced, as are negative values: the reader's output
 feeds a nonnegative factorization.
 
-The reader parses the entry lines in one ``np.loadtxt`` call and checks the
-parsed arrays as a whole.  Text that call turns away, or that fails a
-check, is read again one line at a time; that reader names the line at
-fault, and it alone accepts comment lines between entries.
+The reader reads the banner and the size line itself, then tries three
+tiers for the entry lines, each only when the one before declined:
+
+1. ``coordinate real general`` files with entries whose text is plain,
+   one ``digits SP digits SP float LF`` line per entry, are parsed by
+   scipy's compiled reader (``scipy.io.mmread``, fast_matrix_market).  A
+   byte-level guard proves the text plain before that call, because the
+   compiled reader accepts some text ``int``/``float`` reject or read
+   differently (``1.0e5e5``, ``1_0``, ``0x1p0``, a fourth field).
+2. One ``np.loadtxt`` call parses any other layout, field and symmetry.
+3. A line-at-a-time reader takes what both turn away; it names the line
+   at fault, and it alone accepts comment lines between entries.
+
+Each tier checks what it parsed as a whole (entry count, index range,
+finite and nonnegative values; scipy's reader checks the range itself), and
+all three return the same bits for the same file.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from array import array
@@ -22,6 +35,7 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
+from scipy.io import mmread
 
 from .matrix import DenseMatrix, MatrixRef, SparseMatrixCSR
 
@@ -70,19 +84,24 @@ class _Header(NamedTuple):
 def read_matrix_market(path) -> MatrixRef:
     """Parse a Matrix Market file into a dense or sparse matrix.
 
-    The banner and the size line are read line by line.  The entry lines
-    after them are parsed in one call to numpy's compiled text reader and
-    checked as whole arrays: entry count, 1-based index range, finite and
-    nonnegative values.  Input that reader turns away, or that fails a
-    check, is read again one line at a time.  That pass raises a
+    The banner and the size line are read line by line.  A ``coordinate
+    real general`` file whose entry lines are all plain ``i j value``
+    text (single spaces, LF line ends, digit-only indices, and values of
+    digits with at most one dot and a lower-case ``e`` exponent, unsigned)
+    is parsed by scipy's compiled Matrix Market reader.  Any other entry
+    text is parsed in one call to numpy's compiled text reader.  Either
+    result is checked as whole arrays: entry count, index range, finite
+    and nonnegative values.  Input both turn away, or that fails a check,
+    is read again one line at a time.  That pass raises a
     :class:`MatrixMarketError` naming the offending line, or returns the
-    matrix for text only it accepts, such as comment lines between entries.
-    Either way the peak memory is a small multiple of the entry count
-    rather than of the file's text.
+    matrix for text only it accepts, such as comment lines between
+    entries.  All three give the same bits for the same file.
     """
     with _open_ascii(path) as handle:
         header, _ = _read_header(enumerate(handle, start=1))
-        matrix = _read_bulk(handle, header)
+        matrix = _read_plain(path, header)
+        if matrix is None:
+            matrix = _read_bulk(handle, header)
     return _read_by_lines(path) if matrix is None else matrix
 
 
@@ -145,6 +164,128 @@ def _read_header(numbered):
     if symmetry == "symmetric" and dims[0] != dims[1]:
         raise _fail(size_no, "symmetric matrix must be square")
     return _Header(layout, field, symmetry, size_no, dims), entries
+
+
+# Classes of the bytes of plain entry text that are not digits, as a
+# bytes.translate table.
+_LF, _SP, _DOT, _EXP, _SIGN, _OTHER = range(6)
+_CLASS = bytes(
+    dict(zip(b"\n .e+-", (_LF, _SP, _DOT, _EXP, _SIGN, _SIGN))).get(byte, _OTHER)
+    for byte in range(256)
+)
+
+# The steps from one non-digit byte of a plain entry line to the next, and
+# whether digits lie between the two: True (some), False (none) or None
+# (either).  A line is 'row SP col SP value LF', value = mantissa
+# [e [sign] digits] and mantissa = digits [. digits] or . digits; that a
+# dot has a digit on at least one side is checked apart.
+_STEPS = {
+    (_LF, _SP): True,
+    (_SP, _SP): True,
+    (_SP, _LF): True,
+    (_SP, _EXP): True,
+    (_SP, _DOT): None,
+    (_DOT, _EXP): None,
+    (_DOT, _LF): None,
+    (_EXP, _SIGN): False,
+    (_EXP, _LF): True,
+    (_SIGN, _LF): True,
+}
+# The legal steps coded as (class * 6 + next class) * 2 + adjacent.
+_LEGAL_STEPS = bytes(
+    (here * 6 + following) * 2 + adjacent
+    for (here, following), digits in _STEPS.items()
+    for adjacent in (0, 1)
+    if digits is None or digits != adjacent
+)
+
+
+def _read_plain(path, header):
+    # Parses a coordinate real general file with scipy's compiled reader
+    # once _plain_entries has proved its entry text plain.  Returns None,
+    # for the next tier, on any other file, failure or failed check.
+    if header[:3] != ("coordinate", "real", "general") or header.dims[2] == 0:
+        return None
+    m, n, nnz = header.dims
+    with open(path, "rb") as handle:
+        text = handle.read()
+    start = _entry_offset(text, header.size_no)
+    if start is None or not _plain_entries(text, start, nnz):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            # The bytes just checked, not a second read of the file.  (No
+            # spmatrix= keyword: scipy 1.12 lacks it; a coo_matrix serves.)
+            coo = mmread(io.BytesIO(text))
+        except (ValueError, OverflowError, RuntimeError, Warning):
+            return None
+    del text
+    # The compiled reader checks the header and the index range itself.
+    if coo.nnz != nnz or not _admissible(coo.data):
+        return None
+    return SparseMatrixCSR.from_coo(m, n, coo.row, coo.col, coo.data)
+
+
+def _entry_offset(text, size_no):
+    # Offset of the first byte after the size line (line ``size_no``), or
+    # None when the header has a CR: the text reader splits lines at a
+    # lone CR too, so counting LFs would misplace the entries.
+    end = -1
+    for _ in range(size_no):
+        end = text.find(b"\n", end + 1)
+        if end < 0:
+            return None
+    return None if text.find(b"\r", 0, end) >= 0 else end + 1
+
+
+# Bytes of entry text the guard checks at a time: its working arrays stay a
+# small fraction of a large file, and in cache.
+_GUARD_BLOCK = 1 << 18
+
+
+def _plain_entries(text, start, nnz) -> bool:
+    # True when text[start:] is exactly ``nnz`` lines of plain entry text,
+    # so that scipy's reader, int() and float() read each token alike.
+    # Checks a block of whole lines at a time.
+    lines = 0
+    while start < len(text):
+        end = text.find(b"\n", start + _GUARD_BLOCK)
+        end = len(text) if end < 0 else end + 1
+        block = np.frombuffer(text, dtype=np.uint8, count=end - start, offset=start)
+        plain = _plain_lines(block)
+        if not plain:
+            return False
+        lines += plain
+        start = end
+    return lines == nnz
+
+
+def _plain_lines(block) -> int:
+    # The number of lines in ``block`` (uint8) when it is whole lines of
+    # plain entry text, else 0.  Looks at the non-digit bytes only: their
+    # classes, and whether each directly follows the one before it.
+    if block[-1] != ord("\n"):
+        return 0
+    where = np.flatnonzero(np.subtract(block, 0x30, dtype=np.uint8) > 9)
+    classes = np.empty(where.size + 1, dtype=np.uint8)
+    classes[0] = _LF  # the line end before the first line, at offset -1
+    non_digits = block[where].tobytes()
+    classes[1:] = np.frombuffer(non_digits.translate(_CLASS), dtype=np.uint8)
+    adjacent = np.diff(where, prepend=-1) == 1
+    spaces = classes == _SP
+    steps = classes[:-1] * 12 + classes[1:] * 2 + adjacent
+    lines = np.count_nonzero(classes == _LF) - 1
+    plain = (
+        np.count_nonzero(spaces) == 2 * lines
+        # Delete every legal step: nothing may remain.
+        and not steps.tobytes().translate(None, _LEGAL_STEPS)
+        # With 2 spaces per line on average and none with three: two each.
+        and not (spaces[:-2] & spaces[1:-1] & spaces[2:]).any()
+        # A dot with no digit on either side.
+        and not ((classes[1:-1] == _DOT) & adjacent[:-1] & adjacent[1:]).any()
+    )
+    return lines if plain else 0
 
 
 _BULK_DTYPE = {

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -337,6 +340,224 @@ class TestBulkParse:
         got, want = read_matrix_market(path), mmio._read_by_lines(path)
         for name in ("row_offsets", "col_indices", "values"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _outcome(reader, path):
+    # What a reader gives for ``path``: the result's type and array bytes,
+    # or the exception's type and message.
+    try:
+        m = reader(path)
+    except Exception as err:
+        return type(err), str(err)
+    arrays = (m.row_offsets, m.col_indices, m.values)
+    return type(m), m.shape, [(a.dtype, a.tobytes()) for a in arrays]
+
+
+# Value tokens that int()/float() and scipy's compiled reader read alike.
+_PLAIN_VALUES = (
+    lambda rng: f"{rng.random():.17g}",
+    lambda rng: repr(rng.random() * 10.0 ** int(rng.integers(-300, 300))),
+    lambda rng: f"{rng.random():.5e}",
+    lambda rng: f"{rng.random():.25f}",
+    lambda rng: repr(int(rng.integers(1, 2**52)) * 5e-324),
+    lambda rng: "000" + f"{rng.random():.17g}",
+    lambda rng: str(
+        rng.choice(
+            ["0", "5e-324", "1e+300", "1.", ".5", "1.e5", "0e99", "1e-400", "007"]
+        )
+    ),
+)
+
+# Value tokens the compiled reader would read where float() would not, or
+# differently, or that the reader turns away as not finite or negative.
+_ODD_VALUES = (
+    "1-2", "1e", "1.0e5e5", "1_0", "0x1p0", "+1", "-0", "-1.5", "1e400", "1E5",
+    "inf", "nan", ".", "e5", ".e5", "1e+", "1.2.3", "1e5.0", "1+e5", "1..5",
+    "١",
+)
+
+# Line shapes other than 'i SP j SP value LF'.
+_ODD_LINES = (
+    "{i}.0 {j} {v}\n",
+    "{i} {j}.5 {v}\n",
+    "{i} {j} {v} 7\n",
+    "{i}\t{j}\t{v}\n",
+    "{i}  {j} {v}\n",
+    " {i} {j} {v}\n",
+    "{i} {j} {v} \n",
+    "{i} {j} {v}\r\n",
+    "{i} {j} {v}\n\n",
+    "{i} {j} {v}\n% note\n",
+    "{i} {j}\n",
+    "{i}e0 {j} {v}\n",
+    "+{i} {j} {v}\n",
+    "{i} {j} {v}\x0c\n",
+)
+
+
+def _fuzz_file(rng):
+    # One coordinate real general file of plain lines, with one thing bent
+    # in five of eight: an odd value, an odd line, an index out of range,
+    # an odd header or no final LF.
+    m, n = (int(d) for d in rng.integers(1, 5, size=2))
+    nnz = int(rng.integers(1, 8))
+    draw = rng.integers(len(_PLAIN_VALUES), size=nnz)
+    values = [_PLAIN_VALUES[int(k)](rng) for k in draw]
+    lines = ["{i} {j} {v}\n"] * nnz
+    spot = int(rng.integers(nnz))
+    kind = int(rng.integers(8))
+    if kind == 1:
+        values[spot] = str(rng.choice(_ODD_VALUES))
+    elif kind == 2:
+        lines[spot] = str(rng.choice(_ODD_LINES))
+    rows = [int(i) for i in rng.integers(1, m + 1, size=nnz)]
+    cols = [int(j) for j in rng.integers(1, n + 1, size=nnz)]
+    if kind == 3:
+        rows[spot] = int(rng.choice([0, m + 1, 2**31 + 1, 2**64 + 1]))
+    head = f"%%MatrixMarket matrix coordinate real general\n{m} {n} {nnz}\n"
+    if kind == 4:
+        head = str(rng.choice([
+            f"%%MatrixMarket matrix coordinate real general\n% c\n\n{m} {n} {nnz}\n",
+            f"%%MatrixMarket matrix coordinate real general\r\n{m} {n} {nnz}\r\n",
+            f"%%MatrixMarket matrix coordinate real general\r{m} {n} {nnz}\n",
+            f"%%MatrixMarket matrix coordinate real general\n  {m}\t{n} {nnz} \n",
+            f"%%MatrixMarket matrix coordinate real general\n{m} {n} {nnz + 1}\n",
+            f"%%MatrixMarket Matrix Coordinate Real General\n{m} {n} 0{nnz}\n",
+        ]))
+    body = "".join(
+        line.format(i=i, j=j, v=v) for line, i, j, v in zip(lines, rows, cols, values)
+    )
+    if kind == 5:
+        body = body[:-1]
+    return (head + body).encode("utf-8")
+
+
+class TestFastParse:
+    """The tier that hands plain coordinate files to scipy's compiled reader."""
+
+    @pytest.fixture
+    def tiers(self, monkeypatch):
+        # The names of the tiers called, in order.
+        calls = []
+        for name in ("mmread", "_read_bulk", "_read_by_lines"):
+            inner = getattr(mmio, name)
+
+            def counted(*args, _name=name, _inner=inner, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(mmio, name, counted)
+        return calls
+
+    def test_fuzz_equals_line_reader(self, tmp_path, monkeypatch, tiers):
+        # Guard blocks of a line or two, so that the files, of a few
+        # lines each, are checked in several blocks.
+        monkeypatch.setattr(mmio, "_GUARD_BLOCK", 24)
+        rng = np.random.default_rng(11)
+        path = tmp_path / "f.mtx"
+        served = 0
+        for _ in range(1500):
+            path.write_bytes(_fuzz_file(rng))
+            tiers.clear()
+            got = _outcome(read_matrix_market, path)
+            served += tiers == ["mmread"]
+            assert got == _outcome(mmio._read_by_lines, path), path.read_bytes()
+        # Both sides of the guard are exercised.
+        assert 400 < served < 1100
+
+    @pytest.mark.parametrize("block", [mmio._GUARD_BLOCK, 64])
+    def test_written_file_takes_fast_tier(self, tmp_path, monkeypatch, tiers, block):
+        monkeypatch.setattr(mmio, "_GUARD_BLOCK", block)
+        rng = np.random.default_rng(4)
+        rows, cols = np.nonzero(rng.random((50, 40)) < 0.2)
+        vals = rng.random(rows.size) * 10.0 ** rng.integers(-300, 300, size=rows.size)
+        vals[:3] = [0.0, 5e-324, 1e300]
+        path = tmp_path / "w.mtx"
+        write_matrix_market(SparseMatrixCSR.from_coo(50, 40, rows, cols, vals), path)
+        got = _outcome(read_matrix_market, path)
+        assert tiers == ["mmread"]
+        assert got == _outcome(mmio._read_by_lines, path)
+
+    @pytest.mark.parametrize(
+        "rest",
+        [
+            "\n2 2 1\n1 2.5 1.0\n",
+            "\n2 2 1\n1 1 1-2\n",
+            "\n2 2 1\n1 1 1e\n",
+            "\n2 2 1\n1 1 1.0e5e5\n",
+            "\n2 2 1\n1 1 1_0\n",
+            "\n2 2 1\n1 1 0x1p0\n",
+            "\n2 2 1\n1 1 1.0 7\n",
+            "\n2 2 1\n1 1 .\n",
+            "\n2 2 1\n1 1 .e5\n",
+            "\n2 2 1\n1 1 1e5+3\n",
+            "\n2 2 1\n1 1 1.5.\n",
+            "\n2 2 1\n1 1 1e-5.\n",
+            "\n2 2 1\n 1 1 1.0\n",
+            "\n2 2 1\n 1 1\n",
+            "\n2 2 1\n1 1 1.0\n7",
+            "\n2 2 2\n1 1 1 7\n2 2\n",
+            "\n2 2 2\n1 1\n2 2 1.0\n",
+            "\n2 2 1\n1 1 1.0\n\n",
+            "\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+            "\n2 2 1\n1 1 1.0\n2 2 1.0",
+            "\n2 2 2\n1 1 1.0\n2 2 1.0",
+            "\r2 2 1\n1 1 1.0\n2 2 1.0\n",
+        ],
+    )
+    def test_lenient_text_declines_fast_tier(self, tmp_path, tiers, rest):
+        # ``rest`` follows the banner: the size line and the entries.
+        path = tmp_path / "l.mtx"
+        path.write_bytes(_GENERAL.rstrip(b"\n") + rest.encode())
+        got = _outcome(read_matrix_market, path)
+        assert "mmread" not in tiers
+        assert got == _outcome(mmio._read_by_lines, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _SYMMETRIC + b"2 2 2\n1 1 1.0\n2 1 0.5\n",
+            b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n",
+            b"%%MatrixMarket matrix array real general\n1 1\n1.0\n",
+            _GENERAL + b"2 2 0\n",
+        ],
+    )
+    def test_other_files_skip_fast_tier(self, tmp_path, tiers, text):
+        path = tmp_path / "o.mtx"
+        path.write_bytes(text)
+        read_matrix_market(path)
+        assert tiers[0] == "_read_bulk"
+
+    def test_read_peak_rss(self, tmp_path):
+        # tracemalloc cannot see the compiled reader's own buffers, so the
+        # peak resident size of a child process that reads a file is
+        # compared with that of one that does not.
+        rng = np.random.default_rng(5)
+        rows, cols = np.nonzero(rng.random((3000, 2000)) < 0.05)
+        a = SparseMatrixCSR.from_coo(3000, 2000, rows, cols, rng.random(rows.size))
+        path = tmp_path / "rss.mtx"
+        write_matrix_market(a, path)
+        script = (
+            "import resource, sys\n"
+            "from arknls import read_matrix_market\n"
+            "if sys.argv[1] == 'read':\n"
+            "    read_matrix_market(sys.argv[2])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        peak_kb = {
+            mode: int(
+                subprocess.run(
+                    [sys.executable, "-c", script, mode, str(path)],
+                    env=env, capture_output=True, text=True, check=True, timeout=120,
+                ).stdout
+            )
+            for mode in ("skip", "read")
+        }
+        grown = 1024 * (peak_kb["read"] - peak_kb["skip"])
+        # Measured: 2.6-2.9x the file size for 8.7 and 14.6 MB files
+        # (2.2-2.3x for the loadtxt tier alone).
+        assert grown <= 4 * path.stat().st_size
 
 
 class TestWrite:
