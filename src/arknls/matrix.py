@@ -4,7 +4,8 @@ Everything is float64.  Dense storage is column-major because the solver's
 hot loops read and write whole columns.  The sparse container is standard
 CSR with sorted column indices, restricted to nonnegative values since it
 only ever holds the data matrix of a nonnegative factorization; its
-products run in scipy's compiled sparse kernels on that storage.
+products run in scipy's compiled sparse kernels on that storage, and
+scipy's format checks validate its structure.
 """
 
 from __future__ import annotations
@@ -113,22 +114,33 @@ class SparseView:
 class SparseMatrixCSR(SparseView):
     """Compressed sparse row matrix with nonnegative finite values.
 
-    ``row_offsets`` has length ``rows + 1`` and is nondecreasing; column
-    indices are strictly increasing within each row.  Duplicate entries are
-    therefore impossible once constructed; use :meth:`from_coo` to build
-    from unsorted coordinate data.  The three arrays are validated once and
-    then held, uncopied, by a ``scipy.sparse.csr_array``.
+    ``row_offsets`` has length ``rows + 1``, is nondecreasing and ends at
+    nnz; column indices are strictly increasing within each row, so there
+    are no duplicates (use :meth:`from_coo` for unsorted coordinate data).
+    The arrays, of an integer dtype for the indices, are held uncopied by a
+    ``scipy.sparse.csr_array``, whose own checks validate the structure.
     """
 
     __slots__ = ()
 
     def __init__(self, rows, cols, row_offsets, col_indices, values):
-        rows, cols = int(rows), int(cols)
-        off = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        idx = np.ascontiguousarray(col_indices, dtype=np.int64)
+        _check_integers(rows=rows, cols=cols)
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        off = _index_array("row_offsets", row_offsets)
+        idx = _index_array("col_indices", col_indices)
         vals = np.ascontiguousarray(values, dtype=np.float64)
-        _validate_csr(rows, cols, off, idx, vals)
-        super().__init__(csr_array((vals, idx, off), shape=(rows, cols), copy=False))
+        sp = csr_array((vals, idx, off), shape=(rows, cols), copy=False)
+        # scipy drops the entries past a short end without a word, and its
+        # full check skips the offsets of a matrix with no entries.
+        if off[-1] != vals.size or (not vals.size and off.any()):
+            raise ValueError("row_offsets must be nondecreasing and end at nnz")
+        sp.check_format(full_check=True)
+        if not sp.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing per row")
+        if vals.size and not (np.isfinite(vals).all() and vals.min() >= 0.0):
+            raise ValueError("sparse values must be finite and nonnegative")
+        super().__init__(sp)
 
     @property
     def row_offsets(self) -> np.ndarray:
@@ -152,46 +164,28 @@ class SparseMatrixCSR(SparseView):
         copies the last bit may depend on scipy's per-row sort, which is
         not stable.  The matrix never shares the caller's arrays.
         """
-        ri = np.asarray(row_idx, dtype=np.int64)
-        ci = np.asarray(col_idx, dtype=np.int64)
-        vals = np.asarray(values, dtype=np.float64)
-        if not (ri.shape == ci.shape == vals.shape):
-            raise ValueError("coordinate arrays must have equal length")
-        csr = coo_array((vals, (ri, ci)), shape=(rows, cols)).tocsr()
+        _check_integers(rows=rows, cols=cols)
+        ri = _index_array("row_idx", row_idx)
+        ci = _index_array("col_idx", col_idx)
+        coo = coo_array((values, (ri, ci)), shape=(rows, cols), dtype=np.float64)
+        csr = coo.tocsr()
         return cls(rows, cols, csr.indptr, csr.indices, csr.data)
 
     def to_dense(self) -> DenseMatrix:
         return DenseMatrix._wrap(self.sp.toarray(order="F"))
 
 
-def _validate_csr(rows, cols, off, idx, vals) -> None:
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
-    if off.shape != (rows + 1,):
-        raise ValueError("row_offsets must have length rows + 1")
-    if off[0] != 0 or off[-1] != vals.size:
-        raise ValueError("row_offsets must start at 0 and end at nnz")
-    if np.any(np.diff(off) < 0):
-        raise ValueError("row_offsets must be nondecreasing")
-    if idx.size != vals.size:
-        raise ValueError("col_indices and values must have equal length")
-    if vals.size:
-        if idx.min() < 0 or idx.max() >= cols:
-            raise ValueError("column index out of range")
-        rows_of = np.repeat(np.arange(rows), np.diff(off))
-        same_row = rows_of[1:] == rows_of[:-1]
-        if np.any(same_row & (np.diff(idx) <= 0)):
-            raise ValueError("column indices must be strictly increasing per row")
-    if not np.isfinite(vals).all():
-        raise ValueError("sparse values must be finite")
-    if vals.size and vals.min() < 0.0:
-        raise ValueError("sparse values must be nonnegative")
+def _index_array(name, value) -> np.ndarray:
+    # scipy truncates float and bool indices; an empty list is let through.
+    arr = np.asarray(value)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
-def _check_integers(spec, names) -> None:
+def _check_integers(**values) -> None:
     # A float such as 2.0 passes range checks and fails deep in numpy.
-    for name in names:
-        value = getattr(spec, name)
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 

@@ -14,6 +14,8 @@ fails, without changing the product ``U_i V_i^T``.
 One driver, ``_half_sweep``, runs both halves of a sweep for ``sweep`` and
 ``fit``: the second half updates ``U`` by running the identical code on a
 transposed view of the data matrix (no copy) with the factor roles swapped.
+The rank test's threshold is the constant ``RANK_EPS``; only
+:func:`repair_block` and :func:`update_block_V` take another value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional
+from typing import Callable, ClassVar, Literal, Optional
 
 import numpy as np
 
@@ -64,7 +66,7 @@ class SolverConfig:
     ``rank`` is the approximation rank r.  Stopping is the union of a sweep
     budget, an optional wall-clock budget checked after each full sweep,
     and an optional threshold on the change of the relative residual
-    between consecutive sweeps.
+    between consecutive sweeps.  ``rank_eps`` is a constant, not a field.
     """
 
     rank: int
@@ -73,10 +75,12 @@ class SolverConfig:
     time_limit: Optional[float] = None
     tol_residual_change: Optional[float] = None
     seed: int = 0
-    rank_eps: float = RANK_EPS
+    rank_eps: ClassVar[float] = RANK_EPS
 
     def validate(self) -> None:
-        _check_integers(self, ("rank", "k", "max_sweeps", "seed"))
+        _check_integers(
+            rank=self.rank, k=self.k, max_sweeps=self.max_sweeps, seed=self.seed
+        )
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.max_sweeps < 1:
@@ -90,9 +94,6 @@ class SolverConfig:
             math.isfinite(self.tol_residual_change) and self.tol_residual_change >= 0
         ):
             raise ValueError("tol_residual_change must be finite and nonnegative")
-        # A threshold of 1 or more calls every block rank deficient.
-        if not (math.isfinite(self.rank_eps) and 0.0 < self.rank_eps < 1.0):
-            raise ValueError("rank_eps must be finite and in (0, 1)")
         _check_block_width(self.rank, self.k)
 
 
@@ -227,7 +228,7 @@ def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
     M[col, :] = coef[unit_row, :]
 
 
-def _repair(A, coef, target, H, M, cols, rank_eps, rows) -> RepairPlan:
+def _repair(A, coef, target, H, M, cols, rows, rank_eps=RANK_EPS) -> RepairPlan:
     """Make the coefficient block full rank while preserving its product
     with the target block.  No-op on already independent columns.
 
@@ -294,7 +295,7 @@ def _repair(A, coef, target, H, M, cols, rank_eps, rows) -> RepairPlan:
     return plan
 
 
-def _update_block(target, H, M, cols, rank_eps) -> None:
+def _update_block(target, H, M, cols, rank_eps=RANK_EPS) -> None:
     """Closed-form joint update of the target columns of one block.
 
     The residual columns ``r_j = H[:, c_j] - target @ M[:, c_j]`` are
@@ -318,7 +319,7 @@ def repair_block(
     """Repair the coefficient block ``U_i`` for a V-side pass."""
     cols = _block_columns(factors.r, factors.k)[block_index]
     U, V = factors.U.data, factors.V.data
-    return _repair(A, U, V, workspace.H, workspace.M, cols, rank_eps, {})
+    return _repair(A, U, V, workspace.H, workspace.M, cols, {}, rank_eps)
 
 
 def update_block_V(
@@ -369,7 +370,6 @@ def _half_sweep(
     A: MatrixRef,
     factors: FactorPair,
     side: str,
-    rank_eps: float,
     fro2: float,
     observer: Optional[BlockObserver],
     M: Optional[np.ndarray] = None,
@@ -402,20 +402,26 @@ def _half_sweep(
     rows = read_rows(data, dead) if dead else {}
     repairs = 0
     for idx, cols in enumerate(_block_columns(factors.r, factors.k)):
-        plan = _repair(data, coef_arr, target_arr, H, M, cols, rank_eps, rows)
+        plan = _repair(data, coef_arr, target_arr, H, M, cols, rows)
         repairs += plan.events
-        _update_block(target_arr, H, M, cols, rank_eps)
+        _update_block(target_arr, H, M, cols)
         if observer is not None:
             observer(side, idx)
     objective, target_gram = _trace_residual(fro2, H, target, M)
     return objective, repairs, target_gram
 
 
+def _nonnegative_fro2(A: MatrixRef) -> float:
+    # |A|^2; the scan for negative entries runs once per call, not per half.
+    if isinstance(A, DenseMatrix) and A.data.size and A.data.min() < 0.0:
+        raise ValueError("dense matrix entries must be nonnegative")
+    return _fro_squared(A)
+
+
 def sweep(
     A: MatrixRef,
     factors: FactorPair,
     direction: Literal["V", "U"] = "V",
-    rank_eps: float = RANK_EPS,
     observer: Optional[BlockObserver] = None,
 ) -> float:
     """One half-sweep over every block of one factor.
@@ -423,9 +429,10 @@ def sweep(
     ``direction="V"`` updates V with U as coefficients; ``direction="U"``
     runs the identical code on the transposed view of the data matrix with
     the roles swapped.  Returns the objective ``|A - U V^T|_F^2`` after the
-    pass, and raises :class:`FloatingPointError` if it is not finite.
+    pass.  Negative dense input raises :class:`ValueError`, and a
+    non-finite objective :class:`FloatingPointError`.
     """
-    return _half_sweep(A, factors, direction, rank_eps, _fro_squared(A), observer)[0]
+    return _half_sweep(A, factors, direction, _nonnegative_fro2(A), observer)[0]
 
 
 def fit(
@@ -440,15 +447,12 @@ def fit(
     after the U half from the caches that half maintained.  The U half runs
     on ``transposed(A)``, a view of ``A``'s own storage.  Each half hands
     the Gram matrix of the factor it updated, already computed for its
-    objective, to the next half as that half's coefficient Gram.  Negative dense
-    input is rejected here, as :class:`SparseMatrixCSR` rejects it, and a
-    numerical breakdown (a non-finite objective) raises
-    :class:`FloatingPointError`.
+    objective, to the next half as that half's coefficient Gram.  Negative
+    dense input raises :class:`ValueError`, and a numerical breakdown (a
+    non-finite objective) :class:`FloatingPointError`.
     """
     config.validate()
-    if isinstance(A, DenseMatrix) and A.data.size and A.data.min() < 0.0:
-        raise ValueError("dense matrix entries must be nonnegative")
-    fro2 = _fro_squared(A)
+    fro2 = _nonnegative_fro2(A)
     if fro2 == 0.0:
         raise ValueError("cannot factorize an all-zero matrix")
     fro = math.sqrt(fro2)
@@ -461,7 +465,7 @@ def fit(
     for sweep_index in range(1, config.max_sweeps + 1):
         for side in "VU":
             objective, repairs, gram_next = _half_sweep(
-                A, factors, side, config.rank_eps, fro2, observer, gram_next
+                A, factors, side, fro2, observer, gram_next
             )
             trace.repair_events += repairs
         residual = math.sqrt(objective) / fro

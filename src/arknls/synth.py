@@ -36,7 +36,7 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        _check_integers(self, ("m", "n", "true_rank", "seed"))
+        _check_integers(m=self.m, n=self.n, true_rank=self.true_rank, seed=self.seed)
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
         if not 1 <= self.true_rank <= min(self.m, self.n):

@@ -196,6 +196,92 @@ class TestContainers:
         with pytest.raises(ValueError):
             SparseMatrixCSR(2, 2, [0, 1, 2], [0, 1], [1.0, -1.0])  # negative
 
+    @pytest.mark.parametrize(
+        "rows, cols, offsets, indices, values",
+        [
+            pytest.param(-1, 2, [0], [], [], id="negative-rows"),
+            pytest.param(1, -2, [0, 0], [], [], id="negative-cols"),
+            pytest.param(2, 2, [1, 1, 1], [0], [1.0], id="offsets-not-from-0"),
+            pytest.param(2, 2, [0, 1, 1], [0, 1], [1.0, 2.0], id="offsets-end-early"),
+            pytest.param(2, 2, [0, 1, 3], [0, 1], [1.0, 2.0], id="offsets-end-late"),
+            pytest.param(
+                3, 2, [0, 2, 1, 3], [0, 1, 0], [1.0, 2.0, 3.0], id="offsets-decrease"
+            ),
+            pytest.param(2, 2, [0, 1, 0], [], [], id="offsets-decrease-empty"),
+            pytest.param(2, 2, [0, 1, 1], [0, 1], [1.0], id="more-indices"),
+            pytest.param(2, 2, [0, 1, 2], [0], [1.0, 2.0], id="more-values"),
+            pytest.param(2, 2, [0, 2, 2], [1, 1], [1.0, 2.0], id="duplicate-column"),
+            pytest.param(2, 2, [0, 1, 1], [-1], [1.0], id="negative-column"),
+            pytest.param(2, 2, [0, 1, 1], [0], [np.nan], id="nan-value"),
+            pytest.param(2, 2, [0, 1, 1], [0], [np.inf], id="inf-value"),
+        ],
+    )
+    def test_csr_rejects(self, rows, cols, offsets, indices, values):
+        with pytest.raises(ValueError):
+            SparseMatrixCSR(rows, cols, offsets, indices, values)
+
+    @pytest.mark.parametrize("offsets", [[0, 1, 0], [0, 10**9, 0], [0, -1, 0]])
+    def test_offsets_of_empty_matrix_checked(self, offsets):
+        # scipy's full check skips the offsets when there are no entries,
+        # and its canonical-format scan would read past the empty indices.
+        with pytest.raises(ValueError, match="^row_offsets must be nondecreasing"):
+            SparseMatrixCSR(2, 2, offsets, [], [])
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((2.5, 2, [0, 1, 1], [0], [1.0]), "rows"),
+            ((2, 2.0, [0, 1, 1], [0], [1.0]), "cols"),
+            ((2, True, [0, 1, 1], [0], [1.0]), "cols"),
+            ((2, 2, [0.0, 1.0, 1.0], [0], [1.0]), "row_offsets"),
+            ((2, 2, [0, 1, 1], [0.9], [1.0]), "col_indices"),
+            ((2, 2, [0, 1, 1], [False], [1.0]), "col_indices"),
+        ],
+    )
+    def test_csr_rejects_non_integers(self, args, name):
+        # scipy would truncate each of these without a word.
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            SparseMatrixCSR(*args)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((2.5, 2, [0], [0], [1.0]), "rows"),
+            ((2, np.float64(2.0), [0], [0], [1.0]), "cols"),
+            ((2, 2, [True], [0], [1.0]), "row_idx"),
+            ((2, 2, [1], [0.9], [1.0]), "col_idx"),
+            ((2, 2, np.array([1.0]), [0], [1.0]), "row_idx"),
+        ],
+    )
+    def test_from_coo_rejects_non_integers(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            SparseMatrixCSR.from_coo(*args)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_integer_index_arrays_accepted(self, dtype):
+        want = [[0.0, 1.5, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 3.0]]
+        s = SparseMatrixCSR(
+            np.int64(3),
+            np.int32(3),
+            np.array([0, 1, 1, 3], dtype=dtype),
+            np.array([1, 0, 2], dtype=dtype),
+            [1.5, 2.0, 3.0],
+        )
+        np.testing.assert_array_equal(s.to_dense().data, want)
+        c = SparseMatrixCSR.from_coo(
+            3, 3, np.array([2, 0, 2], dtype=dtype), np.array([2, 1, 0], dtype=dtype),
+            [3.0, 1.5, 2.0],
+        )
+        np.testing.assert_array_equal(c.to_dense().data, want)
+
+    def test_empty_index_lists_accepted(self):
+        for s in (
+            SparseMatrixCSR(2, 3, [0, 0, 0], [], []),
+            SparseMatrixCSR.from_coo(2, 3, [], [], []),
+        ):
+            assert s.shape == (2, 3) and s.nnz == 0
+            assert s.row_offsets.dtype.kind == s.col_indices.dtype.kind == "i"
+
     def test_from_coo_sums_duplicates(self):
         s = SparseMatrixCSR.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.5, 4.0])
         assert s.nnz == 2

@@ -228,6 +228,58 @@ class TestReadErrors:
             assert str(caught.value) == message
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "%%MatrixMarket matrix dense real general\n1 1\n1.0\n",
+                "line 1: unsupported format 'dense'",
+                id="format-word",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix coordinate real general\n% c\n2 2\n",
+                "line 3: coordinate size line must be 'rows cols nnz'",
+                id="coordinate-size-fields",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix array real general\n2 1 2\n1.0\n2.0\n",
+                "line 2: array size line must be 'rows cols'",
+                id="array-size-fields",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix array real general\n2 1.0\n1.0\n2.0\n",
+                "line 2: size line entries must be integers",
+                id="non-integer-size",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n",
+                "line 2: symmetric matrix must be square",
+                id="symmetric-not-square",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0x\n",
+                "line 4: malformed value '2.0x'",
+                id="array-token",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix array real general\n2 1\n1.0\n",
+                "line 3: expected 2 values, found 1",
+                id="array-too-few",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix array real general\n2 1\n1.0 2.0\n% c\n3.0\n",
+                "line 5: expected 2 values, found 3",
+                id="array-too-many",
+            ),
+        ],
+    )
+    def test_header_and_array_errors_name_the_line(self, tmp_path, text, message):
+        path = write(tmp_path / "h.mtx", text)
+        for reader in (read_matrix_market, mmio._read_by_lines):
+            with pytest.raises(MatrixMarketError) as caught:
+                reader(path)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
         "entries, message",
         [
             ("2 2 1.0 7", "line 4: expected 3 fields per entry"),

@@ -3,7 +3,7 @@ import pytest
 
 import arknls.solver as solver_module
 from arknls.matrix import DenseMatrix, frobenius_norm, relative_residual
-from arknls.nnls import RankDeficiencyError, nnls_rank1, nnls_rank2, nnls_rank3
+from arknls.nnls import RANK_EPS, RankDeficiencyError, nnls_rank1, nnls_rank2, nnls_rank3
 from arknls.solver import (
     FactorPair,
     SolverConfig,
@@ -278,6 +278,14 @@ class TestSweep:
                 assert obj <= prev + 1e-10 * (1.0 + prev)
                 prev = obj
 
+    @pytest.mark.parametrize("direction", ["V", "U"])
+    def test_negative_dense_rejected(self, direction):
+        rng = np.random.default_rng(0)
+        a = DenseMatrix(rng.random((8, 6)) - 0.5)
+        f = initialize(a, 2, 0, k=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep(a, f, direction)
+
     def test_cache_consistency_through_sweep(self):
         # Mirror one half-sweep by hand and recompute the caches from
         # scratch afterwards.
@@ -485,9 +493,10 @@ class TestFit:
             for value in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     fit(a, SolverConfig(rank=2, k=2, **{field: value}))
-        for value in (float("nan"), float("inf"), -float("inf"), 2.0, 1.0, 0.0, -1e-12):
-            with pytest.raises(ValueError, match="rank_eps must be finite and in"):
-                fit(a, SolverConfig(rank=2, k=2, rank_eps=value))
+        # The rank threshold is a constant of the method, not a field.
+        with pytest.raises(TypeError):
+            SolverConfig(rank=2, rank_eps=1e-10)
+        assert SolverConfig(rank=2).rank_eps == RANK_EPS
 
     @pytest.mark.parametrize("field", ["rank", "k", "max_sweeps", "seed"])
     @pytest.mark.parametrize("value", [2.0, True])
