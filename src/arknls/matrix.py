@@ -1,11 +1,14 @@
 """Dense and sparse matrix containers plus the few products the solver needs.
 
-Everything is float64.  Dense storage is column-major because the solver's
-hot loops read and write whole columns.  The sparse container is standard
-CSR with sorted column indices, restricted to nonnegative values since it
-only ever holds the data matrix of a nonnegative factorization; its
-products run in scipy's compiled sparse kernels on that storage, and
-scipy's format checks validate its structure.
+Everything is float64.  The data matrix is only read: a dense one is held
+as given when it is already a C- or Fortran-contiguous float64 array, so
+no transpose of it is ever materialized, and the factors and products,
+whose columns the solver's hot loops read and write, are column-major.
+The sparse container is standard CSR with sorted column indices,
+restricted to nonnegative values since it only ever holds the data matrix
+of a nonnegative factorization; its products run in scipy's compiled
+sparse kernels on that storage, and scipy's format checks validate its
+structure.
 """
 
 from __future__ import annotations
@@ -31,18 +34,27 @@ __all__ = [
 
 
 class DenseMatrix:
-    """Column-major dense real matrix.
+    """Dense real matrix.
 
-    Wraps a Fortran-ordered, writable ``float64`` ndarray.  All stored
-    values must be finite.  The one exception to the order is the view
-    :func:`transposed` returns, whose ``data`` is the row-major ``.T`` of
-    the original array.
+    A ``float64`` ndarray that is C- or Fortran-contiguous is held as
+    given, not copied: the matrix shares the caller's memory, so later
+    edits to the array show through, and :func:`arknls.fit` only reads
+    it.  Any other input (another dtype, a strided view, a list) is
+    converted to a new Fortran-ordered ``float64`` array.  All stored
+    values must be finite.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asfortranarray(np.asarray(data, dtype=np.float64))
+        if (
+            isinstance(data, np.ndarray)
+            and data.dtype == np.float64
+            and (data.flags.c_contiguous or data.flags.f_contiguous)
+        ):
+            arr = np.asarray(data)  # drops a subclass such as np.matrix
+        else:
+            arr = np.asfortranarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
         if not np.isfinite(arr).all():
@@ -212,17 +224,18 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
 
     Both paths read ``A``'s own storage.  Dense input runs as
     ``(U^T A)^T``, the thin factor on the left: BLAS then takes ``A`` as
-    the wide operand of an r-row product, which OpenBLAS ran about twice
-    as fast as ``A^T U`` both on a column-major ``A`` and on the row-major
-    view :func:`transposed` returns, and the product's transpose is
-    already column-major.  Sparse input runs scipy's kernel on the
-    transpose view of ``A.sp``, which accumulates each scaled row of ``U``
-    into the output row given by the column index, rows in increasing
-    order.  Each sparse output column depends only on its own column of
-    ``U``, so a product on a subset of the columns equals those columns of
-    the full product bit for bit; the solver relies on this to skip
-    all-zero columns.  The dense BLAS product has no such property: on a
-    column subset OpenBLAS changed the last bits.
+    the wide operand of an r-row product, which OpenBLAS ran faster than
+    ``A^T U`` on either memory order of ``A`` (a held array or the view
+    :func:`transposed` returns), and the product's transpose is already
+    column-major.  Sparse input runs scipy's kernel on the transpose view
+    of ``A.sp``, which accumulates each scaled row of ``U`` into the
+    output row given by the column index, rows in increasing order.  Each
+    sparse output column depends only on its own column of ``U``, so a
+    product on a subset of the columns equals those columns of the full
+    product bit for bit; the solver relies on this to skip all-zero
+    columns.  The dense BLAS product has no such property: on a column
+    subset OpenBLAS changed the last bits, and so it did between the two
+    memory orders of ``A`` on products under about 1e6 multiply-adds.
     """
     u = U.data
     if A.rows != u.shape[0]:

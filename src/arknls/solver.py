@@ -59,14 +59,16 @@ __all__ = [
 BlockObserver = Callable[[str, int], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverConfig:
     """Solve parameters.
 
     ``rank`` is the approximation rank r.  Stopping is the union of a sweep
     budget, an optional wall-clock budget checked after each full sweep,
     and an optional threshold on the change of the relative residual
-    between consecutive sweeps.  ``rank_eps`` is a constant, not a field.
+    between consecutive sweeps.  ``rank_eps`` is a constant, not a field:
+    the slots leave no instance attribute to shadow it with, so assigning
+    it raises :class:`AttributeError`.
     """
 
     rank: int

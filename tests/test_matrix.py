@@ -93,10 +93,11 @@ class TestAtTimes:
         want = triple_loop_atb(a.to_dense().data, u)
         assert np.max(np.abs(got - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("layout", ["column_major", "transposed_view"])
+    @pytest.mark.parametrize("layout", ["column_major", "row_major", "transposed_view"])
     def test_dense_matches_triple_loop(self, layout):
         rng = np.random.default_rng(5)
-        a = DenseMatrix(rng.random((37, 23)))
+        arr = rng.random((37, 23))
+        a = DenseMatrix(arr if layout == "row_major" else np.asfortranarray(arr))
         if layout == "transposed_view":
             a = transposed(a)
         u = rng.random((a.rows, 6))
@@ -185,6 +186,42 @@ class TestContainers:
     def test_dense_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             DenseMatrix([[1.0, np.inf]])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_holds_contiguous_float64(self, order):
+        arr = np.random.default_rng(9).random((5, 3)).copy(order=order)
+        a = DenseMatrix(arr)
+        assert np.shares_memory(a.data, arr)
+        assert np.shares_memory(transposed(a).data, arr)
+        arr[1, 2] = 7.0
+        assert a.data[1, 2] == transposed(a).data[2, 1] == 7.0
+
+    @pytest.mark.parametrize("name", ["strided", "float32", "int64", "list"])
+    def test_dense_copies_other_input(self, name):
+        base = np.random.default_rng(9).random((6, 4))
+        given = {
+            "strided": base[::2, :],
+            "float32": base.astype(np.float32),
+            "int64": (10 * base).astype(np.int64),
+            "list": base.tolist(),
+        }[name]
+        a = DenseMatrix(given)
+        assert a.data.dtype == np.float64 and a.data.flags.f_contiguous
+        np.testing.assert_array_equal(a.data, np.asarray(given, dtype=np.float64))
+        assert not np.shares_memory(a.data, base)
+        assert not np.shares_memory(a.data, given)
+
+    def test_wrapping_c_ordered_array_copies_nothing(self):
+        # What is left is the finiteness check's one-byte-per-entry mask.
+        arr = np.random.default_rng(10).random((400, 300))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            DenseMatrix(arr)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes / 4
 
     def test_csr_validation(self):
         with pytest.raises(ValueError):

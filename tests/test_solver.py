@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ from arknls.solver import (
     update_block_V,
 )
 from arknls.synth import SynthSpec, gen_dense, gen_sparse
+
+
+# (m, n, true rank, fitted rank); over_rank fits 6x the data's rank, so
+# all three repair kinds fire.
+ORDER_TEST_SHAPES = {"over_rank": (30, 20, 2, 12), "full_rank": (40, 30, 4, 6)}
 
 
 def direct_objective(A, factors):
@@ -498,6 +505,55 @@ class TestFit:
             SolverConfig(rank=2, rank_eps=1e-10)
         assert SolverConfig(rank=2).rank_eps == RANK_EPS
 
+    def test_rank_eps_is_read_only(self):
+        # An instance value would shadow the class constant that fit uses.
+        config = SolverConfig(rank=2)
+        with pytest.raises(AttributeError):
+            config.rank_eps = 0.5
+        assert config.rank_eps == SolverConfig.rank_eps == RANK_EPS
+
+    @pytest.mark.parametrize("shape", ORDER_TEST_SHAPES)
+    def test_fit_never_writes_the_input(self, shape, monkeypatch):
+        # DenseMatrix holds a contiguous float64 array as given, so fit
+        # runs on the caller's memory; a read-only array rejects any write.
+        kinds = count_repair_kinds(monkeypatch)
+        arr, rank = order_test_input(shape)
+        before = arr.tobytes()
+        arr.flags.writeable = False
+        a = DenseMatrix(arr)
+        assert np.shares_memory(a.data, arr)
+        for k in (1, 2, 3):
+            fit(a, SolverConfig(rank=rank, k=k, max_sweeps=30, seed=1))
+        assert arr.tobytes() == before
+        if shape == "over_rank":
+            assert all(kinds[kind] > 0 for kind in REPAIR_KINDS)
+
+    @pytest.mark.parametrize("shape", ORDER_TEST_SHAPES)
+    def test_memory_order_of_input(self, shape, monkeypatch):
+        # BLAS may sum the product of a row-major and a column-major A in
+        # different orders (OpenBLAS 0.3.31's kernels for products under
+        # about 1e6 multiply-adds do), and |A|^2 is summed in memory
+        # order, so the two fits agree to rounding, not bit for bit.  The
+        # trace identity cancels |A|^2 against the fit: an ulp of it moves
+        # the relative residual res by about eps / (2 res^2) of itself, and
+        # the noise keeps res near 0.1, where 1e-12 is a wide margin.
+        kinds = count_repair_kinds(monkeypatch)
+        arr, rank = order_test_input(shape)
+        for k in (1, 2, 3):
+            cfg = SolverConfig(rank=rank, k=k, max_sweeps=30, seed=1)
+            f_c, t_c = fit(DenseMatrix(np.ascontiguousarray(arr)), cfg)
+            f_f, t_f = fit(DenseMatrix(np.asfortranarray(arr)), cfg)
+            assert t_c.repair_events == t_f.repair_events
+            np.testing.assert_allclose(
+                t_c.rel_residual, t_f.rel_residual, rtol=1e-12, atol=0
+            )
+            for got, want in ((f_c.U, f_f.U), (f_c.V, f_f.V)):
+                np.testing.assert_allclose(
+                    got.data, want.data, rtol=0, atol=1e-10 * want.data.max()
+                )
+        if shape == "over_rank":
+            assert all(kinds[kind] > 0 for kind in REPAIR_KINDS)
+
     @pytest.mark.parametrize("field", ["rank", "k", "max_sweeps", "seed"])
     @pytest.mark.parametrize("value", [2.0, True])
     def test_config_rejects_non_integer_sizes(self, field, value):
@@ -579,6 +635,30 @@ class TestFit:
         assert trace.rel_residual == trace_ref.rel_residual
         assert np.array_equal(f.U.data, f_ref.U.data)
         assert np.array_equal(f.V.data, f_ref.V.data)
+
+
+REPAIR_KINDS = ("reset_first", "reset_pair", "reset_triple")
+
+
+def count_repair_kinds(monkeypatch):
+    """Count the repairs ``fit`` applies from now on, by kind."""
+    kinds = collections.Counter()
+    repair = solver_module._repair
+
+    def counted(*args, **kwargs):
+        plan = repair(*args, **kwargs)
+        kinds.update(kind for kind in REPAIR_KINDS if getattr(plan, kind))
+        return plan
+
+    monkeypatch.setattr(solver_module, "_repair", counted)
+    return kinds
+
+
+def order_test_input(shape):
+    """A C-ordered noisy input and the rank to fit it at."""
+    m, n, true_rank, rank = ORDER_TEST_SHAPES[shape]
+    spec = SynthSpec(m=m, n=n, true_rank=true_rank, noise_std=0.05, seed=0)
+    return np.ascontiguousarray(gen_dense(spec).data), rank
 
 
 def scipy_rows(reads):
