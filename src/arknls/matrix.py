@@ -57,7 +57,7 @@ class DenseMatrix:
             arr = np.asfortranarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise ValueError("dense matrix entries must be finite")
         self.data = arr
 
@@ -87,6 +87,17 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    # A sum of squares is finite only if every entry is, so the dot screens
+    # the array without the m x n mask np.isfinite builds.  The exact scan
+    # runs only when the screen fails: on a NaN, an infinity, or squares
+    # that overflow.
+    flat = arr.ravel(order="K")
+    with np.errstate(over="ignore"):
+        screen = float(np.dot(flat, flat))
+    return math.isfinite(screen) or bool(np.isfinite(arr).all())
 
 
 class SparseView:
@@ -276,7 +287,9 @@ def _trace_residual(fro2: float, H, X: DenseMatrix, M) -> tuple[float, np.ndarra
     can come out slightly negative), and ``X^T X`` from :func:`gram`.  A
     non-finite value raises :class:`FloatingPointError`.
     """
-    cross = float(np.sum(X.data * H))
+    # einsum sums the products without forming them, and its order does
+    # not depend on the BLAS thread count as a ddot's may.
+    cross = float(np.einsum("ij,ij->", X.data, H))
     x_gram = gram(X).data
     value = fro2 - 2.0 * cross + float(np.sum(x_gram * M))
     if not math.isfinite(value):

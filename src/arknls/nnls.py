@@ -101,48 +101,79 @@ def rank_deficiency(Mb, j: int, rank_eps: float = RANK_EPS) -> Optional[str]:
     return None
 
 
-def solve_block(Mb, R, V, rank_eps: float = RANK_EPS) -> None:
+def solve_block(Mb, R, V, rank_eps: float = RANK_EPS, work=None) -> None:
     """Closed-form joint NNLS update of k = 1, 2 or 3 columns, row by row,
     written into ``V``.
 
     ``Mb`` is the k x k Gram matrix of the coefficient columns, ``V`` the
     current n x k values and ``R = rhs - V Mb`` their residual; each row
     of the result solves its own rank-k problem, elementwise over the
-    rows, by the lift in :func:`_lift`.  Raises :class:`RankDeficiencyError`,
-    with ``V`` untouched, where :func:`rank_deficiency` fails.
+    rows, by the lift in :func:`_lift`.  ``R`` is only read.  ``work`` is
+    scratch from :func:`lift_work` for n rows and at least k columns; a
+    caller that solves many blocks passes one and allocates nothing per
+    block.  Raises :class:`RankDeficiencyError`, with ``V`` untouched,
+    where :func:`rank_deficiency` fails.
     """
-    for j in range(Mb.shape[0]):
+    k = Mb.shape[0]
+    for j in range(k):
         failed = rank_deficiency(Mb, j, rank_eps)
         if failed is not None:
             raise RankDeficiencyError(failed)
-    _lift(Mb.tolist(), R.T, V.T)
+    if work is None:
+        work = lift_work(R.shape[0], k)
+    _lift(Mb.tolist(), R.T, V.T, work)
 
 
-def _lift(M, R, V) -> None:
+def lift_work(n: int, k: int) -> np.ndarray:
+    """Scratch for :func:`solve_block` on n rows and up to k columns: the
+    lift holds 2^k - 1 vectors of length n at once."""
+    return np.empty(((1 << k) - 1, n))
+
+
+def _lift(M, R, V, free) -> None:
     # nnls_recursive's rank-(k-1) -> k lift in Gram/residual form.  M holds
     # Gram rows as floats (its leading block is read); R and V are sequences
-    # of residual and value columns.  With l the last column:
+    # of residual and value columns, and free holds 2^k - 1 spare vectors
+    # of their length.  With l the last column:
     #   1. solve the head with column l projected out: on the Schur complement
     #      m_ij - (m_il/m_ll) m_jl and the residual r_i - (m_il/m_ll) r_l;
     #   2. update column l against the residual that head solution leaves;
     #   3. solve the head in place against the residual the new column leaves.
+    # Every step writes into V or free, never into R.
     l = len(V) - 1
     m = M[l][l]
     if l == 0:
-        np.maximum(V[0] + R[0] / m, 0.0, out=V[0])
+        # [v + r/m]_+
+        step = free[0]
+        np.divide(R[0], m, out=step)
+        np.add(V[0], step, out=step)
+        np.maximum(step, 0.0, out=V[0])
         return
     head = range(l)
     ratio = [M[i][l] / m for i in head]
-    shifted = [V[i].copy() for i in head]
-    schur = [[M[i][j] - ratio[i] * M[j][l] for j in head] for i in head]
-    _lift(schur, [R[i] - ratio[i] * R[l] for i in head], shifted)
-    r = R[l]
+    shifted, projected, rest = free[:l], free[l : 2 * l], free[2 * l :]
     for i in head:
-        r = r - M[i][l] * (shifted[i] - V[i])
-    before = V[l].copy()
-    _lift([[m]], [r], V[l:])
-    step = V[l] - before
-    _lift(M, [R[i] - M[i][l] * step for i in head], V[:l])
+        np.copyto(shifted[i], V[i])
+        np.multiply(ratio[i], R[l], out=projected[i])
+        np.subtract(R[i], projected[i], out=projected[i])
+    schur = [[M[i][j] - ratio[i] * M[j][l] for j in head] for i in head]
+    _lift(schur, projected, shifted, rest)
+    # r = r_l - sum_i m_il (shifted_i - v_i), summed left to right.
+    r, prev = projected[0], R[l]
+    for i in head:
+        delta = shifted[i]
+        np.subtract(delta, V[i], out=delta)
+        np.multiply(M[i][l], delta, out=delta)
+        np.subtract(prev, delta, out=r)
+        prev = r
+    step = shifted[0]
+    np.copyto(step, V[l])
+    _lift([[m]], [r], V[l:], rest)
+    np.subtract(V[l], step, out=step)
+    for i in head:
+        np.multiply(M[i][l], step, out=projected[i])
+        np.subtract(R[i], projected[i], out=projected[i])
+    _lift(M, projected, V[:l], rest)
 
 
 def _closed_form(G, b, k: int) -> NnlsSolution:

@@ -21,6 +21,7 @@ The rank test's threshold is the constant ``RANK_EPS``; only
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Literal, Optional
@@ -38,7 +39,13 @@ from .matrix import (
     read_rows,
     transposed,
 )
-from .nnls import RANK_EPS, RankDeficiencyError, rank_deficiency, solve_block
+from .nnls import (
+    RANK_EPS,
+    RankDeficiencyError,
+    lift_work,
+    rank_deficiency,
+    solve_block,
+)
 from .rng import make_rng, uniform_matrix
 
 __all__ = [
@@ -57,6 +64,10 @@ __all__ = [
 ]
 
 BlockObserver = Callable[[str, int], None]
+
+# A triple repair's dimensionless mixing coefficient at or below this
+# counts as exactly 0 (8 units of rounding).
+_MIX_ZERO = 8.0 * sys.float_info.epsilon
 
 
 @dataclass(slots=True)
@@ -268,6 +279,14 @@ def _repair(A, coef, target, H, M, cols, rows, rank_eps=RANK_EPS) -> RepairPlan:
         d12 = m11 * m22 - m12 * m12
         mix1 = (m22 * m13 - m23 * m12) / d12
         mix2 = (m11 * m23 - m12 * m13) / d12
+        # u3 = mix1 u1 + mix2 u2.  The sign case is read off the
+        # dimensionless shares mix_i |u_i| / |u3|, and a share within
+        # rounding of 0 is 0, so a last-bit change cannot flip the case.
+        floor = _MIX_ZERO * math.sqrt(Mb[2, 2])
+        if abs(mix1) * math.sqrt(m11) <= floor:
+            mix1 = 0.0
+        if abs(mix2) * math.sqrt(m22) <= floor:
+            mix2 = 0.0
         if mix1 >= 0.0 and mix2 >= 0.0:
             order = (0, 1, 2)
         elif mix1 < 0.0 < mix2:
@@ -297,18 +316,27 @@ def _repair(A, coef, target, H, M, cols, rows, rank_eps=RANK_EPS) -> RepairPlan:
     return plan
 
 
-def _update_block(target, H, M, cols, rank_eps=RANK_EPS) -> None:
+def _update_block(target, H, M, cols, R, work, rank_eps=RANK_EPS) -> None:
     """Closed-form joint update of the target columns of one block.
 
     The residual columns ``r_j = H[:, c_j] - target @ M[:, c_j]`` are
-    formed with the current target, one column at a time, and
-    :func:`solve_block` turns them into the block's new columns.
+    formed with the current target, one column at a time, in the
+    Fortran-ordered buffer ``R`` (a row per target row, a column per
+    block column), and :func:`solve_block` turns them into the block's
+    new columns with ``work`` as its scratch; both come from
+    :func:`_block_scratch`, so a block allocates nothing of column length.
     """
     block = slice(cols[0], cols[-1] + 1)
-    R = np.empty((target.shape[0], len(cols)), order="F")
     for j, c in enumerate(cols):
-        np.subtract(H[:, c], target @ M[:, c], out=R[:, j])
-    solve_block(M[block, block], R, target[:, block], rank_eps)
+        np.matmul(target, M[:, c], out=R[:, j])
+        np.subtract(H[:, c], R[:, j], out=R[:, j])
+    solve_block(M[block, block], R, target[:, block], rank_eps, work)
+
+
+def _block_scratch(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # The residual buffer and the kernel's scratch for k-column blocks of
+    # n-row factor columns, allocated once and reused by every block.
+    return np.empty((n, k), order="F"), lift_work(n, k)
 
 
 def repair_block(
@@ -338,7 +366,9 @@ def update_block_V(
     the caches; it is part of the signature for parity with the repair.
     """
     cols = _block_columns(factors.r, factors.k)[block_index]
-    _update_block(factors.V.data, workspace.H, workspace.M, cols, rank_eps)
+    V = factors.V.data
+    R, work = _block_scratch(V.shape[0], len(cols))
+    _update_block(V, workspace.H, workspace.M, cols, R, work, rank_eps)
 
 
 def _dead_columns(coef: np.ndarray, M: np.ndarray) -> list[int]:
@@ -388,6 +418,9 @@ def _half_sweep(
     objective, the number of repairs and the updated factor's Gram matrix,
     which is the next half-sweep's ``M``.  The objective comes from the
     trace identity on the maintained caches (:func:`_trace_residual`).
+    Besides the factors, ``H`` and r x r Gram matrices, the pass holds
+    only the blocks' residual buffer and kernel scratch, allocated once
+    and freed before the objective.
     """
     if side == "V":
         data, coef, target = A, factors.U, factors.V
@@ -402,13 +435,15 @@ def _half_sweep(
     H = _products(data, coef, dead)
     # A dead column is rebuilt as e_c, so its repair reads row c.
     rows = read_rows(data, dead) if dead else {}
+    R, work = _block_scratch(target.rows, factors.k)
     repairs = 0
     for idx, cols in enumerate(_block_columns(factors.r, factors.k)):
         plan = _repair(data, coef_arr, target_arr, H, M, cols, rows)
         repairs += plan.events
-        _update_block(target_arr, H, M, cols)
+        _update_block(target_arr, H, M, cols, R, work)
         if observer is not None:
             observer(side, idx)
+    del R, work  # freed before the objective, which then sets the peak
     objective, target_gram = _trace_residual(fro2, H, target, M)
     return objective, repairs, target_gram
 

@@ -9,6 +9,7 @@ from arknls.nnls import (
     nnls_rank2,
     nnls_rank3,
     nnls_recursive,
+    lift_work,
     rank_deficiency,
     solve_block,
 )
@@ -238,3 +239,57 @@ class TestSolveBlock:
         solve_block(scale * gram_k, scale * R, got)
         assert np.array_equal(got, want)
         assert 0 < np.count_nonzero(want == 0.0) < want.size
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_expression_form(self, k):
+        # The lift written with numpy expressions, each allocating its
+        # result.  The kernel runs the same operations in the same order
+        # in scratch, so the two agree bit for bit.
+        def lift(M, R, V):
+            l = len(V) - 1
+            m = M[l][l]
+            if l == 0:
+                np.maximum(V[0] + R[0] / m, 0.0, out=V[0])
+                return
+            head = range(l)
+            ratio = [M[i][l] / m for i in head]
+            shifted = [V[i].copy() for i in head]
+            schur = [[M[i][j] - ratio[i] * M[j][l] for j in head] for i in head]
+            lift(schur, [R[i] - ratio[i] * R[l] for i in head], shifted)
+            r = R[l]
+            for i in head:
+                r = r - M[i][l] * (shifted[i] - V[i])
+            before = V[l].copy()
+            lift([[m]], [r], V[l:])
+            step = V[l] - before
+            lift(M, [R[i] - M[i][l] * step for i in head], V[:l])
+
+        rng = np.random.default_rng(60 + k)
+        gram_k = unit_gram(rng, k)
+        R = np.asfortranarray(rng.standard_normal((500, k)))
+        V0 = np.asfortranarray(rng.random((500, k)))
+        want, got = V0.copy(order="F"), V0.copy(order="F")
+        lift(gram_k.tolist(), R.T, want.T)
+        solve_block(gram_k, R, got)
+        assert np.array_equal(got, want)
+        assert 0 < np.count_nonzero(want == 0.0) < want.size
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reads_residual_only(self, k):
+        # The solver forms R once per block and the lift runs in scratch,
+        # so R must come back bitwise unchanged; scratch reused across
+        # blocks, dirty from the last one, must not change the result.
+        rng = np.random.default_rng(50 + k)
+        gram_k = unit_gram(rng, k)
+        R = np.asfortranarray(rng.standard_normal((300, k)))
+        V0 = np.asfortranarray(rng.random((300, k)))
+        R_before = R.copy(order="F")
+        fresh, reused = V0.copy(order="F"), V0.copy(order="F")
+        solve_block(gram_k, R, fresh)
+        assert np.array_equal(R, R_before)
+        work = lift_work(300, 3)
+        work.fill(np.nan)
+        solve_block(gram_k, R, reused, work=work)
+        assert np.array_equal(R, R_before)
+        assert np.array_equal(reused, fresh)
+        assert 0 < np.count_nonzero(fresh == 0.0) < fresh.size

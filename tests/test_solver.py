@@ -1,10 +1,16 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import arknls.solver as solver_module
-from arknls.matrix import DenseMatrix, frobenius_norm, relative_residual
+from arknls.matrix import (
+    DenseMatrix,
+    SparseMatrixCSR,
+    frobenius_norm,
+    relative_residual,
+)
 from arknls.nnls import RANK_EPS, RankDeficiencyError, nnls_rank1, nnls_rank2, nnls_rank3
 from arknls.solver import (
     FactorPair,
@@ -206,6 +212,19 @@ class TestRepairBlock:
         plan, f, _ = self.run_repair([bigger, base, 2.0 * bigger - base])
         assert plan.reset_triple and plan.events == 1
         assert self.rebuilt_column(f) == 0
+
+    @pytest.mark.parametrize("share", [0.25, 0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("delta", [0.0, 1e-16, -1e-16])
+    def test_dependent_triple_near_zero_mix(self, share, delta):
+        # u3 = share * u1 + delta * u2: the second mixing coefficient is 0
+        # up to rounding, and its computed sign varies with the last bits
+        # of the Gram entries.  Counted as 0, it keeps the identity case,
+        # which rebuilds the third column.
+        rng = np.random.default_rng(6)
+        u1, u2 = rng.random(12), rng.random(12)
+        plan, f, _ = self.run_repair([u1, u2, share * u1 + delta * u2])
+        assert plan.reset_triple and plan.events == 1
+        assert self.rebuilt_column(f) == 2
 
     def test_noop_on_full_rank(self):
         rng = np.random.default_rng(8)
@@ -554,6 +573,38 @@ class TestFit:
         if shape == "over_rank":
             assert all(kinds[kind] > 0 for kind in REPAIR_KINDS)
 
+    def test_triple_order_survives_last_bit_scaling(self, monkeypatch):
+        # An over-rank sparse fit whose triple repairs mix with
+        # coefficients at or near 0; scaling every value by 1 + 2^-52
+        # moves the whole trajectory in the last bits.  Each triple
+        # repair's order is read off the column it rebuilds last.
+        s = gen_sparse(
+            SynthSpec(m=60, n=45, true_rank=5, noise_std=0.01, sparsity=0.3, seed=1)
+        )
+        scaled = SparseMatrixCSR(
+            s.rows, s.cols, s.row_offsets, s.col_indices, s.values * (1.0 + 2.0**-52)
+        )
+        assert np.all(scaled.values != s.values)
+        orders, rebuilt = [], []
+        repair, rebuild = solver_module._repair, solver_module._rebuild
+
+        def recorded_rebuild(*args):
+            rebuilt.append(args[6])
+            return rebuild(*args)
+
+        def recorded_repair(*args, **kwargs):
+            plan = repair(*args, **kwargs)
+            if plan.reset_triple:
+                orders[-1].append((tuple(args[5]), rebuilt[-1]))
+            return plan
+
+        monkeypatch.setattr(solver_module, "_rebuild", recorded_rebuild)
+        monkeypatch.setattr(solver_module, "_repair", recorded_repair)
+        for a in (s, scaled):
+            orders.append([])
+            fit(a, SolverConfig(rank=30, k=3, max_sweeps=40, seed=1))
+        assert orders[0] and orders[0] == orders[1]
+
     @pytest.mark.parametrize("field", ["rank", "k", "max_sweeps", "seed"])
     @pytest.mark.parametrize("value", [2.0, True])
     def test_config_rejects_non_integer_sizes(self, field, value):
@@ -635,6 +686,51 @@ class TestFit:
         assert trace.rel_residual == trace_ref.rel_residual
         assert np.array_equal(f.U.data, f_ref.U.data)
         assert np.array_equal(f.V.data, f_ref.V.data)
+
+
+def traced_peak(call) -> int:
+    """Bytes ``tracemalloc`` saw allocated at the peak of ``call()``,
+    above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """A half-sweep holds U, V, its product H, r x r Gram matrices and
+    O((m + n) k) scratch; the objective forms no product-sized array."""
+
+    m, n, r = 600, 400, 20
+
+    def data(self, order):
+        spec = SynthSpec(m=self.m, n=self.n, true_rank=10, noise_std=0.01, seed=3)
+        return DenseMatrix(np.require(gen_dense(spec).data, requirements=order))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fit_peak(self, order, k):
+        # Slack: four column-length vectors per block column plus 32 KiB
+        # for the Gram matrices and Python objects.  A second product-sized
+        # array (96 KB on the U side here) does not fit in it.
+        a = self.data(order)
+        assert a.data.flags[order + "_CONTIGUOUS"]
+        cfg = SolverConfig(rank=self.r, k=k, max_sweeps=3, seed=1)
+        peak = traced_peak(lambda: fit(a, cfg))
+        m, n, r = self.m, self.n, self.r
+        factors_and_product = (m + n) * r + max(m, n) * r
+        assert peak <= (factors_and_product + 4 * max(m, n) * k) * 8 + 32 * 1024
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_relative_residual_peak(self, order):
+        # One n x r product plus eight r x r matrices and 16 KiB.
+        a = self.data(order)
+        factors, _ = fit(a, SolverConfig(rank=self.r, k=2, max_sweeps=1, seed=1))
+        peak = traced_peak(lambda: relative_residual(a, factors.U, factors.V))
+        assert peak <= (self.n * self.r + 8 * self.r**2) * 8 + 16 * 1024
 
 
 REPAIR_KINDS = ("reset_first", "reset_pair", "reset_triple")
