@@ -8,7 +8,10 @@ The sparse container is standard CSR with sorted column indices,
 restricted to nonnegative values since it only ever holds the data matrix
 of a nonnegative factorization; its products run in scipy's compiled
 sparse kernels on that storage, and scipy's format checks validate its
-structure.
+structure.  The product on a CSR operand calls one of those kernels
+directly, the private ``scipy.sparse._sparsetools.csr_matvecs``, so as to
+write its result block by block into a column-major array; its tests pin
+it bit for bit to scipy's own operator.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from typing import Union
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import _sparsetools, coo_array, csr_array
 
 __all__ = [
     "DenseMatrix",
@@ -238,11 +241,17 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     the wide operand of an r-row product, which OpenBLAS ran faster than
     ``A^T U`` on either memory order of ``A`` (a held array or the view
     :func:`transposed` returns), and the product's transpose is already
-    column-major.  Sparse input runs scipy's kernel on the transpose view
-    of ``A.sp``, which accumulates each scaled row of ``U`` into the
-    output row given by the column index, rows in increasing order.  Each
-    sparse output column depends only on its own column of ``U``, so a
-    product on a subset of the columns equals those columns of the full
+    column-major.  Sparse input runs scipy's compiled kernels on the
+    transpose view of ``A.sp``, which accumulate each scaled row of ``U``
+    into the output row given by the column index, rows in increasing
+    order.  The result is bitwise ``A.sp.T @ U``, Fortran-ordered.  When
+    that view is CSR (the U half's ``A V``) it is computed block by block
+    of rows with ``scipy.sparse._sparsetools.csr_matvecs`` straight into
+    the result (:func:`_sparse_at_times`), so the product holds only the
+    result, a row-major copy of ``U`` and one block of rows; the CSC view
+    (the V half) takes scipy's operator, whose row-major result is copied.
+    Each sparse output column depends only on its own column of ``U``, so
+    a product on a subset of the columns equals those columns of the full
     product bit for bit; the solver relies on this to skip all-zero
     columns.  The dense BLAS product has no such property: on a column
     subset OpenBLAS changed the last bits, and so it did between the two
@@ -255,7 +264,66 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
         )
     if isinstance(A, DenseMatrix):
         return DenseMatrix._wrap((u.T @ A.data).T)
-    return DenseMatrix._wrap(A.sp.T @ u)
+    return DenseMatrix._view(_sparse_at_times(A, u))
+
+
+# Rows of a CSR product computed at a time by _sparse_at_times.
+_ROW_BLOCK = 256
+
+
+def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
+    """``A^T u`` for sparse ``A``, as a new Fortran-ordered array.
+
+    With ``live``, an index array of columns of ``u``, only those columns
+    of the product are computed and the others are exact zeros.  When
+    ``A.sp.T`` is CSR and two or more float64 columns meet float64 values,
+    the product runs ``scipy.sparse._sparsetools.csr_matvecs``, the kernel
+    scipy's operator calls for it, on a row-major copy of those columns,
+    :data:`_ROW_BLOCK` rows at a time.  Each block starts from zeros in
+    one reused row-major buffer, as the operator's whole result does, and
+    is copied into its rows of the result, so every output row comes from
+    the same operations in the same order as in scipy's product, and no
+    m x r row-major result or Fortran copy of it is made.  The kernel
+    writes its output only if that is a C-contiguous array of the values'
+    dtype, hence the float64 guard.  Everything else (other dtypes, one
+    column, and the CSC operand, whose kernel scatters each stored entry
+    anywhere in the output) runs scipy's operator, whose row-major result
+    is then copied.
+    """
+    sp = A.sp.T
+    m, n = sp.shape
+    r = u.shape[1] if live is None else len(live)
+    if sp.format == "csr" and r > 1 and sp.dtype == u.dtype == np.float64:
+        if live is None:
+            x, cols = np.ascontiguousarray(u), slice(None)
+            out = np.empty((m, r), order="F")
+        else:
+            x, cols = u.take(live, axis=1), live
+            out = np.zeros((m, u.shape[1]), order="F")
+        block = np.empty((min(m, _ROW_BLOCK), r))
+        for start in range(0, m, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, m)
+            rows = block[: stop - start]
+            rows.fill(0.0)
+            _sparsetools.csr_matvecs(
+                stop - start,
+                n,
+                r,
+                sp.indptr[start : stop + 1],
+                sp.indices,
+                sp.data,
+                x.ravel(),
+                rows.ravel(),
+            )
+            out[start:stop, cols] = rows
+        return out
+    # The operator's copy of u is freed before the result is copied.
+    prod = sp @ (u if live is None else u.take(live, axis=1))
+    if live is None:
+        return np.asfortranarray(prod)
+    out = np.zeros((m, u.shape[1]), order="F")
+    out[:, live] = prod
+    return out
 
 
 def frobenius_norm(A: MatrixRef) -> float:

@@ -21,6 +21,7 @@ The rank test's threshold is the constant ``RANK_EPS``; only
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from .matrix import (
     MatrixRef,
     _check_integers,
     _fro_squared,
+    _sparse_at_times,
     _trace_residual,
     at_times,
     gram,
@@ -98,6 +100,9 @@ class SolverConfig:
             raise ValueError("rank must be at least 1")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
+        _check_reals(
+            time_limit=self.time_limit, tol_residual_change=self.tol_residual_change
+        )
         # NaN fails no comparison, so finiteness is checked explicitly.
         if self.time_limit is not None and not (
             math.isfinite(self.time_limit) and self.time_limit > 0
@@ -108,6 +113,16 @@ class SolverConfig:
         ):
             raise ValueError("tol_residual_change must be finite and nonnegative")
         _check_block_width(self.rank, self.k)
+
+
+def _check_reals(**values) -> None:
+    # True would pass as 1.0, and a string fails math.isfinite with a
+    # TypeError that names no field.
+    for name, value in values.items():
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
+        ):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_block_width(rank: int, k: int) -> None:
@@ -384,18 +399,15 @@ def _products(data: MatrixRef, coef: DenseMatrix, dead: list[int]) -> np.ndarray
 
     scipy's sparse kernels compute every output column on its own, so the
     live columns come out bitwise as in the full product, and a dead
-    column's exact zeros are what the kernel would have written.  Dense
-    input always runs the full product: BLAS on a column subset changed
-    the last bits of the live columns.
+    column's exact zeros are what the kernel would have written.  The live
+    columns are written straight into ``H``.  Dense input always runs the
+    full product: BLAS on a column subset changed the last bits of the
+    live columns.
     """
-    if not dead or isinstance(data, DenseMatrix):
+    if isinstance(data, DenseMatrix):
         return at_times(data, coef).data
-    r = coef.cols
-    live = np.setdiff1d(np.arange(r), dead)
-    H = np.zeros((data.cols, r), order="F")
-    if live.size:
-        H[:, live] = at_times(data, DenseMatrix._view(coef.data[:, live])).data
-    return H
+    live = np.setdiff1d(np.arange(coef.cols), dead) if dead else None
+    return _sparse_at_times(data, coef.data, live)
 
 
 def _half_sweep(

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from arknls.matrix import (
+    _ROW_BLOCK,
     DenseMatrix,
     SparseMatrixCSR,
+    SparseView,
+    _sparse_at_times,
     at_times,
     frobenius_norm,
     gram,
@@ -128,6 +131,97 @@ class TestAtTimes:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * 8 * (m + n) * r < 8 * a.nnz * r
+
+
+class TestSparseProduct:
+    """The sparse product is bitwise scipy's ``A.sp.T @ u``, Fortran-ordered.
+
+    On the transposed view the operand is CSR and the product runs
+    ``scipy.sparse._sparsetools.csr_matvecs`` block by block of rows; a
+    change of that private kernel's signature or arithmetic fails here.
+    """
+
+    # Rows of the CSR operand (the original matrix): two full blocks and
+    # a partial one, and a single partial block.
+    ROWS = (2 * _ROW_BLOCK + 37, _ROW_BLOCK - 5)
+
+    def matrix(self, m, n=70, density=0.1, seed=0):
+        # Every seventh row is empty.
+        rng = np.random.default_rng(seed)
+        mask = rng.random((m, n)) < density
+        mask[::7] = False
+        rows, cols = np.nonzero(mask)
+        return SparseMatrixCSR.from_coo(m, n, rows, cols, rng.random(rows.size))
+
+    def check(self, A, u):
+        got = at_times(A, DenseMatrix(u)).data
+        want = A.sp.T @ u
+        assert got.flags.f_contiguous
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("r", [1, 20])
+    @pytest.mark.parametrize("m", ROWS)
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_matches_scipy_bitwise(self, view, m, r, order):
+        A = self.matrix(m)
+        if view == "transposed":
+            A = transposed(A)
+        assert A.sp.T.format == ("csc" if view == "csr" else "csr")
+        u = np.random.default_rng(1).random((A.rows, r))
+        self.check(A, np.require(u, requirements=order))
+
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_no_entries(self, view):
+        A = SparseMatrixCSR(_ROW_BLOCK + 3, 40, np.zeros(_ROW_BLOCK + 4, int), [], [])
+        if view == "transposed":
+            A = transposed(A)
+        u = np.random.default_rng(2).random((A.rows, 6))
+        got = self.check(A, u)
+        assert not got.any()
+
+    @pytest.mark.parametrize("dead", [[3], [0, 4, 5], [1, 2, 3, 4, 5], list(range(6))])
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_column_subset(self, view, dead):
+        # The solver's product on the live columns, the dead ones left
+        # zero, equals scipy's product on the live columns, and a view
+        # of the live columns gives the same through at_times.
+        A = self.matrix(self.ROWS[0])
+        if view == "transposed":
+            A = transposed(A)
+        u = np.asfortranarray(np.random.default_rng(3).random((A.rows, 6)))
+        live = np.setdiff1d(np.arange(6), dead)
+        u[:, dead] = 0.0
+        got = _sparse_at_times(A, u, live)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got[:, live], A.sp.T @ u[:, live])
+        assert not got[:, dead].any()
+        if live.size:
+            subset = at_times(A, DenseMatrix._view(u[:, live])).data
+            assert np.array_equal(subset, got[:, live])
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("value", [np.float32, np.int64, np.float64])
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_hand_built_view(self, fmt, value, index):
+        # A SparseView over any scipy compressed array of real values gives
+        # scipy's own product, in float64.
+        A = self.matrix(self.ROWS[0])
+        held = A.sp if fmt == "csr" else A.sp.T
+        sp = type(held)(
+            (
+                (held.data * 8).astype(value),
+                held.indices.astype(index),
+                held.indptr.astype(index),
+            ),
+            shape=held.shape,
+        )
+        assert sp.format == fmt and sp.indices.dtype == index
+        view = SparseView(sp)
+        u = np.random.default_rng(4).random((view.rows, 5))
+        self.check(view, u)
 
 
 class TestRelativeResidual:

@@ -6,10 +6,12 @@ import pytest
 
 import arknls.solver as solver_module
 from arknls.matrix import (
+    _ROW_BLOCK,
     DenseMatrix,
     SparseMatrixCSR,
     frobenius_norm,
     relative_residual,
+    transposed,
 )
 from arknls.nnls import RANK_EPS, RankDeficiencyError, nnls_rank1, nnls_rank2, nnls_rank3
 from arknls.solver import (
@@ -615,6 +617,16 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             config.validate()
 
+    @pytest.mark.parametrize("field", ["time_limit", "tol_residual_change"])
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_config_rejects_non_real_limits(self, field, value):
+        # True would pass as 1.0, and "1" failed math.isfinite with a
+        # TypeError that named no field.
+        config = SolverConfig(rank=4, k=2, max_sweeps=3, seed=0)
+        setattr(config, field, value)
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            config.validate()
+
     def test_config_accepts_numpy_integers(self):
         a = gen_dense(SynthSpec(m=10, n=8, true_rank=2, seed=0))
         config = SolverConfig(
@@ -723,6 +735,27 @@ class TestWorkingSet:
         m, n, r = self.m, self.n, self.r
         factors_and_product = (m + n) * r + max(m, n) * r
         assert peak <= (factors_and_product + 4 * max(m, n) * k) * 8 + 32 * 1024
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_fit_peak_sparse(self, view, k):
+        # Either product holds the factors, H and one row-major copy of the
+        # coefficient factor, 2 (m + n) r words in all, plus one block of
+        # the CSR kernel's rows.  Scratch and slack are the dense test's,
+        # plus a byte per stored entry for read_rows' pass over the CSC
+        # view.  A product built row-major and then copied to Fortran
+        # order holds two m x r arrays, (m - n) r words more.
+        m, n, r = 4000, 400, 20
+        spec = SynthSpec(
+            m=m, n=n, true_rank=10, noise_std=0.01, sparsity=0.02, seed=3
+        )
+        a = gen_sparse(spec)
+        if view == "transposed":
+            a = transposed(a)
+        cfg = SolverConfig(rank=r, k=k, max_sweeps=3, seed=1)
+        peak = traced_peak(lambda: fit(a, cfg))
+        words = 2 * (m + n) * r + _ROW_BLOCK * r + 4 * max(m, n) * k
+        assert peak <= words * 8 + a.nnz + 32 * 1024
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_relative_residual_peak(self, order):
