@@ -258,13 +258,17 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     memory orders of ``A`` on products under about 1e6 multiply-adds.
     """
     u = U.data
+    if isinstance(A, DenseMatrix):
+        _check_rows(A, u)
+        return DenseMatrix._wrap((u.T @ A.data).T)
+    return DenseMatrix._view(_sparse_at_times(A, u))
+
+
+def _check_rows(A: MatrixRef, u: np.ndarray) -> None:
     if A.rows != u.shape[0]:
         raise ValueError(
             f"dimension mismatch: A has {A.rows} rows, U has {u.shape[0]}"
         )
-    if isinstance(A, DenseMatrix):
-        return DenseMatrix._wrap((u.T @ A.data).T)
-    return DenseMatrix._view(_sparse_at_times(A, u))
 
 
 # Rows of a CSR product computed at a time by _sparse_at_times.
@@ -285,11 +289,17 @@ def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
     the same operations in the same order as in scipy's product, and no
     m x r row-major result or Fortran copy of it is made.  The kernel
     writes its output only if that is a C-contiguous array of the values'
-    dtype, hence the float64 guard.  Everything else (other dtypes, one
+    dtype, hence the float64 guard.  The public form of the same loop,
+    ``sp[start:stop] @ x``, gives the same bits, but each slice copies its
+    block's indices and values: on ``sparse-mtx`` it made a sweep 40-70%
+    slower and the peak 0.22 MB higher.  Everything else (other dtypes, one
     column, and the CSC operand, whose kernel scatters each stored entry
     anywhere in the output) runs scipy's operator, whose row-major result
-    is then copied.
+    is then copied.  A ``u`` whose row count is not ``A.rows`` raises
+    :class:`ValueError` first: the kernel checks no sizes and would read
+    past the end of a short ``u``.
     """
+    _check_rows(A, u)
     sp = A.sp.T
     m, n = sp.shape
     r = u.shape[1] if live is None else len(live)

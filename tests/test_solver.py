@@ -314,6 +314,26 @@ class TestSweep:
         with pytest.raises(ValueError, match="nonnegative"):
             sweep(a, f, direction)
 
+    @pytest.mark.parametrize("dead", [False, True], ids=["full", "dead_column"])
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_short_sparse_coefficient_rejected(self, view, dead):
+        # The CSR product's kernel checks no sizes, so a coefficient factor
+        # with fewer rows than the data has would be read past its end.  On
+        # the CSR matrix the U half's coefficient is V; on its transposed
+        # view, the V half's is U.
+        a = gen_sparse(SynthSpec(m=300, n=40, true_rank=3, sparsity=0.2, seed=0))
+        short = np.random.default_rng(1).random((10, 4))
+        long = np.random.default_rng(2).random((300, 4))
+        if dead:
+            short[:, 1] = 0.0
+        if view == "csr":
+            f, direction = make_factors(long, short, k=2), "U"
+        else:
+            a = transposed(a)
+            f, direction = make_factors(short, long, k=2), "V"
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sweep(a, f, direction)
+
     def test_cache_consistency_through_sweep(self):
         # Mirror one half-sweep by hand and recompute the caches from
         # scratch afterwards.
@@ -741,7 +761,10 @@ class TestWorkingSet:
     def test_fit_peak_sparse(self, view, k):
         # Either product holds the factors, H and one row-major copy of the
         # coefficient factor, 2 (m + n) r words in all, plus one block of
-        # the CSR kernel's rows.  Scratch and slack are the dense test's,
+        # the CSR kernel's rows.  That holds because the CSR storage is
+        # the tall one (m >= n): scipy's CSC product, whose row-major
+        # result and Fortran copy are both live, makes the short n x r
+        # side.  Scratch and slack are the dense test's,
         # plus a byte per stored entry for read_rows' pass over the CSC
         # view.  A product built row-major and then copied to Fortran
         # order holds two m x r arrays, (m - n) r words more.
