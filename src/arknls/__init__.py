@@ -13,10 +13,8 @@ from .matrix import (
 from .nnls import (
     NnlsSolution,
     RankDeficiencyError,
+    nnls_block,
     nnls_oracle,
-    nnls_rank1,
-    nnls_rank2,
-    nnls_rank3,
     nnls_recursive,
 )
 from .solver import (
@@ -25,7 +23,6 @@ from .solver import (
     RepairPlan,
     SolveTrace,
     SolverConfig,
-    build_workspace,
     fit,
     flops_per_sweep,
     initialize,
@@ -55,9 +52,7 @@ __all__ = [
     "frobenius_norm",
     "NnlsSolution",
     "RankDeficiencyError",
-    "nnls_rank1",
-    "nnls_rank2",
-    "nnls_rank3",
+    "nnls_block",
     "nnls_recursive",
     "nnls_oracle",
     "FactorPair",
@@ -66,7 +61,6 @@ __all__ = [
     "SolverConfig",
     "SolveTrace",
     "initialize",
-    "build_workspace",
     "update_block_V",
     "repair_block",
     "sweep",

@@ -20,6 +20,7 @@ import numpy as np
 
 from .matrix import MatrixRef
 from .mmio import read_matrix_market, write_trace_csv
+from .nnls import BLOCK_WIDTHS
 from .solver import SolverConfig, fit, flops_per_sweep
 from .synth import SynthSpec, gen_dense, gen_sparse
 
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--rank", type=_positive_int, required=True,
                         help="approximation rank r")
-    parser.add_argument("--k", type=int, choices=(1, 2, 3), default=3,
+    parser.add_argument("--k", type=int, choices=BLOCK_WIDTHS, default=3,
                         help="block width (default 3)")
     parser.add_argument("--max-sweeps", type=_positive_int, default=100,
                         help="sweep budget (default 100)")

@@ -1,4 +1,4 @@
-"""Closed-form nonnegative least squares for 1, 2 and 3 columns.
+"""Closed-form nonnegative least squares for narrow column blocks.
 
 ``solve_block`` is the one implementation of the closed form.  For a
 full column rank coefficient block it solves ``min |G y - b|`` subject to
@@ -8,7 +8,7 @@ the clamped update ``[v + r/m]_+``, and k columns lift a solve of their
 first k - 1, resolving the last column first.  The clamps are order
 dependent, so this evaluation order is part of the contract, not an
 implementation detail.  The solver's block updates call it on whole factor
-columns, and ``nnls_rank1/2/3`` on a single row.  ``rank_deficiency`` is
+columns, and ``nnls_block`` on a single row.  ``rank_deficiency`` is
 the one rank test: ``solve_block`` raises through it and the solver's
 repair decides with it.
 
@@ -31,13 +31,17 @@ from .matrix import DenseMatrix, gram
 __all__ = [
     "NnlsSolution",
     "RankDeficiencyError",
-    "nnls_rank1",
-    "nnls_rank2",
-    "nnls_rank3",
+    "nnls_block",
     "nnls_recursive",
     "nnls_oracle",
+    "BLOCK_WIDTHS",
     "RANK_EPS",
 ]
+
+# The block widths k the closed form accepts: its rank test knows the
+# first three column positions of a block.
+BLOCK_WIDTHS = (1, 2, 3)
+_WIDTHS_TEXT = ", ".join(map(str, BLOCK_WIDTHS[:-1])) + f" or {BLOCK_WIDTHS[-1]}"
 
 # Relative cutoff deciding when a Gram determinant counts as zero.
 RANK_EPS = 1e-12
@@ -66,26 +70,28 @@ def _kkt_residual(G: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
     return float(viol.max()) if viol.size else 0.0
 
 
-def rank_deficiency(Mb, j: int, rank_eps: float = RANK_EPS) -> Optional[str]:
-    """The one rank test: why column ``j`` (0, 1 or 2) of a coefficient
-    block with Gram matrix ``Mb`` is numerically dependent on the columns
-    before it, or ``None`` if it is not.
+def rank_deficiency(Mb, j: int) -> Optional[str]:
+    """The one rank test: why column ``j`` (0-based, below the widest of
+    ``BLOCK_WIDTHS``) of a coefficient block with Gram matrix ``Mb`` is
+    numerically dependent on the columns before it, or ``None`` if not.
 
-    Tested against ``rank_eps`` times a scale: ``|u1|^2`` against the
+    Tested against ``RANK_EPS`` times a scale: ``|u1|^2`` against the
     block's largest squared norm, ``d12`` against ``m11 m22`` and the 3 x 3
     determinant against ``m11 m22 m33``.  Where these products overflow,
     a value or threshold that is not finite raises :class:`FloatingPointError`.
     """
+    if j + 1 not in BLOCK_WIDTHS:
+        raise ValueError(f"column position j = {j} outside a block of {_WIDTHS_TEXT}")
     m11 = Mb[0, 0]
     if j == 0:
         label, value = "|u1|^2", m11
-        floor = rank_eps * max(Mb[i, i] for i in range(Mb.shape[0]))
+        floor = RANK_EPS * max(Mb[i, i] for i in range(Mb.shape[0]))
     elif j == 1:
         m22, m12 = Mb[1, 1], Mb[0, 1]
-        label, value, floor = "d12", m11 * m22 - m12 * m12, rank_eps * m11 * m22
+        label, value, floor = "d12", m11 * m22 - m12 * m12, RANK_EPS * m11 * m22
     else:
         m22, m33, m12, m13, m23 = Mb[1, 1], Mb[2, 2], Mb[0, 1], Mb[0, 2], Mb[1, 2]
-        label, floor = "det(Ui^T Ui)", rank_eps * m11 * m22 * m33
+        label, floor = "det(Ui^T Ui)", RANK_EPS * m11 * m22 * m33
         value = (
             m11 * (m22 * m33 - m23 * m23)
             - m12 * (m12 * m33 - m23 * m13)
@@ -101,9 +107,9 @@ def rank_deficiency(Mb, j: int, rank_eps: float = RANK_EPS) -> Optional[str]:
     return None
 
 
-def solve_block(Mb, R, V, rank_eps: float = RANK_EPS, work=None) -> None:
-    """Closed-form joint NNLS update of k = 1, 2 or 3 columns, row by row,
-    written into ``V``.
+def solve_block(Mb, R, V, work=None) -> None:
+    """Closed-form joint NNLS update of k columns, k in ``BLOCK_WIDTHS``,
+    row by row, written into ``V``.
 
     ``Mb`` is the k x k Gram matrix of the coefficient columns, ``V`` the
     current n x k values and ``R = rhs - V Mb`` their residual; each row
@@ -116,7 +122,7 @@ def solve_block(Mb, R, V, rank_eps: float = RANK_EPS, work=None) -> None:
     """
     k = Mb.shape[0]
     for j in range(k):
-        failed = rank_deficiency(Mb, j, rank_eps)
+        failed = rank_deficiency(Mb, j)
         if failed is not None:
             raise RankDeficiencyError(failed)
     if work is None:
@@ -176,46 +182,33 @@ def _lift(M, R, V, free) -> None:
     _lift(M, projected, V[:l], rest)
 
 
-def _closed_form(G, b, k: int) -> NnlsSolution:
-    # One right-hand side through the solver's kernel: rhs G^T b, start 0.
-    G = np.asarray(G, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if G.ndim != 2 or G.shape[1] != k or b.shape != (G.shape[0],):
-        raise ValueError(f"G must be m x {k} and b of length m")
-    Mb = gram(DenseMatrix._wrap(G)).data
-    t = G.T @ b
-    y = np.zeros((1, k))
-    solve_block(Mb, t[None, :], y)
-    return NnlsSolution(y=y[0], kkt_residual=_kkt_residual(G, b, y[0]))
+def nnls_block(G, b) -> NnlsSolution:
+    """``min |G y - b|`` subject to ``y >= 0`` through the solver's kernel,
+    :func:`solve_block`, with right-hand side ``G^T b`` and start 0.
 
-
-def nnls_rank1(g, b) -> NnlsSolution:
-    """Single-column case: ``y = [g.b]_+ / |g|^2``.
-
-    ``g`` may be a vector or an m x 1 matrix.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    return _closed_form(g[:, None] if g.ndim == 1 else g, b, 1)
-
-
-def nnls_rank2(G, b) -> NnlsSolution:
-    """Two-column case, one lift of the one-column update.
-
-    With Gram entries ``n1 = |g1|^2``, ``n2 = |g2|^2`` and ``c = g2.g1``,
-    from the start ``y = 0``::
+    ``G`` is m x k with k in ``BLOCK_WIDTHS``, or a vector for k = 1.  One
+    column is ``y = [g.b]_+ / |g|^2``.  Two, with Gram entries
+    ``n1 = |g1|^2``, ``n2 = |g2|^2`` and ``c = g2.g1``, are one lift of it::
 
         s  = [ (b.g1 - (c/n2) b.g2) / (n1 - (c/n2) c) ]_+
         y2 = [ (b.g2 - c s) / n2 ]_+
         y1 = [ (b.g1 - c y2) / n1 ]_+
+
+    and three lift that once more: y3 is resolved first from the projected
+    two-column solve, then y2 and y1.  Dependent columns raise
+    :class:`RankDeficiencyError`.
     """
-    return _closed_form(G, b, 2)
-
-
-def nnls_rank3(G, b) -> NnlsSolution:
-    """Three-column case: the two-column case lifted once more, so y3 is
-    resolved first from the projected two-column solve, then y2 and y1,
-    as in :func:`solve_block`."""
-    return _closed_form(G, b, 3)
+    G = np.asarray(G, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if G.ndim == 1:
+        G = G[:, None]
+    if G.ndim != 2 or G.shape[1] not in BLOCK_WIDTHS or b.shape != (G.shape[0],):
+        raise ValueError(f"G must be m x k with k {_WIDTHS_TEXT}, and b of length m")
+    Mb = gram(DenseMatrix._wrap(G)).data
+    t = G.T @ b
+    y = np.zeros((1, G.shape[1]))
+    solve_block(Mb, t[None, :], y)
+    return NnlsSolution(y=y[0], kkt_residual=_kkt_residual(G, b, y[0]))
 
 
 def nnls_recursive(

@@ -1,7 +1,7 @@
 """Alternating block-coordinate NMF driver.
 
 Factors ``U`` (m x r) and ``V`` (n x r) are updated in blocks of ``k``
-consecutive columns, ``k`` in {1, 2, 3}.  Per block the nonnegative
+consecutive columns, ``k`` in ``BLOCK_WIDTHS``.  Per block the nonnegative
 least squares subproblem has a closed form driven entirely by two cached
 products: ``H`` (data matrix transposed times the coefficient factor) and
 the coefficient Gram matrix ``M``.  This module assembles the block's
@@ -14,8 +14,8 @@ fails, without changing the product ``U_i V_i^T``.
 One driver, ``_half_sweep``, runs both halves of a sweep for ``sweep`` and
 ``fit``: the second half updates ``U`` by running the identical code on a
 transposed view of the data matrix (no copy) with the factor roles swapped.
-The rank test's threshold is the constant ``RANK_EPS``; only
-:func:`repair_block` and :func:`update_block_V` take another value.
+The rank test's threshold is the constant ``RANK_EPS``; the ``rank_eps``
+slot of :func:`repair_block` and :func:`update_block_V` accepts only it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .matrix import (
     transposed,
 )
 from .nnls import (
+    _WIDTHS_TEXT,
+    BLOCK_WIDTHS,
     RANK_EPS,
     RankDeficiencyError,
     lift_work,
@@ -57,7 +59,6 @@ __all__ = [
     "SolverConfig",
     "SolveTrace",
     "initialize",
-    "build_workspace",
     "update_block_V",
     "repair_block",
     "sweep",
@@ -96,6 +97,8 @@ class SolverConfig:
         _check_integers(
             rank=self.rank, k=self.k, max_sweeps=self.max_sweeps, seed=self.seed
         )
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.max_sweeps < 1:
@@ -126,8 +129,8 @@ def _check_reals(**values) -> None:
 
 
 def _check_block_width(rank: int, k: int) -> None:
-    if k not in (1, 2, 3):
-        raise ValueError("block width k must be 1, 2 or 3")
+    if k not in BLOCK_WIDTHS:
+        raise ValueError(f"block width k must be {_WIDTHS_TEXT}")
     if rank < k:
         raise ValueError("rank must be at least the block width")
 
@@ -235,11 +238,6 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
     )
 
 
-def build_workspace(A: MatrixRef, factors: FactorPair) -> BlockWorkspace:
-    """Fresh caches for a V-side pass: ``H = A^T U`` and ``M = U^T U``."""
-    return BlockWorkspace(H=at_times(A, factors.U).data, M=gram(factors.U).data)
-
-
 def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
     # The step all three fixes end with: zero target[:, col], rebuild
     # coef[:, col] as the unit vector e_{unit_row}, and patch the touched
@@ -256,7 +254,7 @@ def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
     M[col, :] = coef[unit_row, :]
 
 
-def _repair(A, coef, target, H, M, cols, rows, rank_eps=RANK_EPS) -> RepairPlan:
+def _repair(A, coef, target, H, M, cols, rows) -> RepairPlan:
     """Make the coefficient block full rank while preserving its product
     with the target block.  No-op on already independent columns.
 
@@ -273,14 +271,14 @@ def _repair(A, coef, target, H, M, cols, rows, rank_eps=RANK_EPS) -> RepairPlan:
     c1 = cols[0]
     block = slice(c1, cols[-1] + 1)
     Mb = M[block, block]
-    if rank_deficiency(Mb, 0, rank_eps):
+    if rank_deficiency(Mb, 0):
         _rebuild(A, coef, target, H, M, rows, c1, c1)
         plan.reset_first = True
     if k == 1:
         return plan
 
     c2 = cols[1]
-    if rank_deficiency(Mb, 1, rank_eps):
+    if rank_deficiency(Mb, 1):
         target[:, c1] += math.sqrt(Mb[1, 1] / Mb[0, 0]) * target[:, c2]
         unit_row = c2 if coef[c1, c1] != 0.0 else c1
         _rebuild(A, coef, target, H, M, rows, c2, unit_row)
@@ -288,7 +286,7 @@ def _repair(A, coef, target, H, M, cols, rows, rank_eps=RANK_EPS) -> RepairPlan:
     if k == 2:
         return plan
 
-    if rank_deficiency(Mb, 2, rank_eps):
+    if rank_deficiency(Mb, 2):
         m11, m22, m12 = Mb[0, 0], Mb[1, 1], Mb[0, 1]
         m13, m23 = Mb[0, 2], Mb[1, 2]
         d12 = m11 * m22 - m12 * m12
@@ -331,7 +329,7 @@ def _repair(A, coef, target, H, M, cols, rows, rank_eps=RANK_EPS) -> RepairPlan:
     return plan
 
 
-def _update_block(target, H, M, cols, R, work, rank_eps=RANK_EPS) -> None:
+def _update_block(target, H, M, cols, R, work) -> None:
     """Closed-form joint update of the target columns of one block.
 
     The residual columns ``r_j = H[:, c_j] - target @ M[:, c_j]`` are
@@ -345,7 +343,7 @@ def _update_block(target, H, M, cols, R, work, rank_eps=RANK_EPS) -> None:
     for j, c in enumerate(cols):
         np.matmul(target, M[:, c], out=R[:, j])
         np.subtract(H[:, c], R[:, j], out=R[:, j])
-    solve_block(M[block, block], R, target[:, block], rank_eps, work)
+    solve_block(M[block, block], R, target[:, block], work)
 
 
 def _block_scratch(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,10 +359,12 @@ def repair_block(
     A: MatrixRef,
     rank_eps: float = RANK_EPS,
 ) -> RepairPlan:
-    """Repair the coefficient block ``U_i`` for a V-side pass."""
+    """Repair the coefficient block ``U_i`` for a V-side pass.  ``rank_eps``
+    must be ``RANK_EPS``."""
+    _check_rank_eps(rank_eps)
     cols = _block_columns(factors.r, factors.k)[block_index]
     U, V = factors.U.data, factors.V.data
-    return _repair(A, U, V, workspace.H, workspace.M, cols, {}, rank_eps)
+    return _repair(A, U, V, workspace.H, workspace.M, cols, {})
 
 
 def update_block_V(
@@ -378,12 +378,19 @@ def update_block_V(
 
     Requires current caches and a full-rank coefficient block (repair
     first).  ``A`` is unused by the formulas themselves, which read only
-    the caches; it is part of the signature for parity with the repair.
+    the caches; it is part of the signature for parity with the repair, as
+    is ``rank_eps``, which must be ``RANK_EPS``.
     """
+    _check_rank_eps(rank_eps)
     cols = _block_columns(factors.r, factors.k)[block_index]
     V = factors.V.data
     R, work = _block_scratch(V.shape[0], len(cols))
-    _update_block(V, workspace.H, workspace.M, cols, R, work, rank_eps)
+    _update_block(V, workspace.H, workspace.M, cols, R, work)
+
+
+def _check_rank_eps(rank_eps: float) -> None:
+    if rank_eps != RANK_EPS:
+        raise ValueError(f"rank_eps must be RANK_EPS = {RANK_EPS}, got {rank_eps!r}")
 
 
 def _dead_columns(coef: np.ndarray, M: np.ndarray) -> list[int]:

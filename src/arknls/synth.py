@@ -37,6 +37,8 @@ class SynthSpec:
 
     def validate(self) -> None:
         _check_integers(m=self.m, n=self.n, true_rank=self.true_rank, seed=self.seed)
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
         if not 1 <= self.true_rank <= min(self.m, self.n):

@@ -14,24 +14,19 @@ import numpy as np
 
 import arknls
 from arknls.cli import run as cli_run
-from arknls.matrix import DenseMatrix, SparseMatrixCSR
+from arknls.matrix import DenseMatrix, SparseMatrixCSR, at_times, gram
 from arknls.mmio import (
     read_matrix_market,
     read_trace_csv,
     write_matrix_market,
     write_trace_csv,
 )
-from arknls.nnls import (
-    nnls_oracle,
-    nnls_rank2,
-    nnls_rank3,
-    nnls_recursive,
-)
+from arknls.nnls import nnls_block, nnls_oracle, nnls_recursive
 from arknls.solver import (
+    BlockWorkspace,
     FactorPair,
     SolverConfig,
     _block_columns,
-    build_workspace,
     fit,
     initialize,
     repair_block,
@@ -47,6 +42,11 @@ def report(num, name, passed, detail=""):
     assert passed, f"criterion {num} ({name}) failed: {detail}"
 
 
+def build_workspace(a, factors):
+    # Fresh caches for a V-side pass: H = A^T U and M = U^T U.
+    return BlockWorkspace(H=at_times(a, factors.U).data, M=gram(factors.U).data)
+
+
 def bounded_instance(rng, m, k):
     g = rng.random((m, k))
     g[:k, :k] += 0.1 * np.eye(k)
@@ -57,10 +57,10 @@ def test_c01_oracle_equivalence():
     rng = np.random.default_rng(1001)
     started = time.perf_counter()
     worst = 0.0
-    for k, solver in ((2, nnls_rank2), (3, nnls_rank3)):
+    for k in (2, 3):
         for _ in range(10_000):
             g, b = bounded_instance(rng, 10, k)
-            diff = np.abs(solver(g, b).y - nnls_oracle(g, b).y).max()
+            diff = np.abs(nnls_block(g, b).y - nnls_oracle(g, b).y).max()
             worst = max(worst, diff)
     elapsed = time.perf_counter() - started
     report(
@@ -77,14 +77,14 @@ def test_c02_recursion_consistency():
     for _ in range(1000):
         g, b = bounded_instance(rng, 10, 3)
         diff = np.abs(
-            nnls_recursive(g, b, nnls_rank2).y - nnls_rank3(g, b).y
+            nnls_recursive(g, b, nnls_block).y - nnls_block(g, b).y
         ).max()
         worst3 = max(worst3, diff)
     worst4 = 0.0
     for _ in range(500):
         g, b = bounded_instance(rng, 12, 4)
         diff = np.abs(
-            nnls_recursive(g, b, nnls_rank3).y - nnls_oracle(g, b).y
+            nnls_recursive(g, b, nnls_block).y - nnls_oracle(g, b).y
         ).max()
         worst4 = max(worst4, diff)
     report(
@@ -242,7 +242,7 @@ def test_c07_row_decoupling():
         repair_block(factors, ws, 0, a)
         update_block_V(a, factors, ws, 0)
         for t in range(a.cols):
-            want = nnls_rank3(factors.U.data[:, list(cols)], residual[:, t]).y
+            want = nnls_block(factors.U.data[:, list(cols)], residual[:, t]).y
             worst = max(
                 worst, float(np.max(np.abs(factors.V.data[t, list(cols)] - want)))
             )

@@ -6,6 +6,7 @@ import pytest
 from arknls.cli import run
 from arknls.matrix import DenseMatrix
 from arknls.mmio import read_trace_csv, write_matrix_market
+from arknls.nnls import BLOCK_WIDTHS
 from arknls.synth import SynthSpec, gen_dense
 
 SUMMARY_RE = re.compile(
@@ -42,6 +43,29 @@ def test_invalid_k_exits_2(capsys):
     code = run(["--synthetic", "10,10,2,0,0", "--rank", "2", "--k", "4"])
     assert code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_k_choices_are_the_kernel_widths(capsys):
+    # --k 4 is test_invalid_k_exits_2.
+    assert run(["--synthetic", "10,10,2,0,0", "--rank", "3", "--k", "0"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    for k in BLOCK_WIDTHS:
+        assert run(["--synthetic", "10,10,2,0,0", "--rank", "3", "--k", str(k),
+                    "--max-sweeps", "1"]) == 0
+
+
+@pytest.mark.parametrize("source", ["synthetic", "input"])
+def test_negative_seed_exits_1(tmp_path, capsys, source):
+    # --synthetic fails in SynthSpec, --input in SolverConfig; both name
+    # the field instead of passing numpy's message on.
+    if source == "synthetic":
+        args = ["--synthetic", "10,10,2,0,0"]
+    else:
+        path = tmp_path / "a.mtx"
+        write_matrix_market(DenseMatrix(np.random.default_rng(0).random((8, 6))), path)
+        args = ["--input", str(path)]
+    assert run(args + ["--rank", "2", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
 
 
 def test_missing_source_exits_2(capsys):

@@ -4,10 +4,8 @@ import pytest
 from arknls.nnls import (
     RankDeficiencyError,
     _accepted_candidates,
+    nnls_block,
     nnls_oracle,
-    nnls_rank1,
-    nnls_rank2,
-    nnls_rank3,
     nnls_recursive,
     lift_work,
     rank_deficiency,
@@ -25,55 +23,55 @@ def well_conditioned(rng, m, k, boost=0.1):
 
 class TestRank1:
     def test_unit_aligned(self):
-        sol = nnls_rank1([1.0, 0.0], [2.0, 3.0])
+        sol = nnls_block([1.0, 0.0], [2.0, 3.0])
         np.testing.assert_allclose(sol.y, [2.0])
 
     def test_negative_projection_clamps(self):
-        sol = nnls_rank1([1.0, 1.0], [-1.0, -1.0])
+        sol = nnls_block([1.0, 1.0], [-1.0, -1.0])
         np.testing.assert_array_equal(sol.y, [0.0])
 
     def test_projection_value(self):
-        sol = nnls_rank1([2.0, 1.0], [1.0, 3.0])
+        sol = nnls_block([2.0, 1.0], [1.0, 3.0])
         np.testing.assert_allclose(sol.y, [1.0])
         oracle = nnls_oracle(np.array([[2.0], [1.0]]), np.array([1.0, 3.0]))
         np.testing.assert_allclose(sol.y, oracle.y)
 
     def test_zero_column_rejected(self):
         with pytest.raises(RankDeficiencyError):
-            nnls_rank1([0.0, 0.0], [1.0, 1.0])
+            nnls_block([0.0, 0.0], [1.0, 1.0])
 
 
 class TestRank2:
     def test_orthonormal_clamp(self):
-        sol = nnls_rank2(np.eye(2), [3.0, -1.0])
+        sol = nnls_block(np.eye(2), [3.0, -1.0])
         np.testing.assert_allclose(sol.y, [3.0, 0.0])
 
     def test_zero_rhs(self):
-        sol = nnls_rank2(np.eye(2), [0.0, 0.0])
+        sol = nnls_block(np.eye(2), [0.0, 0.0])
         np.testing.assert_array_equal(sol.y, [0.0, 0.0])
 
     def test_against_oracle_fixed(self):
         g = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([1.0, 2.0])
-        got = nnls_rank2(g, b).y
+        got = nnls_block(g, b).y
         want = nnls_oracle(g, b).y
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_rank_deficient_rejected(self):
         g = np.column_stack([np.ones(4), 2.0 * np.ones(4)])
         with pytest.raises(RankDeficiencyError):
-            nnls_rank2(g, np.ones(4))
+            nnls_block(g, np.ones(4))
 
 
 class TestRank3:
     def test_orthonormal_clamp(self):
-        sol = nnls_rank3(np.eye(3), [1.0, -2.0, 3.0])
+        sol = nnls_block(np.eye(3), [1.0, -2.0, 3.0])
         np.testing.assert_allclose(sol.y, [1.0, 0.0, 3.0])
 
     def test_decoupled_scalar_problems(self):
         g = np.diag([2.0, 1.0, 1.0])
         b = np.array([4.0, 1.0, 1.0])
-        sol = nnls_rank3(g, b)
+        sol = nnls_block(g, b)
         np.testing.assert_allclose(sol.y, [2.0, 1.0, 1.0])
         np.testing.assert_allclose(sol.y, nnls_oracle(g, b).y)
 
@@ -82,19 +80,50 @@ class TestRank3:
         for _ in range(1000):
             g = well_conditioned(rng, 10, 3)
             b = rng.uniform(-1.0, 1.0, 10)
-            got = nnls_rank3(g, b).y
+            got = nnls_block(g, b).y
             want = nnls_oracle(g, b).y
             assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_rank_deficient_rejected(self):
         g = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0) + 1.0])
         with pytest.raises(RankDeficiencyError):
-            nnls_rank3(g, np.ones(5))
+            nnls_block(g, np.ones(5))
+
+
+class TestBlockWidths:
+    def test_vector_is_one_column(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            g, b = rng.random(7), rng.uniform(-1.0, 1.0, 7)
+            got = nnls_block(g, b)
+            want = nnls_block(g[:, None], b)
+            assert got.y.shape == (1,)
+            assert np.array_equal(got.y, want.y)
+            assert got.kkt_residual == want.kkt_residual
+            np.testing.assert_allclose(got.y, [max(g @ b, 0.0) / (g @ g)], rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_width_outside_rejected(self, k):
+        with pytest.raises(ValueError, match="G must be m x k with k 1, 2 or 3"):
+            nnls_block(np.ones((6, k)), np.ones(6))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="b of length m"):
+            nnls_block(np.eye(3), np.ones(4))
+        with pytest.raises(ValueError, match="G must be m x k"):
+            nnls_block(np.ones((2, 2, 2)), np.ones(2))
+
+    def test_rank_test_knows_the_widths(self):
+        gram4 = unit_gram(np.random.default_rng(8), 4)
+        with pytest.raises(ValueError, match="column position j = 3"):
+            rank_deficiency(gram4, 3)
+        with pytest.raises(ValueError, match="column position j = 3"):
+            solve_block(gram4, np.ones((5, 4)), np.zeros((5, 4)))
 
 
 class TestRecursive:
     def test_matches_rank2_identity(self):
-        got = nnls_recursive(np.eye(2), [3.0, -1.0], nnls_rank1).y
+        got = nnls_recursive(np.eye(2), [3.0, -1.0], nnls_block).y
         np.testing.assert_allclose(got, [3.0, 0.0])
 
     def test_rank2_base_agrees_with_rank3(self):
@@ -102,8 +131,8 @@ class TestRecursive:
         for _ in range(200):
             g = well_conditioned(rng, 12, 3)
             b = rng.uniform(-1.0, 1.0, 12)
-            via_recursion = nnls_recursive(g, b, nnls_rank2).y
-            direct = nnls_rank3(g, b).y
+            via_recursion = nnls_recursive(g, b, nnls_block).y
+            direct = nnls_block(g, b).y
             assert np.max(np.abs(via_recursion - direct)) <= 1e-10
 
     def test_rank3_base_vs_subset_oracle(self):
@@ -111,13 +140,13 @@ class TestRecursive:
         for _ in range(100):
             g = well_conditioned(rng, 15, 4)
             b = rng.uniform(-1.0, 1.0, 15)
-            got = nnls_recursive(g, b, nnls_rank3).y
+            got = nnls_recursive(g, b, nnls_block).y
             want = nnls_oracle(g, b).y
             assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_rank5_by_nesting(self):
         rng = np.random.default_rng(5)
-        rank4 = lambda g, b: nnls_recursive(g, b, nnls_rank3)
+        rank4 = lambda g, b: nnls_recursive(g, b, nnls_block)
         for _ in range(25):
             g = well_conditioned(rng, 18, 5)
             b = rng.uniform(-1.0, 1.0, 18)
@@ -128,7 +157,7 @@ class TestRecursive:
     def test_rank_deficient_rejected(self):
         g = np.column_stack([np.ones(6), np.ones(6)])
         with pytest.raises(RankDeficiencyError):
-            nnls_recursive(g, np.ones(6), nnls_rank1)
+            nnls_recursive(g, np.ones(6), nnls_block)
 
 
 class TestOracle:
@@ -158,11 +187,11 @@ class TestSharedProperties:
 
     def solvers(self):
         return [
-            (1, lambda g, b: nnls_rank1(g[:, 0], b)),
-            (2, nnls_rank2),
-            (3, nnls_rank3),
-            (2, lambda g, b: nnls_recursive(g, b, nnls_rank1)),
-            (3, lambda g, b: nnls_recursive(g, b, nnls_rank2)),
+            (1, lambda g, b: nnls_block(g[:, 0], b)),
+            (2, nnls_block),
+            (3, nnls_block),
+            (2, lambda g, b: nnls_recursive(g, b, nnls_block)),
+            (3, lambda g, b: nnls_recursive(g, b, nnls_block)),
             (3, nnls_oracle),
         ]
 
@@ -182,20 +211,20 @@ class TestSharedProperties:
         for _ in range(200):
             g = well_conditioned(rng, 10, 3)
             b = rng.uniform(-1.0, 1.0, 10)
-            base = nnls_rank3(g, b).y
+            base = nnls_block(g, b).y
             perm = rng.permutation(3)
-            permuted = nnls_rank3(g[:, perm], b).y
+            permuted = nnls_block(g[:, perm], b).y
             unpermuted = np.empty(3)
             unpermuted[perm] = permuted
             assert np.max(np.abs(base - unpermuted)) <= 1e-10
 
     def test_objective_optimality(self):
         rng = np.random.default_rng(17)
-        for k, solver in [(2, nnls_rank2), (3, nnls_rank3)]:
+        for k in (2, 3):
             for _ in range(20):
                 g = well_conditioned(rng, 10, k)
                 b = rng.uniform(-1.0, 1.0, 10)
-                y = solver(g, b).y
+                y = nnls_block(g, b).y
                 best = np.linalg.norm(g @ y - b)
                 for _ in range(100):
                     other = rng.random(k) * 2.0

@@ -1,0 +1,25 @@
+"""README.md documents the public API: every name ``arknls`` exports, and
+no name it no longer has."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import arknls
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+# Folded into nnls_block, or only ever a test convenience.
+REMOVED = ("nnls_rank1", "nnls_rank2", "nnls_rank3", "build_workspace")
+
+
+@pytest.mark.parametrize("name", arknls.__all__)
+def test_exported_name_in_readme(name):
+    assert f"`{name}`" in README
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_not_in_readme(name):
+    assert not hasattr(arknls, name)
+    assert not re.search(rf"\b{name}\b", README)

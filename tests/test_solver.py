@@ -9,16 +9,18 @@ from arknls.matrix import (
     _ROW_BLOCK,
     DenseMatrix,
     SparseMatrixCSR,
+    at_times,
     frobenius_norm,
+    gram,
     relative_residual,
     transposed,
 )
-from arknls.nnls import RANK_EPS, RankDeficiencyError, nnls_rank1, nnls_rank2, nnls_rank3
+from arknls.nnls import RANK_EPS, RankDeficiencyError, nnls_block
 from arknls.solver import (
+    BlockWorkspace,
     FactorPair,
     SolverConfig,
     _block_columns,
-    build_workspace,
     fit,
     flops_per_sweep,
     _half_sweep_flops,
@@ -37,6 +39,11 @@ ORDER_TEST_SHAPES = {"over_rank": (30, 20, 2, 12), "full_rank": (40, 30, 4, 6)}
 
 def direct_objective(A, factors):
     return np.linalg.norm(A.data - factors.U.data @ factors.V.data.T) ** 2
+
+
+def build_workspace(a, factors):
+    # Fresh caches for a V-side pass: H = A^T U and M = U^T U.
+    return BlockWorkspace(H=at_times(a, factors.U).data, M=gram(factors.U).data)
 
 
 def make_factors(u, v, k=3):
@@ -94,7 +101,7 @@ class TestUpdateBlock:
         f = make_factors(u, np.zeros((1, 3)))
         ws = build_workspace(a, f)
         update_block_V(a, f, ws, 0)
-        want = nnls_rank3(u, a.data[:, 0]).y
+        want = nnls_block(u, a.data[:, 0]).y
         assert np.max(np.abs(f.V.data[0] - want)) <= 1e-12
 
     def test_fixed_point(self):
@@ -126,6 +133,39 @@ class TestUpdateBlock:
         ws = build_workspace(a, f)
         with pytest.raises(RankDeficiencyError):
             update_block_V(a, f, ws, 0)
+
+
+class TestShimThreshold:
+    # The replay calls both shims positionally with SolverConfig.rank_eps.
+    def test_replay_call_shape_accepted(self):
+        rng = np.random.default_rng(4)
+        a = DenseMatrix(rng.random((12, 9)))
+        u = rng.random((12, 3))
+        u[:, 2] = u[:, 0]
+        v = rng.random((9, 3))
+        f, ref = make_factors(u, v.copy()), make_factors(u, v.copy())
+        eps = SolverConfig(rank=3).rank_eps
+        ws, ws_ref = build_workspace(a, f), build_workspace(a, ref)
+        plan = repair_block(f, ws, 0, a, eps)
+        update_block_V(a, f, ws, 0, eps)
+        assert plan == repair_block(ref, ws_ref, 0, a)
+        update_block_V(a, ref, ws_ref, 0)
+        assert plan.reset_triple
+        assert np.array_equal(f.U.data, ref.U.data)
+        assert np.array_equal(f.V.data, ref.V.data)
+
+    @pytest.mark.parametrize("eps", [1e-10, 0.0, 2 * RANK_EPS, float("nan")])
+    def test_other_threshold_rejected(self, eps):
+        rng = np.random.default_rng(5)
+        a = DenseMatrix(rng.random((12, 9)))
+        f = make_factors(rng.random((12, 3)), rng.random((9, 3)))
+        before = f.V.data.copy()
+        ws = build_workspace(a, f)
+        with pytest.raises(ValueError, match="^rank_eps must be RANK_EPS"):
+            repair_block(f, ws, 0, a, eps)
+        with pytest.raises(ValueError, match="^rank_eps must be RANK_EPS"):
+            update_block_V(a, f, ws, 0, eps)
+        assert np.array_equal(f.V.data, before)
 
 
 class TestRepairBlock:
@@ -354,7 +394,6 @@ class TestSweep:
     def test_row_decoupling(self, k):
         # Each updated block row solves its own small NNLS against the
         # residual with every other block frozen.
-        reference = {1: nnls_rank1, 2: nnls_rank2, 3: nnls_rank3}[k]
         rng = np.random.default_rng(14)
         a = DenseMatrix(rng.random((20, 15)))
         f = initialize(a, 6, seed=4, k=k)
@@ -365,7 +404,7 @@ class TestSweep:
             repair_block(f, ws, i, a)
             update_block_V(a, f, ws, i)
             for t in range(a.cols):
-                want = reference(f.U.data[:, list(cols)], residual[:, t]).y
+                want = nnls_block(f.U.data[:, list(cols)], residual[:, t]).y
                 assert np.max(np.abs(f.V.data[t, list(cols)] - want)) <= 1e-10
 
 
@@ -636,6 +675,14 @@ class TestFit:
         setattr(config, field, value)
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             config.validate()
+
+    def test_config_rejects_negative_seed(self):
+        # numpy's own message for a negative seed names no field.
+        with pytest.raises(ValueError, match="^seed must be nonnegative"):
+            SolverConfig(rank=2, seed=-1).validate()
+        a = gen_dense(SynthSpec(m=10, n=8, true_rank=2, seed=0))
+        with pytest.raises(ValueError, match="^seed must be nonnegative"):
+            fit(a, SolverConfig(rank=2, k=2, seed=np.int64(-3)))
 
     @pytest.mark.parametrize("field", ["time_limit", "tol_residual_change"])
     @pytest.mark.parametrize("value", [True, "1"])

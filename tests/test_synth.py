@@ -86,6 +86,14 @@ def test_spec_rejects_non_integer_sizes(field, value):
         gen_dense(SynthSpec(**fields))
 
 
+@pytest.mark.parametrize("gen, sparsity", [(gen_dense, 0.0), (gen_sparse, 0.3)])
+def test_spec_rejects_negative_seed(gen, sparsity):
+    # numpy's own message for a negative seed names no field.
+    spec = SynthSpec(m=30, n=20, true_rank=2, sparsity=sparsity, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be nonnegative"):
+        gen(spec)
+
+
 def test_spec_accepts_numpy_integers():
     spec = SynthSpec(m=np.int64(30), n=np.int32(20), true_rank=np.int64(2), seed=np.int64(4))
     want = gen_dense(SynthSpec(m=30, n=20, true_rank=2, seed=4))
