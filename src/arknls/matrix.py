@@ -216,6 +216,13 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_seed(seed) -> None:
+    # numpy's errors for a negative or float seed name no field.
+    _check_integers(seed=seed)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 # A SparseMatrixCSR is a SparseView; so is the transposed view of one.
 MatrixRef = Union[DenseMatrix, SparseView]
 

@@ -7,22 +7,24 @@ by column) and sparse matrices the ``coordinate real general`` format with
 rejected rather than coerced, as are negative values: the reader's output
 feeds a nonnegative factorization.
 
-The reader reads the banner and the size line itself, then tries three
-tiers for the entry lines, each only when the one before declined:
+The reader reads the banner and the size line itself, then tries two
+tiers for the entry lines, the second only when the first declined:
 
-1. ``coordinate real general`` files with entries whose text is plain,
-   one ``digits SP digits SP float LF`` line per entry, are parsed by
-   scipy's compiled reader (``scipy.io.mmread``, fast_matrix_market).  A
+1. Files whose entry text is plain, one line per entry (``v LF`` for
+   ``array real``, ``i SP j SP v LF`` for ``coordinate real`` and
+   ``i SP j LF`` for ``coordinate pattern``, general or symmetric), are
+   parsed by scipy's compiled reader (``scipy.io.mmread``,
+   fast_matrix_market), which also expands symmetric storage.  A
    byte-level guard proves the text plain before that call, because the
    compiled reader accepts some text ``int``/``float`` reject or read
-   differently (``1.0e5e5``, ``1_0``, ``0x1p0``, a fourth field).
-2. One ``np.loadtxt`` call parses any other layout, field and symmetry.
-3. A line-at-a-time reader takes what both turn away; it names the line
-   at fault, and it alone accepts comment lines between entries.
+   differently (``1.0e5e5``, ``1_0``, ``0x1p0``, a fourth field).  The
+   result is checked as a whole (shape, entry count, finite and
+   nonnegative values; scipy's reader checks the index range itself).
+2. A line-at-a-time reader takes every other file; it names the line at
+   fault, and it alone accepts comment lines between entries, tabs, CRLF
+   line ends and other lenient text.
 
-Each tier checks what it parsed as a whole (entry count, index range,
-finite and nonnegative values; scipy's reader checks the range itself), and
-all three return the same bits for the same file.
+Both tiers return the same bits for the same file.
 """
 
 from __future__ import annotations
@@ -84,24 +86,21 @@ class _Header(NamedTuple):
 def read_matrix_market(path) -> MatrixRef:
     """Parse a Matrix Market file into a dense or sparse matrix.
 
-    The banner and the size line are read line by line.  A ``coordinate
-    real general`` file whose entry lines are all plain ``i j value``
-    text (single spaces, LF line ends, digit-only indices, and values of
-    digits with at most one dot and a lower-case ``e`` exponent, unsigned)
-    is parsed by scipy's compiled Matrix Market reader.  Any other entry
-    text is parsed in one call to numpy's compiled text reader.  Either
-    result is checked as whole arrays: entry count, index range, finite
-    and nonnegative values.  Input both turn away, or that fails a check,
-    is read again one line at a time.  That pass raises a
-    :class:`MatrixMarketError` naming the offending line, or returns the
-    matrix for text only it accepts, such as comment lines between
-    entries.  All three give the same bits for the same file.
+    The banner and the size line are read line by line.  A file with at
+    least one entry whose entry lines are all plain text (``v``,
+    ``i j v`` or ``i j`` by layout and field: single spaces, LF line
+    ends, digit-only indices, and values of digits with at most one dot
+    and a lower-case ``e`` exponent, unsigned) is parsed by scipy's
+    compiled Matrix Market reader, and its result is checked as whole
+    arrays: shape, entry count, finite and nonnegative values.  Any other
+    file, or one that fails a check, is read one line at a time.  That
+    pass raises a :class:`MatrixMarketError` naming the offending line,
+    or returns the matrix for text only it accepts, such as comment lines
+    between entries.  Both give the same bits for the same file.
     """
     with _open_ascii(path) as handle:
         header, _ = _read_header(enumerate(handle, start=1))
-        matrix = _read_plain(path, header)
-        if matrix is None:
-            matrix = _read_bulk(handle, header)
+    matrix = _read_plain(path, header)
     return _read_by_lines(path) if matrix is None else matrix
 
 
@@ -174,57 +173,91 @@ _CLASS = bytes(
     for byte in range(256)
 )
 
-# The steps from one non-digit byte of a plain entry line to the next, and
-# whether digits lie between the two: True (some), False (none) or None
-# (either).  A line is 'row SP col SP value LF', value = mantissa
-# [e [sign] digits] and mantissa = digits [. digits] or . digits; that a
-# dot has a digit on at least one side is checked apart.
-_STEPS = {
-    (_LF, _SP): True,
-    (_SP, _SP): True,
-    (_SP, _LF): True,
-    (_SP, _EXP): True,
-    (_SP, _DOT): None,
-    (_DOT, _EXP): None,
-    (_DOT, _LF): None,
-    (_EXP, _SIGN): False,
-    (_EXP, _LF): True,
-    (_SIGN, _LF): True,
+
+def _legal_steps(spaces: int, real: bool) -> bytes:
+    # The steps from one non-digit byte of a plain entry line to the next,
+    # and whether digits lie between the two: True (some), False (none) or
+    # None (either).  A line is ``spaces`` fields 'digits SP', then the last
+    # field: digits in a pattern file, else value = mantissa [e [sign]
+    # digits] with mantissa = digits [. digits] or . digits; that a dot has
+    # a digit on at least one side is checked apart.  The last field's
+    # steps start from the byte before it, SP or the previous line's LF.
+    before = _SP if spaces else _LF
+    steps = {(before, _LF): True}
+    if spaces:
+        steps[_LF, _SP] = True
+    if spaces > 1:
+        steps[_SP, _SP] = True
+    if real:
+        steps.update({
+            (before, _EXP): True,
+            (before, _DOT): None,
+            (_DOT, _EXP): None,
+            (_DOT, _LF): None,
+            (_EXP, _SIGN): False,
+            (_EXP, _LF): True,
+            (_SIGN, _LF): True,
+        })
+    # The legal steps coded as (class * 6 + next class) * 2 + adjacent.
+    return bytes(
+        (here * 6 + following) * 2 + adjacent
+        for (here, following), digits in steps.items()
+        for adjacent in (0, 1)
+        if digits is None or digits != adjacent
+    )
+
+
+# Per (layout, field): the spaces in a plain entry line, 'v LF',
+# 'i SP j SP v LF' or 'i SP j LF', and the legal steps of its grammar.
+_GRAMMARS = {
+    ("array", "real"): (0, _legal_steps(0, real=True)),
+    ("coordinate", "real"): (2, _legal_steps(2, real=True)),
+    ("coordinate", "pattern"): (1, _legal_steps(1, real=False)),
 }
-# The legal steps coded as (class * 6 + next class) * 2 + adjacent.
-_LEGAL_STEPS = bytes(
-    (here * 6 + following) * 2 + adjacent
-    for (here, following), digits in _STEPS.items()
-    for adjacent in (0, 1)
-    if digits is None or digits != adjacent
-)
 
 
 def _read_plain(path, header):
-    # Parses a coordinate real general file with scipy's compiled reader
-    # once _plain_entries has proved its entry text plain.  Returns None,
-    # for the next tier, on any other file, failure or failed check.
-    if header[:3] != ("coordinate", "real", "general") or header.dims[2] == 0:
+    # Parses a file with scipy's compiled reader once _plain_entries has
+    # proved its entry text plain.  Returns None, for the line reader, on a
+    # file without entries, on any other text, failure or failed check.
+    array_layout = header.layout == "array"
+    count = _array_count(header) if array_layout else header.dims[2]
+    if count == 0:
         return None
-    m, n, nnz = header.dims
     with open(path, "rb") as handle:
         text = handle.read()
     start = _entry_offset(text, header.size_no)
-    if start is None or not _plain_entries(text, start, nnz):
+    grammar = _GRAMMARS[header.layout, header.field]
+    if start is None or not _plain_entries(text, start, count, *grammar):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             # The bytes just checked, not a second read of the file.  (No
             # spmatrix= keyword: scipy 1.12 lacks it; a coo_matrix serves.)
-            coo = mmread(io.BytesIO(text))
+            parsed = mmread(io.BytesIO(text))
         except (ValueError, OverflowError, RuntimeError, Warning):
             return None
     del text
-    # The compiled reader checks the header and the index range itself.
-    if coo.nnz != nnz or not _admissible(coo.data):
+    # The compiled reader checks the index range itself, against the
+    # shape it read; the shape must be the one read here.
+    m, n = header.dims[:2]
+    if parsed.shape != (m, n):
         return None
-    return SparseMatrixCSR.from_coo(m, n, coo.row, coo.col, coo.data)
+    if array_layout:
+        if not _admissible(parsed):
+            return None
+        # mmread returns C order.  Fortran order, as the line reader gives,
+        # keeps fits bitwise: they differ in the last bits on C order.
+        return DenseMatrix(np.asfortranarray(parsed))
+    entries = count
+    if header.symmetry == "symmetric":
+        # mmread appends the mirror of each off-diagonal entry after all
+        # the file's entries.
+        entries += np.count_nonzero(parsed.row[:count] != parsed.col[:count])
+    if parsed.nnz != entries or not _admissible(parsed.data):
+        return None
+    return SparseMatrixCSR.from_coo(m, n, parsed.row, parsed.col, parsed.data)
 
 
 def _entry_offset(text, size_no):
@@ -244,8 +277,9 @@ def _entry_offset(text, size_no):
 _GUARD_BLOCK = 1 << 18
 
 
-def _plain_entries(text, start, nnz) -> bool:
-    # True when text[start:] is exactly ``nnz`` lines of plain entry text,
+def _plain_entries(text, start, count, spaces, legal) -> bool:
+    # True when text[start:] is exactly ``count`` lines of plain entry text
+    # with ``spaces`` spaces each and the ``legal`` steps of _legal_steps,
     # so that scipy's reader, int() and float() read each token alike.
     # Checks a block of whole lines at a time.
     lines = 0
@@ -253,15 +287,15 @@ def _plain_entries(text, start, nnz) -> bool:
         end = text.find(b"\n", start + _GUARD_BLOCK)
         end = len(text) if end < 0 else end + 1
         block = np.frombuffer(text, dtype=np.uint8, count=end - start, offset=start)
-        plain = _plain_lines(block)
+        plain = _plain_lines(block, spaces, legal)
         if not plain:
             return False
         lines += plain
         start = end
-    return lines == nnz
+    return lines == count
 
 
-def _plain_lines(block) -> int:
+def _plain_lines(block, spaces_per_line, legal) -> int:
     # The number of lines in ``block`` (uint8) when it is whole lines of
     # plain entry text, else 0.  Looks at the non-digit bytes only: their
     # classes, and whether each directly follows the one before it.
@@ -277,10 +311,11 @@ def _plain_lines(block) -> int:
     steps = classes[:-1] * 12 + classes[1:] * 2 + adjacent
     lines = np.count_nonzero(classes == _LF) - 1
     plain = (
-        np.count_nonzero(spaces) == 2 * lines
+        np.count_nonzero(spaces) == spaces_per_line * lines
         # Delete every legal step: nothing may remain.
-        and not steps.tobytes().translate(None, _LEGAL_STEPS)
-        # With 2 spaces per line on average and none with three: two each.
+        and not steps.tobytes().translate(None, legal)
+        # Only a two-space grammar allows SP SP.  With two spaces per line
+        # on average and none with three: two each.
         and not (spaces[:-2] & spaces[1:-1] & spaces[2:]).any()
         # A dot with no digit on either side.
         and not ((classes[1:-1] == _DOT) & adjacent[:-1] & adjacent[1:]).any()
@@ -288,75 +323,13 @@ def _plain_lines(block) -> int:
     return lines if plain else 0
 
 
-_BULK_DTYPE = {
-    ("coordinate", "real"): [("i", "i8"), ("j", "i8"), ("v", "f8")],
-    ("coordinate", "pattern"): [("i", "i8"), ("j", "i8")],
-    ("array", "real"): "f8",
-}
-
-
-def _read_bulk(handle, header):
-    # Parses the entry lines left in ``handle`` with np.loadtxt and checks
-    # them as whole arrays.  Returns None when the parse or a check fails,
-    # so that the line reader can name the line at fault.
-    with warnings.catch_warnings():
-        # A warning (no data; a float read as an integer on older numpy)
-        # turns the parse away instead of letting it coerce the input.
-        warnings.simplefilter("error")
-        try:
-            parsed = np.loadtxt(
-                handle,
-                comments=None,
-                ndmin=1,
-                dtype=_BULK_DTYPE[header.layout, header.field],
-            )
-        except (ValueError, Warning):
-            return None
-    if header.layout == "array":
-        values = parsed.ravel()
-        if values.size != _array_count(header) or not _admissible(values):
-            return None
-        return _dense(values, header)
-
-    m, n, nnz = header.dims
-    # loadtxt warns on input without entries, so ``parsed`` is not empty.
-    rows, cols = parsed["i"], parsed["j"]
-    if parsed.size != nnz or not (
-        1 <= rows.min() and rows.max() <= m and 1 <= cols.min() and cols.max() <= n
-    ):
-        return None
-    if header.field == "real":
-        vals = parsed["v"]
-        if not _admissible(vals):
-            return None
-    else:
-        vals = np.ones(nnz)
-    rows -= 1
-    cols -= 1
-    if header.symmetry == "symmetric":
-        rows, cols, vals = _mirror(rows, cols, vals)
-    return SparseMatrixCSR.from_coo(m, n, rows, cols, vals)
-
-
 def _admissible(values) -> bool:
     return bool(np.isfinite(values).all() and (values >= 0.0).all())
 
 
-def _mirror(rows, cols, vals):
-    # Expands symmetric storage in the line reader's order: each
-    # off-diagonal (i, j) is followed by (j, i), so from_coo sums any
-    # duplicates in the same order on both paths.
-    off = rows != cols
-    copies = 1 + off
-    mirrored = (np.cumsum(copies) - 1)[off]
-    rows, cols, vals = (np.repeat(a, copies) for a in (rows, cols, vals))
-    rows[mirrored], cols[mirrored] = cols[mirrored - 1], rows[mirrored - 1]
-    return rows, cols, vals
-
-
 def _read_by_lines(path) -> MatrixRef:
-    # The line-at-a-time reader: the reference for the bulk parse and the
-    # path that reports a malformed line by its number.
+    # The line-at-a-time reader: the reference for the compiled tier and
+    # the path that reports a malformed line by its number.
     with _open_ascii(path) as handle:
         header, entries = _read_header(enumerate(handle, start=1))
         if header.layout == "coordinate":
@@ -388,20 +361,23 @@ def _read_coordinate(entries, header):
         rows.append(i - 1)
         cols.append(j - 1)
         vals.append(v)
-        if symmetric and i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
-            vals.append(v)
         count += 1
     if count != nnz:
         raise _fail(header.size_no, f"declared {nnz} entries, found {count}")
-    return SparseMatrixCSR.from_coo(
-        m,
-        n,
-        np.frombuffer(rows, dtype=np.int64),
-        np.frombuffer(cols, dtype=np.int64),
-        np.frombuffer(vals, dtype=np.float64),
-    )
+    rows = np.frombuffer(rows, dtype=np.int64)
+    cols = np.frombuffer(cols, dtype=np.int64)
+    vals = np.frombuffer(vals, dtype=np.float64)
+    if symmetric:
+        # Each off-diagonal entry's mirror, appended after all the file's
+        # entries in file order as mmread does, so that from_coo sums a
+        # cell's copies in the same order on both tiers.
+        off = rows != cols
+        rows, cols, vals = (
+            np.concatenate((rows, cols[off])),
+            np.concatenate((cols, rows[off])),
+            np.concatenate((vals, vals[off])),
+        )
+    return SparseMatrixCSR.from_coo(m, n, rows, cols, vals)
 
 
 def _read_array(entries, header):
@@ -506,14 +482,28 @@ def write_trace_csv(trace, path) -> None:
 
 
 def read_trace_csv(path) -> list[TraceRow]:
+    """Parse a trace CSV in the format :func:`write_trace_csv` writes.
+
+    A row without exactly three fields, with a field that does not parse,
+    or with an ``elapsed_s`` below the previous row's raises
+    ``ValueError`` naming its 1-based line.
+    """
     with open(path, "r", encoding="ascii") as handle:
         lines = [line.rstrip("\n") for line in handle]
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError(f"expected header '{TRACE_HEADER}'")
     out = []
-    for line in lines[1:]:
+    for no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        sweep, elapsed, residual = line.split(",")
-        out.append(TraceRow(int(sweep), float(elapsed), float(residual)))
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"line {no}: expected 3 fields, found {len(fields)}")
+        try:
+            row = TraceRow(int(fields[0]), float(fields[1]), float(fields[2]))
+        except ValueError:
+            raise ValueError(f"line {no}: malformed row") from None
+        if out and row.elapsed_s < out[-1].elapsed_s:
+            raise ValueError(f"line {no}: elapsed_s must be non-decreasing")
+        out.append(row)
     return out

@@ -33,6 +33,7 @@ from .matrix import (
     DenseMatrix,
     MatrixRef,
     _check_integers,
+    _check_seed,
     _fro_squared,
     _sparse_at_times,
     _trace_residual,
@@ -94,11 +95,8 @@ class SolverConfig:
     rank_eps: ClassVar[float] = RANK_EPS
 
     def validate(self) -> None:
-        _check_integers(
-            rank=self.rank, k=self.k, max_sweeps=self.max_sweeps, seed=self.seed
-        )
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_integers(rank=self.rank, k=self.k, max_sweeps=self.max_sweeps)
+        _check_seed(self.seed)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.max_sweeps < 1:
@@ -222,6 +220,8 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
     The stream is PCG64 seeded with ``seed`` and matrices are filled
     column-major, so a seed pins the factors bit for bit.
     """
+    _check_integers(rank=r, k=k)
+    _check_seed(seed)
     m, n = A.rows, A.cols
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} must lie in [1, min(m, n)] = [1, {min(m, n)}]")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import DenseMatrix, SparseMatrixCSR, _check_integers
+from .matrix import DenseMatrix, SparseMatrixCSR, _check_integers, _check_seed
 from .rng import gaussian_matrix, make_rng, uniform_matrix
 
 __all__ = ["SynthSpec", "gen_dense", "gen_sparse"]
@@ -36,9 +36,8 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        _check_integers(m=self.m, n=self.n, true_rank=self.true_rank, seed=self.seed)
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_integers(m=self.m, n=self.n, true_rank=self.true_rank)
+        _check_seed(self.seed)
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
         if not 1 <= self.true_rank <= min(self.m, self.n):

@@ -95,7 +95,8 @@ class TestRead:
         assert m.to_dense().data[1, 0] == 4.0
 
     def test_underscore_digits_read_as_python_float(self, tmp_path):
-        # np.loadtxt turns '1_0' away; the line reader accepts it as float().
+        # The guard turns '1_0' away (the compiled reader reads it as 1); the
+        # line reader accepts it as float() does.
         p = write(
             tmp_path / "u.mtx",
             "%%MatrixMarket matrix coordinate real general\n"
@@ -307,7 +308,7 @@ _SYMMETRIC = b"%%MatrixMarket matrix coordinate real symmetric\n"
 
 
 class TestBulkParse:
-    """The bulk parse against the line reader, bitwise."""
+    """The compiled tier against the line reader, bitwise."""
 
     @pytest.mark.parametrize(
         "text, by_lines",
@@ -334,17 +335,21 @@ class TestBulkParse:
                 b"3 3 3\n2 1\n2 2\n3 1\n",
                 False,
             ),
+            # Cell (2, 1) three times: 1 + 1 + 1e16 is 1e16 + 2 with the
+            # mirror of (1, 2) summed last, as mmread appends it, and 1e16
+            # with it summed second.
+            (_SYMMETRIC + b"2 2 3\n2 1 1\n1 2 1e16\n2 1 1\n", False),
             (
                 b"%%MatrixMarket matrix coordinate real general\r\n"
                 b"% comment\r\n3 3 3\r\n1\t1\t0.5\r\n\r\n"
                 b"  2 3   1.25  \r\n \t \r\n3\t2 2\r\n",
-                False,
+                True,
             ),
             (_GENERAL + b"2 2 2\n1 1 1.0\n% note\n2 2 3.0\n", True),
             (
                 b"%%MatrixMarket matrix array real general\n"
                 b"3 2\n0.1 2\n3 4\n5 6e-300\n",
-                False,
+                True,
             ),
             (
                 b"%%MatrixMarket matrix array real general\n"
@@ -395,14 +400,20 @@ class TestBulkParse:
 
 
 def _outcome(reader, path):
-    # What a reader gives for ``path``: the result's type and array bytes,
-    # or the exception's type and message.
+    # What a reader gives for ``path``: the result's type and array bytes
+    # (with a dense result's memory order), or the exception's type and
+    # message.
     try:
         m = reader(path)
     except Exception as err:
         return type(err), str(err)
-    arrays = (m.row_offsets, m.col_indices, m.values)
-    return type(m), m.shape, [(a.dtype, a.tobytes()) for a in arrays]
+    if isinstance(m, DenseMatrix):
+        arrays = (m.data,)
+    else:
+        arrays = (m.row_offsets, m.col_indices, m.values)
+    return type(m), m.shape, [
+        (a.dtype, a.flags.f_contiguous, a.tobytes(order="A")) for a in arrays
+    ]
 
 
 # Value tokens that int()/float() and scipy's compiled reader read alike.
@@ -428,53 +439,84 @@ _ODD_VALUES = (
     "١",
 )
 
-# Line shapes other than 'i SP j SP value LF'.
+# Bends of a plain entry line that the guard declines.
 _ODD_LINES = (
-    "{i}.0 {j} {v}\n",
-    "{i} {j}.5 {v}\n",
-    "{i} {j} {v} 7\n",
-    "{i}\t{j}\t{v}\n",
-    "{i}  {j} {v}\n",
-    " {i} {j} {v}\n",
-    "{i} {j} {v} \n",
-    "{i} {j} {v}\r\n",
-    "{i} {j} {v}\n\n",
-    "{i} {j} {v}\n% note\n",
-    "{i} {j}\n",
-    "{i}e0 {j} {v}\n",
-    "+{i} {j} {v}\n",
-    "{i} {j} {v}\x0c\n",
+    lambda line: line.replace(" ", "\t"),
+    lambda line: line.replace(" ", "  ", 1),
+    lambda line: " " + line,
+    lambda line: "\t" + line,
+    lambda line: line[:-1] + " \n",
+    lambda line: line[:-1] + "\r\n",
+    lambda line: line[:-1] + "\x0c\n",
+    lambda line: line + "\n",
+    lambda line: line + "% note\n",
+    lambda line: line[:-1] + " 7\n",
+    lambda line: line.rsplit(" ", 1)[0] + "\n",
+    lambda line: line.replace(" ", ".5 "),
+    lambda line: line[:-1] + ".5\n",
+    lambda line: line.replace(" ", "e0 ", 1),
+    lambda line: "+" + line,
+)
+
+# Every (layout, field, symmetry) the reader accepts.
+_HEADERS = (
+    ("coordinate", "real", "general"),
+    ("coordinate", "real", "symmetric"),
+    ("coordinate", "pattern", "general"),
+    ("coordinate", "pattern", "symmetric"),
+    ("array", "real", "general"),
+    ("array", "real", "symmetric"),
 )
 
 
-def _fuzz_file(rng):
-    # One coordinate real general file of plain lines, with one thing bent
-    # in five of eight: an odd value, an odd line, an index out of range,
-    # an odd header or no final LF.
+def _fuzz_file(rng, layout, field, symmetry):
+    # One file of plain lines, with one thing bent in five of eight: an
+    # odd value, an odd line, an index out of range, an odd header or no
+    # final LF.  Coordinate files repeat a cell, or its mirror, in half of
+    # them, up to four times.
     m, n = (int(d) for d in rng.integers(1, 5, size=2))
-    nnz = int(rng.integers(1, 8))
-    draw = rng.integers(len(_PLAIN_VALUES), size=nnz)
+    if symmetry == "symmetric":
+        n = m
+    if layout == "array":
+        count = m * n if symmetry == "general" else m * (m + 1) // 2
+        size = f"{m} {n}"
+        line = "{v}\n"
+    else:
+        count = int(rng.integers(1, 8))
+        size = f"{m} {n} {count}"
+        line = "{i} {j} {v}\n" if field == "real" else "{i} {j}\n"
+    draw = rng.integers(len(_PLAIN_VALUES), size=count)
     values = [_PLAIN_VALUES[int(k)](rng) for k in draw]
-    lines = ["{i} {j} {v}\n"] * nnz
-    spot = int(rng.integers(nnz))
+    lines = [line] * count
+    rows = [int(i) for i in rng.integers(1, m + 1, size=count)]
+    cols = [int(j) for j in rng.integers(1, n + 1, size=count)]
+    if layout == "coordinate" and rng.integers(2):
+        for spot in rng.integers(count, size=3):
+            rows[spot], cols[spot] = (
+                (rows[0], cols[0]) if rng.integers(2) else (cols[0], rows[0])
+            )
+    spot = int(rng.integers(count))
     kind = int(rng.integers(8))
     if kind == 1:
         values[spot] = str(rng.choice(_ODD_VALUES))
     elif kind == 2:
-        lines[spot] = str(rng.choice(_ODD_LINES))
-    rows = [int(i) for i in rng.integers(1, m + 1, size=nnz)]
-    cols = [int(j) for j in rng.integers(1, n + 1, size=nnz)]
-    if kind == 3:
+        lines[spot] = _ODD_LINES[int(rng.integers(len(_ODD_LINES)))](line)
+    elif kind == 3 and layout == "coordinate":
         rows[spot] = int(rng.choice([0, m + 1, 2**31 + 1, 2**64 + 1]))
-    head = f"%%MatrixMarket matrix coordinate real general\n{m} {n} {nnz}\n"
+    elif kind == 3:
+        lines[spot] = ""
+    banner = f"%%MatrixMarket matrix {layout} {field} {symmetry}"
+    head = f"{banner}\n{size}\n"
     if kind == 4:
+        spaced = size.replace(" ", "\t", 1)
         head = str(rng.choice([
-            f"%%MatrixMarket matrix coordinate real general\n% c\n\n{m} {n} {nnz}\n",
-            f"%%MatrixMarket matrix coordinate real general\r\n{m} {n} {nnz}\r\n",
-            f"%%MatrixMarket matrix coordinate real general\r{m} {n} {nnz}\n",
-            f"%%MatrixMarket matrix coordinate real general\n  {m}\t{n} {nnz} \n",
-            f"%%MatrixMarket matrix coordinate real general\n{m} {n} {nnz + 1}\n",
-            f"%%MatrixMarket Matrix Coordinate Real General\n{m} {n} 0{nnz}\n",
+            f"{banner}\n% c\n\n{size}\n",
+            f"{banner}\r\n{size}\r\n",
+            f"{banner}\r{size}\n",
+            f"{banner}\n  {spaced} \n",
+            f"{banner}\n{size} 1\n",
+            f"{banner}\n{m + 1} {size.split(' ', 1)[1]}\n",
+            f"{banner.title()}\n{size[:-1]}0{size[-1]}\n",
         ]))
     body = "".join(
         line.format(i=i, j=j, v=v) for line, i, j, v in zip(lines, rows, cols, values)
@@ -491,7 +533,7 @@ class TestFastParse:
     def tiers(self, monkeypatch):
         # The names of the tiers called, in order.
         calls = []
-        for name in ("mmread", "_read_bulk", "_read_by_lines"):
+        for name in ("mmread", "_read_by_lines"):
             inner = getattr(mmio, name)
 
             def counted(*args, _name=name, _inner=inner, **kwargs):
@@ -507,15 +549,16 @@ class TestFastParse:
         monkeypatch.setattr(mmio, "_GUARD_BLOCK", 24)
         rng = np.random.default_rng(11)
         path = tmp_path / "f.mtx"
-        served = 0
-        for _ in range(1500):
-            path.write_bytes(_fuzz_file(rng))
-            tiers.clear()
-            got = _outcome(read_matrix_market, path)
-            served += tiers == ["mmread"]
-            assert got == _outcome(mmio._read_by_lines, path), path.read_bytes()
-        # Both sides of the guard are exercised.
-        assert 400 < served < 1100
+        for header in _HEADERS:
+            served = 0
+            for _ in range(300):
+                path.write_bytes(_fuzz_file(rng, *header))
+                tiers.clear()
+                got = _outcome(read_matrix_market, path)
+                served += tiers == ["mmread"]
+                assert got == _outcome(mmio._read_by_lines, path), path.read_bytes()
+            # Both sides of the guard are exercised for every header.
+            assert 80 < served < 220, header
 
     @pytest.mark.parametrize("block", [mmio._GUARD_BLOCK, 64])
     def test_written_file_takes_fast_tier(self, tmp_path, monkeypatch, tiers, block):
@@ -525,10 +568,17 @@ class TestFastParse:
         vals = rng.random(rows.size) * 10.0 ** rng.integers(-300, 300, size=rows.size)
         vals[:3] = [0.0, 5e-324, 1e300]
         path = tmp_path / "w.mtx"
-        write_matrix_market(SparseMatrixCSR.from_coo(50, 40, rows, cols, vals), path)
-        got = _outcome(read_matrix_market, path)
-        assert tiers == ["mmread"]
-        assert got == _outcome(mmio._read_by_lines, path)
+        dense = np.zeros((50, 40))
+        dense[rows, cols] = vals
+        for written in (
+            SparseMatrixCSR.from_coo(50, 40, rows, cols, vals),
+            DenseMatrix(dense),
+        ):
+            write_matrix_market(written, path)
+            tiers.clear()
+            got = _outcome(read_matrix_market, path)
+            assert tiers == ["mmread"]
+            assert got == _outcome(mmio._read_by_lines, path)
 
     @pytest.mark.parametrize(
         "rest",
@@ -566,19 +616,50 @@ class TestFastParse:
         assert got == _outcome(mmio._read_by_lines, path)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, tier",
         [
-            _SYMMETRIC + b"2 2 2\n1 1 1.0\n2 1 0.5\n",
-            b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n",
-            b"%%MatrixMarket matrix array real general\n1 1\n1.0\n",
-            _GENERAL + b"2 2 0\n",
+            pytest.param(
+                _SYMMETRIC + b"2 2 3\n1 1 1.0\n2 1 0.5\n1 2 0.25\n",
+                "mmread",
+                id="real-symmetric",
+            ),
+            pytest.param(
+                b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n",
+                "mmread",
+                id="pattern-general",
+            ),
+            pytest.param(
+                b"%%MatrixMarket matrix coordinate pattern symmetric\n"
+                b"2 2 2\n2 1\n2 2\n",
+                "mmread",
+                id="pattern-symmetric",
+            ),
+            pytest.param(
+                b"%%MatrixMarket matrix array real general\n2 1\n1.0\n.5e-3\n",
+                "mmread",
+                id="array-general",
+            ),
+            pytest.param(
+                b"%%MatrixMarket matrix array real symmetric\n2 2\n1\n2.\n3e+0\n",
+                "mmread",
+                id="array-symmetric",
+            ),
+            pytest.param(_GENERAL + b"2 2 0\n", "_read_by_lines", id="no-entries"),
+            pytest.param(
+                b"%%MatrixMarket matrix array real general\n0 3\n",
+                "_read_by_lines",
+                id="empty-array",
+            ),
         ],
     )
-    def test_other_files_skip_fast_tier(self, tmp_path, tiers, text):
+    def test_tier_routing(self, tmp_path, tiers, text, tier):
+        # Plain files of every layout take the compiled tier alone; files
+        # without entries go to the line reader alone.
         path = tmp_path / "o.mtx"
         path.write_bytes(text)
-        read_matrix_market(path)
-        assert tiers[0] == "_read_bulk"
+        got = _outcome(read_matrix_market, path)
+        assert tiers == [tier]
+        assert got == _outcome(mmio._read_by_lines, path)
 
     def test_read_peak_rss(self, tmp_path):
         # tracemalloc cannot see the compiled reader's own buffers, so the
@@ -607,8 +688,7 @@ class TestFastParse:
             for mode in ("skip", "read")
         }
         grown = 1024 * (peak_kb["read"] - peak_kb["skip"])
-        # Measured: 2.6-2.9x the file size for 8.7 and 14.6 MB files
-        # (2.2-2.3x for the loadtxt tier alone).
+        # Measured: 2.6-2.9x the file size for 8.7 and 14.6 MB files.
         assert grown <= 4 * path.stat().st_size
 
 
@@ -746,3 +826,19 @@ class TestTraceCsv:
             write_trace_csv(
                 [(1, 1.0, 0.5), (2, 0.5, 0.4)], tmp_path / "t.csv"
             )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,0.5,0.9\n2,0.7\n", "line 3: expected 3 fields, found 2"),
+            ("1,0.5,0.9,4\n", "line 2: expected 3 fields, found 4"),
+            ("1,0.5,0.9\n\n2,0.25,0.8\n", "line 4: elapsed_s must be non-decreasing"),
+            ("1.5,0.5,0.9\n", "line 2: malformed row"),
+        ],
+    )
+    def test_read_rejects_bad_rows(self, tmp_path, rows, message):
+        path = tmp_path / "t.csv"
+        path.write_text("sweep,elapsed_s,rel_residual\n" + rows)
+        with pytest.raises(ValueError) as caught:
+            read_trace_csv(path)
+        assert str(caught.value) == message

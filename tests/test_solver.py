@@ -81,6 +81,24 @@ class TestInitialize:
         with pytest.raises(ValueError, match="rank must be at least the block width"):
             initialize(a, 2, seed=0, k=3)
 
+    @pytest.mark.parametrize(
+        "r, seed, k, message",
+        [
+            (3, -1, 3, "seed must be nonnegative"),
+            (3, 2.0, 3, "seed must be an integer, got 2.0"),
+            (3, True, 3, "seed must be an integer, got True"),
+            (3.0, 0, 3, "rank must be an integer, got 3.0"),
+            (3, 0, 3.0, "k must be an integer, got 3.0"),
+        ],
+    )
+    def test_arguments_checked(self, r, seed, k, message):
+        # numpy's own errors for the seed name no field, and True was
+        # taken as seed 1.
+        a = gen_dense(SynthSpec(m=12, n=9, true_rank=3, seed=0))
+        with pytest.raises(ValueError) as caught:
+            initialize(a, r, seed, k=k)
+        assert str(caught.value) == message
+
 
 class TestBlockPartition:
     def test_exact_division(self):
