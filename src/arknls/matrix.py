@@ -143,8 +143,10 @@ class SparseMatrixCSR(SparseView):
     ``row_offsets`` has length ``rows + 1``, is nondecreasing and ends at
     nnz; column indices are strictly increasing within each row, so there
     are no duplicates (use :meth:`from_coo` for unsorted coordinate data).
-    The arrays, of an integer dtype for the indices, are held uncopied by a
-    ``scipy.sparse.csr_array``, whose own checks validate the structure.
+    The arrays are held by a ``scipy.sparse.csr_array``, whose own checks
+    validate the structure: contiguous int64 index arrays and float64
+    values uncopied, index arrays of any other integer dtype as int64
+    copies, and values of other dtypes as float64 copies.
     """
 
     __slots__ = ()
@@ -287,9 +289,9 @@ def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
 
     With ``live``, an index array of columns of ``u``, only those columns
     of the product are computed and the others are exact zeros.  When
-    ``A.sp.T`` is CSR and two or more float64 columns meet float64 values,
-    the product runs ``scipy.sparse._sparsetools.csr_matvecs``, the kernel
-    scipy's operator calls for it, on a row-major copy of those columns,
+    ``A.sp.T`` is CSR with float64 values, the product runs
+    ``scipy.sparse._sparsetools.csr_matvecs``, the kernel scipy's operator
+    calls for it, on a row-major copy of those columns (one or more),
     :data:`_ROW_BLOCK` rows at a time.  Each block starts from zeros in
     one reused row-major buffer, as the operator's whole result does, and
     is copied into its rows of the result, so every output row comes from
@@ -299,24 +301,23 @@ def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
     dtype, hence the float64 guard.  The public form of the same loop,
     ``sp[start:stop] @ x``, gives the same bits, but each slice copies its
     block's indices and values: on ``sparse-mtx`` it made a sweep 40-70%
-    slower and the peak 0.22 MB higher.  Everything else (other dtypes, one
-    column, and the CSC operand, whose kernel scatters each stored entry
-    anywhere in the output) runs scipy's operator, whose row-major result
-    is then copied.  A ``u`` whose row count is not ``A.rows`` raises
-    :class:`ValueError` first: the kernel checks no sizes and would read
-    past the end of a short ``u``.
+    slower and the peak 0.22 MB higher.  Everything else (other dtypes, and
+    the CSC operand, whose kernel scatters each stored entry anywhere in
+    the output) runs scipy's operator on the same row-major copy, whose
+    row-major result is then copied.  A ``u`` whose row count is not
+    ``A.rows`` raises :class:`ValueError` first: the kernel checks no sizes
+    and would read past the end of a short ``u``.
     """
     _check_rows(A, u)
     sp = A.sp.T
     m, n = sp.shape
-    r = u.shape[1] if live is None else len(live)
-    if sp.format == "csr" and r > 1 and sp.dtype == u.dtype == np.float64:
-        if live is None:
-            x, cols = np.ascontiguousarray(u), slice(None)
-            out = np.empty((m, r), order="F")
-        else:
-            x, cols = u.take(live, axis=1), live
-            out = np.zeros((m, u.shape[1]), order="F")
+    cols = slice(None) if live is None else live
+    x = np.ascontiguousarray(u if live is None else u.take(live, axis=1))
+    # Zeros only where columns are skipped.
+    new = np.empty if live is None else np.zeros
+    if sp.format == "csr" and sp.dtype == x.dtype == np.float64:
+        out = new((m, u.shape[1]), order="F")
+        r = x.shape[1]
         block = np.empty((min(m, _ROW_BLOCK), r))
         for start in range(0, m, _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, m)
@@ -334,12 +335,11 @@ def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
             )
             out[start:stop, cols] = rows
         return out
-    # The operator's copy of u is freed before the result is copied.
-    prod = sp @ (u if live is None else u.take(live, axis=1))
-    if live is None:
-        return np.asfortranarray(prod)
-    out = np.zeros((m, u.shape[1]), order="F")
-    out[:, live] = prod
+    # x is freed before the result is allocated, so the peak does not rise.
+    prod = sp @ x
+    del x
+    out = new((m, u.shape[1]), order="F")
+    out[:, cols] = prod
     return out
 
 

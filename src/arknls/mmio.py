@@ -7,8 +7,10 @@ by column) and sparse matrices the ``coordinate real general`` format with
 rejected rather than coerced, as are negative values: the reader's output
 feeds a nonnegative factorization.
 
-The reader reads the banner and the size line itself, then tries two
-tiers for the entry lines, the second only when the first declined:
+The reader opens the file once and reads its bytes once; pipes such as
+``/dev/stdin`` therefore read as files do.  It parses the banner and the
+size line from those bytes, then tries two tiers for the entry lines on
+the same bytes, the second only when the first declined:
 
 1. Files whose entry text is plain, one line per entry (``v LF`` for
    ``array real``, ``i SP j SP v LF`` for ``coordinate real`` and
@@ -33,7 +35,6 @@ import io
 import math
 import warnings
 from array import array
-from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -86,41 +87,42 @@ class _Header(NamedTuple):
 def read_matrix_market(path) -> MatrixRef:
     """Parse a Matrix Market file into a dense or sparse matrix.
 
-    The banner and the size line are read line by line.  A file with at
-    least one entry whose entry lines are all plain text (``v``,
-    ``i j v`` or ``i j`` by layout and field: single spaces, LF line
-    ends, digit-only indices, and values of digits with at most one dot
-    and a lower-case ``e`` exponent, unsigned) is parsed by scipy's
-    compiled Matrix Market reader, and its result is checked as whole
-    arrays: shape, entry count, finite and nonnegative values.  Any other
-    file, or one that fails a check, is read one line at a time.  That
-    pass raises a :class:`MatrixMarketError` naming the offending line,
-    or returns the matrix for text only it accepts, such as comment lines
-    between entries.  Both give the same bits for the same file.
+    The file is opened once and its bytes read once, so a pipe or FIFO
+    (``/dev/stdin``, ``<(zcat a.mtx.gz)``) reads as the file would, and
+    every tier and error below works from the same bytes.  The banner and
+    the size line are parsed line by line.  A file with at least one
+    entry whose entry lines are all plain text (``v``, ``i j v`` or
+    ``i j`` by layout and field: single spaces, LF line ends, digit-only
+    indices, and values of digits with at most one dot and a lower-case
+    ``e`` exponent, unsigned) is parsed by scipy's compiled Matrix Market
+    reader, and its result is checked as whole arrays: shape, entry
+    count, finite and nonnegative values.  Any other file, or one that
+    fails a check, is read one line at a time.  That pass raises a
+    :class:`MatrixMarketError` naming the offending line, or returns the
+    matrix for text only it accepts, such as comment lines between
+    entries.  Both give the same bits for the same file.
     """
-    with _open_ascii(path) as handle:
-        header, _ = _read_header(enumerate(handle, start=1))
-    matrix = _read_plain(path, header)
-    return _read_by_lines(path) if matrix is None else matrix
+    with open(path, "rb") as handle:
+        text = handle.read()
+    try:
+        header, _ = _read_header(_lines(text))
+    except UnicodeDecodeError:
+        raise _non_ascii(text) from None
+    matrix = _read_plain(text, header)
+    return _read_by_lines(text) if matrix is None else matrix
 
 
-@contextmanager
-def _open_ascii(path):
-    # Opens ``path`` as ASCII text.  A non-ASCII byte read while the file
-    # is open raises a MatrixMarketError naming its line.
-    with open(path, "r", encoding="ascii") as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError:
-            raise _non_ascii(path) from None
+def _lines(text, encoding="ascii"):
+    # (1-based number, line) pairs of the bytes ``text``, split as a file
+    # opened in text mode splits them, at a lone CR too.  With ASCII, a
+    # non-ASCII byte raises UnicodeDecodeError once iteration reaches it.
+    return enumerate(io.TextIOWrapper(io.BytesIO(text), encoding=encoding), start=1)
 
 
-def _non_ascii(path) -> MatrixMarketError:
+def _non_ascii(text) -> MatrixMarketError:
     # Latin-1 maps each byte to one character and splits lines as the
     # ASCII reader does, so the line numbers agree.
-    with open(path, "r", encoding="latin-1") as handle:
-        numbered = enumerate(handle, start=1)
-        no, line = next((no, ln) for no, ln in numbered if not ln.isascii())
+    no, line = next((no, ln) for no, ln in _lines(text, "latin-1") if not ln.isascii())
     byte = next(ord(c) for c in line if ord(c) > 0x7F)
     return _fail(no, f"non-ASCII byte 0x{byte:02x}")
 
@@ -216,16 +218,15 @@ _GRAMMARS = {
 }
 
 
-def _read_plain(path, header):
-    # Parses a file with scipy's compiled reader once _plain_entries has
-    # proved its entry text plain.  Returns None, for the line reader, on a
-    # file without entries, on any other text, failure or failed check.
+def _read_plain(text, header):
+    # Parses the file's bytes ``text`` with scipy's compiled reader once
+    # _plain_entries has proved its entry text plain.  Returns None, for the
+    # line reader, on a file without entries, on any other text, failure
+    # or failed check.
     array_layout = header.layout == "array"
     count = _array_count(header) if array_layout else header.dims[2]
     if count == 0:
         return None
-    with open(path, "rb") as handle:
-        text = handle.read()
     start = _entry_offset(text, header.size_no)
     grammar = _GRAMMARS[header.layout, header.field]
     if start is None or not _plain_entries(text, start, count, *grammar):
@@ -233,12 +234,11 @@ def _read_plain(path, header):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            # The bytes just checked, not a second read of the file.  (No
-            # spmatrix= keyword: scipy 1.12 lacks it; a coo_matrix serves.)
+            # The bytes just checked.  (No spmatrix= keyword: scipy 1.12
+            # lacks it; a coo_matrix serves.)
             parsed = mmread(io.BytesIO(text))
         except (ValueError, OverflowError, RuntimeError, Warning):
             return None
-    del text
     # The compiled reader checks the index range itself, against the
     # shape it read; the shape must be the one read here.
     m, n = header.dims[:2]
@@ -327,14 +327,17 @@ def _admissible(values) -> bool:
     return bool(np.isfinite(values).all() and (values >= 0.0).all())
 
 
-def _read_by_lines(path) -> MatrixRef:
-    # The line-at-a-time reader: the reference for the compiled tier and
-    # the path that reports a malformed line by its number.
-    with _open_ascii(path) as handle:
-        header, entries = _read_header(enumerate(handle, start=1))
+def _read_by_lines(text) -> MatrixRef:
+    # The line-at-a-time reader of the file's bytes ``text``: the reference
+    # for the compiled tier and the path that reports a malformed line by
+    # its number.
+    try:
+        header, entries = _read_header(_lines(text))
         if header.layout == "coordinate":
             return _read_coordinate(entries, header)
         return _read_array(entries, header)
+    except UnicodeDecodeError:
+        raise _non_ascii(text) from None
 
 
 def _read_coordinate(entries, header):

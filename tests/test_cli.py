@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,25 @@ def test_matrix_market_input(tmp_path):
     path = tmp_path / "a.mtx"
     write_matrix_market(DenseMatrix(rng.random((15, 12))), path)
     assert run(["--input", str(path), "--rank", "3", "--max-sweeps", "15"]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_input_from_a_pipe(tmp_path):
+    # /dev/stdin fed by a pipe, which can be read only once, writes the
+    # trace that the same bytes give from a file.
+    rng = np.random.default_rng(2)
+    path = tmp_path / "a.mtx"
+    write_matrix_market(DenseMatrix(rng.random((40, 30))), path)
+    args = ["--rank", "4", "--max-sweeps", "10", "--seed", "1", "--out"]
+    assert run(["--input", str(path)] + args + [str(tmp_path / "file.csv")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run(
+        [sys.executable, "-c", "from arknls.cli import main; main()",
+         "--input", "/dev/stdin"] + args + [str(tmp_path / "pipe.csv")],
+        input=path.read_bytes(), env=env, check=True, timeout=120,
+    )
+    piped = (tmp_path / "pipe.csv").read_bytes()
+    assert piped == (tmp_path / "file.csv").read_bytes()
 
 
 def test_tol_flag_stops_early(tmp_path):

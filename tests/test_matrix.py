@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arknls import matrix
 from arknls.matrix import (
     _ROW_BLOCK,
     DenseMatrix,
@@ -201,6 +202,25 @@ class TestSparseProduct:
         if live.size:
             subset = at_times(A, DenseMatrix._view(u[:, live])).data
             assert np.array_equal(subset, got[:, live])
+
+    def test_one_live_column_takes_the_kernel(self, monkeypatch):
+        # A single live column of a CSR operand runs the blocked kernel,
+        # once per block of rows, and gives scipy's bits.
+        A = transposed(self.matrix(self.ROWS[0]))
+        u = np.asfortranarray(np.random.default_rng(6).random((A.rows, 4)))
+        live = np.array([2])
+        want = A.sp.T @ u[:, live]
+        kernel, calls = matrix._sparsetools.csr_matvecs, []
+        monkeypatch.setattr(
+            matrix._sparsetools,
+            "csr_matvecs",
+            lambda *args: calls.append(args[2]) or kernel(*args),
+        )
+        got = _sparse_at_times(A, u, live)
+        assert calls == [1, 1, 1]  # one column, three blocks of rows
+        assert got.flags.f_contiguous
+        assert got[:, live].tobytes() == want.tobytes()
+        assert not got[:, [0, 1, 3]].any()
 
     @pytest.mark.parametrize("index", [np.int32, np.int64])
     @pytest.mark.parametrize("value", [np.float32, np.int64, np.float64])

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -223,9 +224,12 @@ class TestReadErrors:
     def test_both_readers_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "l.mtx"
         path.write_bytes(text.encode("utf-8"))
-        for reader in (read_matrix_market, mmio._read_by_lines):
+        for reader, source in (
+            (read_matrix_market, path),
+            (mmio._read_by_lines, path.read_bytes()),
+        ):
             with pytest.raises(MatrixMarketError) as caught:
-                reader(path)
+                reader(source)
             assert str(caught.value) == message
 
     @pytest.mark.parametrize(
@@ -274,10 +278,14 @@ class TestReadErrors:
         ],
     )
     def test_header_and_array_errors_name_the_line(self, tmp_path, text, message):
-        path = write(tmp_path / "h.mtx", text)
-        for reader in (read_matrix_market, mmio._read_by_lines):
+        path = tmp_path / "h.mtx"
+        path.write_text(text)
+        for reader, source in (
+            (read_matrix_market, path),
+            (mmio._read_by_lines, path.read_bytes()),
+        ):
             with pytest.raises(MatrixMarketError) as caught:
-                reader(path)
+                reader(source)
             assert str(caught.value) == message
 
     @pytest.mark.parametrize(
@@ -366,7 +374,7 @@ class TestBulkParse:
     def test_equals_line_reader(self, tmp_path, monkeypatch, text, by_lines):
         path = tmp_path / "e.mtx"
         path.write_bytes(text)
-        want = mmio._read_by_lines(path)
+        want = mmio._read_by_lines(text)
         fallbacks = []
         line_reader = mmio._read_by_lines
         monkeypatch.setattr(
@@ -394,17 +402,18 @@ class TestBulkParse:
         a = SparseMatrixCSR.from_coo(60, 40, rows, cols, rng.random(rows.size))
         path = tmp_path / "w.mtx"
         write_matrix_market(a, path)
-        got, want = read_matrix_market(path), mmio._read_by_lines(path)
+        got = read_matrix_market(path)
+        want = mmio._read_by_lines(path.read_bytes())
         for name in ("row_offsets", "col_indices", "values"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-def _outcome(reader, path):
-    # What a reader gives for ``path``: the result's type and array bytes
-    # (with a dense result's memory order), or the exception's type and
-    # message.
+def _outcome(reader, source):
+    # What a reader gives for ``source`` (a path, or a file's bytes for the
+    # line reader): the result's type and array bytes (with a dense
+    # result's memory order), or the exception's type and message.
     try:
-        m = reader(path)
+        m = reader(source)
     except Exception as err:
         return type(err), str(err)
     if isinstance(m, DenseMatrix):
@@ -552,11 +561,12 @@ class TestFastParse:
         for header in _HEADERS:
             served = 0
             for _ in range(300):
-                path.write_bytes(_fuzz_file(rng, *header))
+                text = _fuzz_file(rng, *header)
+                path.write_bytes(text)
                 tiers.clear()
                 got = _outcome(read_matrix_market, path)
                 served += tiers == ["mmread"]
-                assert got == _outcome(mmio._read_by_lines, path), path.read_bytes()
+                assert got == _outcome(mmio._read_by_lines, text), text
             # Both sides of the guard are exercised for every header.
             assert 80 < served < 220, header
 
@@ -578,7 +588,7 @@ class TestFastParse:
             tiers.clear()
             got = _outcome(read_matrix_market, path)
             assert tiers == ["mmread"]
-            assert got == _outcome(mmio._read_by_lines, path)
+            assert got == _outcome(mmio._read_by_lines, path.read_bytes())
 
     @pytest.mark.parametrize(
         "rest",
@@ -613,7 +623,7 @@ class TestFastParse:
         path.write_bytes(_GENERAL.rstrip(b"\n") + rest.encode())
         got = _outcome(read_matrix_market, path)
         assert "mmread" not in tiers
-        assert got == _outcome(mmio._read_by_lines, path)
+        assert got == _outcome(mmio._read_by_lines, path.read_bytes())
 
     @pytest.mark.parametrize(
         "text, tier",
@@ -659,7 +669,7 @@ class TestFastParse:
         path.write_bytes(text)
         got = _outcome(read_matrix_market, path)
         assert tiers == [tier]
-        assert got == _outcome(mmio._read_by_lines, path)
+        assert got == _outcome(mmio._read_by_lines, path.read_bytes())
 
     def test_read_peak_rss(self, tmp_path):
         # tracemalloc cannot see the compiled reader's own buffers, so the
@@ -688,8 +698,96 @@ class TestFastParse:
             for mode in ("skip", "read")
         }
         grown = 1024 * (peak_kb["read"] - peak_kb["skip"])
-        # Measured: 2.6-2.9x the file size for 8.7 and 14.6 MB files.
+        # Measured: 3.0x the file size for this 8.7 MB file and 2.8x for a
+        # 15.4 MB one, the file's bytes held until the reader returns.
         assert grown <= 4 * path.stat().st_size
+
+
+# Sorted, without repeats, and larger than a pipe's buffer.
+_PLAIN_COORDINATE = _GENERAL + b"400 300 12000\n" + b"".join(
+    b"%d %d %d.25\n" % (e // 30 + 1, e % 300 + 1, e) for e in range(12000)
+)
+
+# One file for each route through read_matrix_market, and its error.
+_ROUTES = (
+    pytest.param(_PLAIN_COORDINATE, None, id="plain-coordinate"),
+    pytest.param(
+        b"%%MatrixMarket matrix array real general\n2 1\n1.0\n.5e-3\n",
+        None,
+        id="plain-array",
+    ),
+    pytest.param(_PLAIN_COORDINATE.replace(b"\n", b"\r\n"), None, id="crlf"),
+    pytest.param(_GENERAL + b"2 2 0\n", None, id="no-entries"),
+    pytest.param(
+        _GENERAL + b"2 2 2\n1 1 1.0\n2 x 1.0\n",
+        "line 4: malformed entry",
+        id="malformed",
+    ),
+    # Decoded with the header, in the first chunk of text.
+    pytest.param(
+        _GENERAL + b"2 2 1\n1 1 \xe9\n", "line 3: non-ASCII byte 0xe9", id="non-ascii"
+    ),
+    # Past the first chunk: the header parses, the guard declines and the
+    # line reader meets the byte.
+    pytest.param(
+        _GENERAL + b"2 2 2001\n" + b"1 1 1.0\n" * 2000 + b"1 1 \xe9\n",
+        "line 2003: non-ASCII byte 0xe9",
+        id="late-non-ascii",
+    ),
+)
+
+
+def _read_piped(text):
+    # read_matrix_market('/dev/stdin') in a child process whose stdin is a
+    # pipe fed ``text``: returns its result, or raises its exception.
+    script = (
+        "import pickle, sys\n"
+        "from arknls import read_matrix_market\n"
+        "try:\n"
+        "    got = read_matrix_market('/dev/stdin')\n"
+        "except Exception as err:\n"
+        "    got = err\n"
+        "sys.stdout.buffer.write(pickle.dumps(got))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        input=text, env=env, capture_output=True, check=True, timeout=120,
+    )
+    got = pickle.loads(done.stdout)
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+class TestSingleRead:
+    """The file is opened once, and every tier and error read its bytes."""
+
+    @pytest.mark.parametrize("text, error", _ROUTES)
+    def test_one_open(self, tmp_path, monkeypatch, text, error):
+        path = tmp_path / "o.mtx"
+        path.write_bytes(text)
+        opened = []
+        monkeypatch.setattr(
+            mmio,
+            "open",
+            lambda *args, **kwargs: opened.append(args) or open(*args, **kwargs),
+            raising=False,
+        )
+        got = _outcome(read_matrix_market, path)
+        assert opened == [(path, "rb")]
+        if error is None:
+            assert got[0] is not MatrixMarketError
+        else:
+            assert got == (MatrixMarketError, error)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("text, error", _ROUTES)
+    def test_pipe_reads_as_file(self, tmp_path, text, error):
+        path = tmp_path / "p.mtx"
+        path.write_bytes(text)
+        want = _outcome(read_matrix_market, path)
+        assert _outcome(_read_piped, text) == want
 
 
 class TestWrite:
