@@ -89,40 +89,42 @@ def read_matrix_market(path) -> MatrixRef:
 
     The file is opened once and its bytes read once, so a pipe or FIFO
     (``/dev/stdin``, ``<(zcat a.mtx.gz)``) reads as the file would, and
-    every tier and error below works from the same bytes.  The banner and
-    the size line are parsed line by line.  A file with at least one
-    entry whose entry lines are all plain text (``v``, ``i j v`` or
-    ``i j`` by layout and field: single spaces, LF line ends, digit-only
-    indices, and values of digits with at most one dot and a lower-case
-    ``e`` exponent, unsigned) is parsed by scipy's compiled Matrix Market
-    reader, and its result is checked as whole arrays: shape, entry
-    count, finite and nonnegative values.  Any other file, or one that
-    fails a check, is read one line at a time.  That pass raises a
-    :class:`MatrixMarketError` naming the offending line, or returns the
-    matrix for text only it accepts, such as comment lines between
-    entries.  Both give the same bits for the same file.
+    every tier and error below works from the same bytes.  A non-ASCII
+    byte is reported first, by its line, before the banner is read.  The
+    banner and the size line are parsed line by line.  A file with at
+    least one entry whose entry lines are all plain text (``v``, ``i j v``
+    or ``i j`` by layout and field: single spaces, LF line ends,
+    digit-only indices, and values of digits with at most one dot and a
+    lower-case ``e`` exponent, unsigned) is parsed by scipy's compiled
+    Matrix Market reader, and its result is checked as whole arrays:
+    shape, entry count, finite and nonnegative values.  Any other file,
+    or one that fails a check, is read one line at a time.  That pass
+    raises a :class:`MatrixMarketError` naming the offending line, or
+    returns the matrix for text only it accepts, such as comment lines
+    between entries.  Both give the same bits for the same file.
     """
     with open(path, "rb") as handle:
         text = handle.read()
-    try:
-        header, _ = _read_header(_lines(text))
-    except UnicodeDecodeError:
-        raise _non_ascii(text) from None
+    header, _ = _read_header(_lines(text))
     matrix = _read_plain(text, header)
     return _read_by_lines(text) if matrix is None else matrix
 
 
-def _lines(text, encoding="ascii"):
+def _lines(text):
     # (1-based number, line) pairs of the bytes ``text``, split as a file
-    # opened in text mode splits them, at a lone CR too.  With ASCII, a
-    # non-ASCII byte raises UnicodeDecodeError once iteration reaches it.
-    return enumerate(io.TextIOWrapper(io.BytesIO(text), encoding=encoding), start=1)
+    # opened in text mode splits them, at a lone CR too.  Both readers
+    # start here, so a non-ASCII byte is named before any line is parsed,
+    # wherever it sits.
+    if not text.isascii():
+        raise _non_ascii(text)
+    return enumerate(io.TextIOWrapper(io.BytesIO(text), encoding="ascii"), start=1)
 
 
 def _non_ascii(text) -> MatrixMarketError:
     # Latin-1 maps each byte to one character and splits lines as the
     # ASCII reader does, so the line numbers agree.
-    no, line = next((no, ln) for no, ln in _lines(text, "latin-1") if not ln.isascii())
+    lines = io.TextIOWrapper(io.BytesIO(text), encoding="latin-1")
+    no, line = next((no, ln) for no, ln in enumerate(lines, 1) if not ln.isascii())
     byte = next(ord(c) for c in line if ord(c) > 0x7F)
     return _fail(no, f"non-ASCII byte 0x{byte:02x}")
 
@@ -331,13 +333,10 @@ def _read_by_lines(text) -> MatrixRef:
     # The line-at-a-time reader of the file's bytes ``text``: the reference
     # for the compiled tier and the path that reports a malformed line by
     # its number.
-    try:
-        header, entries = _read_header(_lines(text))
-        if header.layout == "coordinate":
-            return _read_coordinate(entries, header)
-        return _read_array(entries, header)
-    except UnicodeDecodeError:
-        raise _non_ascii(text) from None
+    header, entries = _read_header(_lines(text))
+    if header.layout == "coordinate":
+        return _read_coordinate(entries, header)
+    return _read_array(entries, header)
 
 
 def _read_coordinate(entries, header):

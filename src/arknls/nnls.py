@@ -10,7 +10,8 @@ dependent, so this evaluation order is part of the contract, not an
 implementation detail.  The solver's block updates call it on whole factor
 columns, and ``nnls_block`` on a single row.  ``rank_deficiency`` is
 the one rank test: ``solve_block`` raises through it and the solver's
-repair decides with it.
+repair decides with it, folding a dependent third column by
+``triple_fold``; both read the block's normalized Gram.
 
 ``nnls_recursive`` lifts any rank-k solver to rank k+1 by projecting the
 problem off the final column, and ``nnls_oracle`` is a deliberately slow
@@ -20,8 +21,8 @@ serve as its references.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,6 +46,9 @@ _WIDTHS_TEXT = ", ".join(map(str, BLOCK_WIDTHS[:-1])) + f" or {BLOCK_WIDTHS[-1]}
 
 # Relative cutoff deciding when a Gram determinant counts as zero.
 RANK_EPS = 1e-12
+
+# triple_fold's zero share: 8 units of rounding.
+_MIX_ZERO = 8.0 * 2.0**-52
 
 
 class RankDeficiencyError(ValueError):
@@ -70,41 +74,87 @@ def _kkt_residual(G: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
     return float(viol.max()) if viol.size else 0.0
 
 
+def _normalized(M, j: int):
+    # (c12,) or (c12, c13, c23): c_il = m_il / (s_i s_l), s_i = sqrt(m_ii),
+    # over the leading j + 1 Gram rows M, as floats, or None where an s_i
+    # is 0.  A finite s_i is below 1.4e154, so no s_i s_l overflows.
+    s1, s2 = sqrt(M[0][0]), sqrt(M[1][1])
+    s3 = sqrt(M[2][2]) if j == 2 else 1.0
+    if not isfinite(s1 + s2 + s3):
+        raise FloatingPointError("numerical breakdown: a column norm is not finite")
+    if not (s1 and s2 and s3):
+        return None
+    c12 = M[0][1] / (s1 * s2)
+    return (c12,) if j == 1 else (c12, M[0][2] / (s1 * s3), M[1][2] / (s2 * s3))
+
+
 def rank_deficiency(Mb, j: int) -> Optional[str]:
     """The one rank test: why column ``j`` (0-based, below the widest of
     ``BLOCK_WIDTHS``) of a coefficient block with Gram matrix ``Mb`` is
     numerically dependent on the columns before it, or ``None`` if not.
 
-    Tested against ``RANK_EPS`` times a scale: ``|u1|^2`` against the
-    block's largest squared norm, ``d12`` against ``m11 m22`` and the 3 x 3
-    determinant against ``m11 m22 m33``.  Where these products overflow,
-    a value or threshold that is not finite raises :class:`FloatingPointError`.
+    No decision depends on the scale of ``Mb``: ``|u1|^2`` is tested
+    against ``RANK_EPS`` times the largest squared norm, and later columns
+    by the leading determinant of the normalized Gram, ``1 - c12^2`` or
+    ``1 - c12^2 - c13^2 - c23^2 + 2 c12 c13 c23`` with
+    ``c_il = m_il / (|u_i| |u_l|)``, against ``RANK_EPS``.  A zero norm
+    counts as dependent.  An infinite or NaN ``m_il`` raises
+    :class:`FloatingPointError` at position ``max(i, l)``, the first to read
+    it as a norm or a normalized entry.
     """
     if j + 1 not in BLOCK_WIDTHS:
         raise ValueError(f"column position j = {j} outside a block of {_WIDTHS_TEXT}")
-    m11 = Mb[0, 0]
-    if j == 0:
-        label, value = "|u1|^2", m11
-        floor = RANK_EPS * max(Mb[i, i] for i in range(Mb.shape[0]))
-    elif j == 1:
-        m22, m12 = Mb[1, 1], Mb[0, 1]
-        label, value, floor = "d12", m11 * m22 - m12 * m12, RANK_EPS * m11 * m22
+    M = Mb.tolist()
+    if j:
+        c = _normalized(M, j)
+        if c is None:
+            value = 0.0
+        elif j == 1:
+            value = 1.0 - c[0] * c[0]
+        else:
+            c12, c13, c23 = c
+            value = 1.0 - c12 * c12 - c13 * c13 - c23 * c23 + 2.0 * c12 * c13 * c23
+        floor = RANK_EPS
     else:
-        m22, m33, m12, m13, m23 = Mb[1, 1], Mb[2, 2], Mb[0, 1], Mb[0, 2], Mb[1, 2]
-        label, floor = "det(Ui^T Ui)", RANK_EPS * m11 * m22 * m33
-        value = (
-            m11 * (m22 * m33 - m23 * m23)
-            - m12 * (m12 * m33 - m23 * m13)
-            - m13 * (m13 * m22 - m23 * m12)
-        )
-    if not (math.isfinite(value) and math.isfinite(floor)):
+        value, floor = M[0][0], RANK_EPS * max([row[i] for i, row in enumerate(M)])
+    if value > floor:  # NaN fails this, and value is +inf only where floor is
+        return None
+    label = ("|u1|^2", "1 - c12^2", "det C")[j]
+    if not (isfinite(value) and isfinite(floor)):
         raise FloatingPointError(f"numerical breakdown: {label} = {value} vs {floor}")
-    if value <= floor:
-        return (
-            f"{label} = {value:.3e} at or below its rank threshold; "
-            "the coefficient columns are (numerically) linearly dependent"
-        )
-    return None
+    return (
+        f"{label} = {value:.3e} at or below its rank threshold; "
+        "the coefficient columns are (numerically) linearly dependent"
+    )
+
+
+def triple_fold(Mb) -> tuple[tuple[int, int, int], float, float]:
+    """``((i, j, l), a, b)`` with ``u_l = a u_i + b u_j`` and ``a, b >= 0``,
+    for three coefficient columns whose third alone fails the rank test.
+
+    The shares of ``u3/|u3| = nu1 u1/|u1| + nu2 u2/|u2|`` solve
+    ``[[1, c12], [c12, 1]] nu = (c13, c23)`` on the normalized Gram, so
+    ``u3 = a1 u1 + a2 u2`` with ``a_i = nu_i |u3|/|u_i|``.  A share within
+    ``_MIX_ZERO`` of 0 is 0, so a last-bit change cannot flip its sign.
+    """
+    M = Mb.tolist()
+    c = _normalized(M, 2)
+    if c is None:
+        return (0, 1, 2), 0.0, 0.0
+    c12, c13, c23 = c
+    d12 = 1.0 - c12 * c12
+    nu1, nu2 = (c13 - c12 * c23) / d12, (c23 - c12 * c13) / d12
+    s1, s2, s3 = sqrt(M[0][0]), sqrt(M[1][1]), sqrt(M[2][2])
+    a1 = 0.0 if abs(nu1) <= _MIX_ZERO else nu1 * s3 / s1
+    a2 = 0.0 if abs(nu2) <= _MIX_ZERO else nu2 * s3 / s2
+    if a1 >= 0.0 and a2 >= 0.0:
+        return (0, 1, 2), a1, a2
+    if a1 < 0.0 < a2:
+        return (0, 2, 1), -a1 / a2, 1.0 / a2
+    if a2 < 0.0 < a1:
+        return (1, 2, 0), -a2 / a1, 1.0 / a1
+    # Both negative cannot happen for nonnegative independent u1 and u2.
+    raise RankDeficiencyError("inconsistent mixing coefficients in block repair")
 
 
 def solve_block(Mb, R, V, work=None) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Literal, Optional
@@ -46,10 +45,10 @@ from .nnls import (
     _WIDTHS_TEXT,
     BLOCK_WIDTHS,
     RANK_EPS,
-    RankDeficiencyError,
     lift_work,
     rank_deficiency,
     solve_block,
+    triple_fold,
 )
 from .rng import make_rng, uniform_matrix
 
@@ -68,11 +67,6 @@ __all__ = [
 ]
 
 BlockObserver = Callable[[str, int], None]
-
-# A triple repair's dimensionless mixing coefficient at or below this
-# counts as exactly 0 (8 units of rounding).
-_MIX_ZERO = 8.0 * sys.float_info.epsilon
-
 
 @dataclass(slots=True)
 class SolverConfig:
@@ -261,10 +255,10 @@ def _repair(A, coef, target, H, M, cols, rows) -> RepairPlan:
     :func:`rank_deficiency` checks the columns left to right on the live
     Gram block, so each test sees the fixes before it: a vanished leading
     column is rebuilt as a unit vector, a dependent second column is
-    folded into the first, and a third column lying in the span of the
-    first two is folded into both with the sign cases deciding which
-    column gets rebuilt.  ``rows`` maps a row index of ``A`` to its
-    entries from :func:`read_rows`, gathered in advance.
+    folded into the first, and of a dependent triple the column that
+    :func:`triple_fold` finds a nonnegative combination of the other two
+    is folded into them and rebuilt.  ``rows`` maps a row index of ``A``
+    to its entries from :func:`read_rows`, gathered in advance.
     """
     plan = RepairPlan()
     k = len(cols)
@@ -287,33 +281,7 @@ def _repair(A, coef, target, H, M, cols, rows) -> RepairPlan:
         return plan
 
     if rank_deficiency(Mb, 2):
-        m11, m22, m12 = Mb[0, 0], Mb[1, 1], Mb[0, 1]
-        m13, m23 = Mb[0, 2], Mb[1, 2]
-        d12 = m11 * m22 - m12 * m12
-        mix1 = (m22 * m13 - m23 * m12) / d12
-        mix2 = (m11 * m23 - m12 * m13) / d12
-        # u3 = mix1 u1 + mix2 u2.  The sign case is read off the
-        # dimensionless shares mix_i |u_i| / |u3|, and a share within
-        # rounding of 0 is 0, so a last-bit change cannot flip the case.
-        floor = _MIX_ZERO * math.sqrt(Mb[2, 2])
-        if abs(mix1) * math.sqrt(m11) <= floor:
-            mix1 = 0.0
-        if abs(mix2) * math.sqrt(m22) <= floor:
-            mix2 = 0.0
-        if mix1 >= 0.0 and mix2 >= 0.0:
-            order = (0, 1, 2)
-        elif mix1 < 0.0 < mix2:
-            mix1, mix2 = -mix1 / mix2, 1.0 / mix2
-            order = (0, 2, 1)
-        elif mix2 < 0.0 < mix1:
-            mix1, mix2 = -mix2 / mix1, 1.0 / mix1
-            order = (1, 2, 0)
-        else:
-            # Both negative cannot happen for nonnegative independent
-            # leading columns; refuse to guess rather than pick a case.
-            raise RankDeficiencyError(
-                "inconsistent mixing coefficients in block repair"
-            )
+        order, mix1, mix2 = triple_fold(Mb)
         j1, j2, j3 = (cols[i] for i in order)
         target[:, j1] += mix1 * target[:, j3]
         target[:, j2] += mix2 * target[:, j3]
@@ -494,7 +462,6 @@ def sweep(
 def fit(
     A: MatrixRef,
     config: SolverConfig,
-    observer: Optional[BlockObserver] = None,
     clock: Optional[Callable[[], float]] = None,
 ) -> tuple[FactorPair, SolveTrace]:
     """Run alternating V-then-U sweeps from a seeded random start.
@@ -521,7 +488,7 @@ def fit(
     for sweep_index in range(1, config.max_sweeps + 1):
         for side in "VU":
             objective, repairs, gram_next = _half_sweep(
-                A, factors, side, fro2, observer, gram_next
+                A, factors, side, fro2, None, gram_next
             )
             trace.repair_events += repairs
         residual = math.sqrt(objective) / fro

@@ -92,9 +92,10 @@ def test_runtime_error_exits_1(capsys):
 
 
 def test_numerical_breakdown_exits_1(tmp_path, capsys):
+    # |A|^2 overflows at 1e155.
     a = gen_dense(SynthSpec(m=60, n=40, true_rank=5, noise_std=0.01, seed=1))
     path = tmp_path / "huge.mtx"
-    write_matrix_market(DenseMatrix(1e150 * a.data), path)
+    write_matrix_market(DenseMatrix(1e155 * a.data), path)
     with np.errstate(all="ignore"):
         code = run(["--input", str(path), "--rank", "5", "--k", "2", "--seed", "0"])
     assert code == 1

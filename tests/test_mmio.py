@@ -232,6 +232,24 @@ class TestReadErrors:
                 reader(source)
             assert str(caught.value) == message
 
+    @pytest.mark.parametrize("pad", [0, 9000], ids=["first-chunk", "past-first-chunk"])
+    def test_non_ascii_named_before_the_banner(self, tmp_path, pad):
+        # A bad banner and a non-ASCII byte on line 2: the byte is named,
+        # also where a comment puts it past the first 8192 bytes a text
+        # decoder reads at once, so that line 1 would be parsed first.
+        path = tmp_path / "b.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate real generalx\n"
+            b"%" + b"x" * pad + b"\xe9\n2 2 1\n1 1 1.0\n"
+        )
+        for reader, source in (
+            (read_matrix_market, path),
+            (mmio._read_by_lines, path.read_bytes()),
+        ):
+            with pytest.raises(MatrixMarketError) as caught:
+                reader(source)
+            assert str(caught.value) == "line 2: non-ASCII byte 0xe9"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -723,12 +741,11 @@ _ROUTES = (
         "line 4: malformed entry",
         id="malformed",
     ),
-    # Decoded with the header, in the first chunk of text.
+    # A non-ASCII byte within the first 8192 bytes, which a text decoder
+    # reads at once, and one past them: both are named before the banner.
     pytest.param(
         _GENERAL + b"2 2 1\n1 1 \xe9\n", "line 3: non-ASCII byte 0xe9", id="non-ascii"
     ),
-    # Past the first chunk: the header parses, the guard declines and the
-    # line reader meets the byte.
     pytest.param(
         _GENERAL + b"2 2 2001\n" + b"1 1 1.0\n" * 2000 + b"1 1 \xe9\n",
         "line 2003: non-ASCII byte 0xe9",

@@ -236,16 +236,51 @@ def unit_gram(rng, k):
     return np.asfortranarray(g.T @ g)
 
 
+def straddling_grams(rng, j):
+    # Unit-scale 3 x 3 Gram matrices whose column j is dependent on the
+    # columns before it up to delta, on a grid across the rank threshold:
+    # column 0 scaled by delta, or column j a nonnegative mix of the
+    # earlier ones plus delta times noise.
+    base, noise = rng.random((12, 3)), rng.random(12)
+    for delta in np.logspace(-9, -3, 25):
+        g = base.copy()
+        if j == 0:
+            g[:, 0] *= delta
+        else:
+            g[:, j] = g[:, :j] @ rng.random(j) + delta * noise
+        yield np.asfortranarray(g.T @ g)
+
+
 class TestRankDeficiency:
-    def test_overflowing_products_raise(self):
-        # d12's m11 m22 and the determinant's m11 m22 m33 overflow while
-        # every Gram entry is finite; NaN <= inf is false, so unless the
-        # test refuses non-finite values these blocks pass as full rank.
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_decisions_are_scale_free(self, j):
+        # Every position tests a ratio, so scaling the Gram by an even
+        # power of two, which its square roots take exactly, changes no
+        # decision.  Raw products of two or three Gram entries, as in
+        # m11 m22 and m11 m22 m33, overflow or underflow at these scales.
+        rng = np.random.default_rng(20 + j)
+        decided = []
+        for gram3 in straddling_grams(rng, j):
+            want = rank_deficiency(gram3, j) is None
+            for scale in (2.0**400, 2.0**-400, 2.0**600, 2.0**-600):
+                assert (rank_deficiency(gram3 * scale, j) is None) == want
+            decided.append(want)
+        assert any(decided) and not all(decided)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gram_raises(self, bad):
+        # An infinite or NaN entry m_il raises at position max(i, l), the
+        # first that reads it as a norm or a normalized entry; an infinite
+        # squared norm at position 0 too, where it sets the threshold.
         gram3 = unit_gram(np.random.default_rng(5), 3)
-        with np.errstate(all="ignore"):
-            for scale, j in [(1e110, 2), (1e160, 1)]:
-                with pytest.raises(FloatingPointError, match="^numerical breakdown"):
-                    rank_deficiency(gram3 * scale, j)
+        cells = [(i, l, max(i, l)) for l in range(3) for i in range(l + 1)]
+        if bad == np.inf:
+            cells += [(i, i, 0) for i in range(3)]
+        for i, l, j in cells:
+            broken = gram3.copy()
+            broken[i, l] = broken[l, i] = bad
+            with pytest.raises(FloatingPointError, match="^numerical breakdown"):
+                rank_deficiency(broken, j)
 
     def test_finite_products_still_decide(self):
         gram3 = unit_gram(np.random.default_rng(5), 3)

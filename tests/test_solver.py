@@ -197,6 +197,12 @@ class TestRepairBlock:
         ws = build_workspace(a, f)
         plan = repair_block(f, ws, 0, a)
         self.check_state(a, f, ws, before)
+        # The repair decides on ratios and folds by ratios of norms, so U
+        # scaled by a power of two gives the same fixes and the same V.
+        for scale in (2.0**200, 2.0**-200):
+            g = make_factors(scale * u, v)
+            assert repair_block(g, build_workspace(a, g), 0, a) == plan
+            assert np.array_equal(g.V.data, f.V.data)
         return plan, f, v
 
     def check_state(self, a, f, ws, before):
@@ -329,6 +335,9 @@ class TestRepairBlock:
             ws = build_workspace(a, fixed)
             plan = repair_block(fixed, ws, 0, a)
             assert raised == (plan.events > 0), f"delta = {delta:.3e}"
+            for scale in (2.0**200, 2.0**-200):
+                scaled = make_factors(scale * u, v, k=k)
+                assert repair_block(scaled, build_workspace(a, scaled), 0, a) == plan
             update_block_V(a, fixed, ws, 0)
             fired.append(raised)
         assert any(fired) and not all(fired)
@@ -550,12 +559,24 @@ class TestFit:
         assert np.array_equal(f.V.data, g.V.data)
         assert trace.final_residual == np.sqrt(obj_u) / frobenius_norm(a)
 
-    @pytest.mark.parametrize("k, scale", [(3, 1e60), (2, 1e150)])
+    @pytest.mark.parametrize("k, scale", [(1, 1e155), (2, 1e155), (3, 1e155)])
     def test_numerical_breakdown_raises(self, k, scale):
+        # |A|^2 overflows at this scale, so no k can fit.
         a = gen_dense(SynthSpec(m=60, n=40, true_rank=5, noise_std=0.01, seed=1))
         big = DenseMatrix(a.data * scale)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             fit(big, SolverConfig(rank=5, k=k, max_sweeps=50, seed=0))
+
+    @pytest.mark.parametrize("k, scale", [(3, 1e60), (2, 1e150)])
+    def test_large_scale_fits(self, k, scale):
+        # At these scales a product of two or three Gram entries overflows;
+        # the rank test decides as at 1e30, so the fit lands where it does.
+        a = gen_dense(SynthSpec(m=60, n=40, true_rank=5, noise_std=0.01, seed=1))
+        config = SolverConfig(rank=5, k=k, max_sweeps=50, seed=0)
+        _, want = fit(DenseMatrix(a.data * 1e30), config)
+        _, got = fit(DenseMatrix(a.data * scale), config)
+        assert got.final_residual == pytest.approx(want.final_residual, rel=1e-9)
+        assert got.repair_events == want.repair_events
 
     def test_zero_matrix_rejected(self):
         a = DenseMatrix(np.zeros((6, 5)))
