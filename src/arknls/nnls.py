@@ -9,9 +9,9 @@ first k - 1, resolving the last column first.  The clamps are order
 dependent, so this evaluation order is part of the contract, not an
 implementation detail.  The solver's block updates call it on whole factor
 columns, and ``nnls_block`` on a single row.  ``rank_deficiency`` is
-the one rank test: ``solve_block`` raises through it and the solver's
-repair decides with it, folding a dependent third column by
-``triple_fold``; both read the block's normalized Gram.
+the one rank test: ``solve_block`` raises through it, and the solver's
+repair decides with it and folds a dependent column by ``fold``; both
+read the block's normalized Gram.
 
 ``nnls_recursive`` lifts any rank-k solver to rank k+1 by projecting the
 problem off the final column, and ``nnls_oracle`` is a deliberately slow
@@ -47,7 +47,7 @@ _WIDTHS_TEXT = ", ".join(map(str, BLOCK_WIDTHS[:-1])) + f" or {BLOCK_WIDTHS[-1]}
 # Relative cutoff deciding when a Gram determinant counts as zero.
 RANK_EPS = 1e-12
 
-# triple_fold's zero share: 8 units of rounding.
+# fold's zero share: 8 units of rounding.
 _MIX_ZERO = 8.0 * 2.0**-52
 
 
@@ -128,33 +128,40 @@ def rank_deficiency(Mb, j: int) -> Optional[str]:
     )
 
 
-def triple_fold(Mb) -> tuple[tuple[int, int, int], float, float]:
-    """``((i, j, l), a, b)`` with ``u_l = a u_i + b u_j`` and ``a, b >= 0``,
-    for three coefficient columns whose third alone fails the rank test.
+def fold(Mb, j: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """``(order, shares)`` for a block whose column ``j`` alone fails the
+    rank test: ``u_l = sum_i shares_i u_{order_i}``, every share
+    nonnegative, with ``l = order[-1]`` the column to rebuild.
 
-    The shares of ``u3/|u3| = nu1 u1/|u1| + nu2 u2/|u2|`` solve
-    ``[[1, c12], [c12, 1]] nu = (c13, c23)`` on the normalized Gram, so
-    ``u3 = a1 u1 + a2 u2`` with ``a_i = nu_i |u3|/|u_i|``.  A share within
+    The shares of ``u_j/|u_j| = sum_i nu_i u_i/|u_i|`` over the columns
+    before it solve their normalized Gram against their ``c_ij``: none at
+    j = 0, ``nu = c12`` at j = 1, a 2 x 2 solve at j = 2.  Then
+    ``a_i = nu_i |u_j|/|u_i|``, all 0 if a norm is 0, and a share within
     ``_MIX_ZERO`` of 0 is 0, so a last-bit change cannot flip its sign.
+    One negative share puts column ``j`` among the kept and rebuilds the
+    column of the one positive share instead.
     """
     M = Mb.tolist()
-    c = _normalized(M, 2)
+    c = _normalized(M, j) if j else None
     if c is None:
-        return (0, 1, 2), 0.0, 0.0
-    c12, c13, c23 = c
-    d12 = 1.0 - c12 * c12
-    nu1, nu2 = (c13 - c12 * c23) / d12, (c23 - c12 * c13) / d12
-    s1, s2, s3 = sqrt(M[0][0]), sqrt(M[1][1]), sqrt(M[2][2])
-    a1 = 0.0 if abs(nu1) <= _MIX_ZERO else nu1 * s3 / s1
-    a2 = 0.0 if abs(nu2) <= _MIX_ZERO else nu2 * s3 / s2
-    if a1 >= 0.0 and a2 >= 0.0:
-        return (0, 1, 2), a1, a2
-    if a1 < 0.0 < a2:
-        return (0, 2, 1), -a1 / a2, 1.0 / a2
-    if a2 < 0.0 < a1:
-        return (1, 2, 0), -a2 / a1, 1.0 / a1
-    # Both negative cannot happen for nonnegative independent u1 and u2.
-    raise RankDeficiencyError("inconsistent mixing coefficients in block repair")
+        return tuple(range(j + 1)), (0.0,) * j
+    if j == 1:
+        nu, a = c, [c[0] * sqrt(M[1][1] / M[0][0])]
+    else:
+        c12, c13, c23 = c
+        d12 = 1.0 - c12 * c12
+        nu = ((c13 - c12 * c23) / d12, (c23 - c12 * c13) / d12)
+        a = [x * sqrt(M[2][2]) / sqrt(M[i][i]) for i, x in enumerate(nu)]
+    a = [0.0 if abs(x) <= _MIX_ZERO else y for x, y in zip(nu, a)]
+    if all(x >= 0.0 for x in a):
+        return tuple(range(j + 1)), tuple(a)
+    positive = [i for i, x in enumerate(a) if x > 0.0]
+    if len(positive) != 1:
+        # Impossible for nonnegative independent columns before column j.
+        raise RankDeficiencyError("inconsistent mixing coefficients in block repair")
+    p = positive[0]
+    kept = [i for i in range(j) if i != p]
+    return (*kept, j, p), (*(-a[i] / a[p] for i in kept), 1.0 / a[p])
 
 
 def solve_block(Mb, R, V, work=None) -> None:

@@ -1,21 +1,17 @@
 """Alternating block-coordinate NMF driver.
 
 Factors ``U`` (m x r) and ``V`` (n x r) are updated in blocks of ``k``
-consecutive columns, ``k`` in ``BLOCK_WIDTHS``.  Per block the nonnegative
-least squares subproblem has a closed form driven entirely by two cached
-products: ``H`` (data matrix transposed times the coefficient factor) and
-the coefficient Gram matrix ``M``.  This module assembles the block's
-residual from them and hands it to :func:`arknls.nnls.solve_block`, the
-one implementation of that closed form.  Before every block update the
-coefficient columns are checked by :func:`arknls.nnls.rank_deficiency`,
-the test the closed form raises through, and repaired in place where it
+consecutive columns, ``k`` in ``BLOCK_WIDTHS``.  Each block's nonnegative
+least squares subproblem is solved by :func:`arknls.nnls.solve_block`
+from two cached products: ``H``, the data matrix transposed times the
+coefficient factor, and the coefficient Gram matrix ``M``.  Before the
+update, one rule repairs each block position in turn where
+:func:`arknls.nnls.rank_deficiency`, the test the kernel raises through,
 fails, without changing the product ``U_i V_i^T``.
 
 One driver, ``_half_sweep``, runs both halves of a sweep for ``sweep`` and
-``fit``: the second half updates ``U`` by running the identical code on a
-transposed view of the data matrix (no copy) with the factor roles swapped.
-The rank test's threshold is the constant ``RANK_EPS``; the ``rank_eps``
-slot of :func:`repair_block` and :func:`update_block_V` accepts only it.
+``fit``; the U half runs the same code on a transposed view of the data
+with the factor roles swapped.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Literal, Optional
 
 import numpy as np
@@ -45,10 +41,10 @@ from .nnls import (
     _WIDTHS_TEXT,
     BLOCK_WIDTHS,
     RANK_EPS,
+    fold,
     lift_work,
     rank_deficiency,
     solve_block,
-    triple_fold,
 )
 from .rng import make_rng, uniform_matrix
 
@@ -56,6 +52,7 @@ __all__ = [
     "FactorPair",
     "BlockWorkspace",
     "RepairPlan",
+    "REPAIR_KINDS",
     "SolverConfig",
     "SolveTrace",
     "initialize",
@@ -124,7 +121,15 @@ def _check_block_width(rank: int, k: int) -> None:
     if k not in BLOCK_WIDTHS:
         raise ValueError(f"block width k must be {_WIDTHS_TEXT}")
     if rank < k:
-        raise ValueError("rank must be at least the block width")
+        raise ValueError("rank must be at least the block width k")
+
+
+def _check_pair(factors: FactorPair) -> None:
+    # A caller-built pair must match its own factors.
+    r, U, V = factors.r, factors.U, factors.V
+    if not U.cols == V.cols == r:
+        raise ValueError(f"r = {r} but U and V have {U.cols} and {V.cols} columns")
+    _check_block_width(r, factors.k)
 
 
 @dataclass
@@ -185,8 +190,8 @@ class BlockWorkspace:
 
 @dataclass
 class RepairPlan:
-    """Which of the three rank fixes the repair applied to one coefficient
-    block."""
+    """Which block positions the repair fixed in one coefficient block:
+    position j's flag is named ``REPAIR_KINDS[j]``."""
 
     reset_first: bool = False
     reset_pair: bool = False
@@ -194,12 +199,13 @@ class RepairPlan:
 
     @property
     def events(self) -> int:
-        return int(self.reset_first) + int(self.reset_pair) + int(self.reset_triple)
+        return sum(getattr(self, kind) for kind in REPAIR_KINDS)
+
+
+REPAIR_KINDS = tuple(f.name for f in fields(RepairPlan))
 
 
 def _block_columns(r: int, k: int) -> list[tuple[int, ...]]:
-    if r < k:
-        raise ValueError(f"rank {r} smaller than block width {k}")
     q, rem = divmod(r, k)
     blocks = [tuple(range(k * i, k * (i + 1))) for i in range(q)]
     if rem:
@@ -227,17 +233,13 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
     if np.any(norms == 0.0):
         raise RuntimeError("drew an all-zero column, seed unusable")
     u /= norms
-    return FactorPair(
-        U=DenseMatrix._wrap(u), V=DenseMatrix._wrap(v), r=r, k=k, q=r // k
-    )
+    return FactorPair(DenseMatrix._wrap(u), DenseMatrix._wrap(v), r, k, r // k)
 
 
 def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
-    # The step all three fixes end with: zero target[:, col], rebuild
-    # coef[:, col] as the unit vector e_{unit_row}, and patch the touched
-    # H column and M row/column instead of recomputing products.  The row
-    # of A comes from the half-sweep's gather ``rows`` when it holds it,
-    # and is read on its own otherwise.
+    # Zero target[:, col], make coef[:, col] the unit vector e_{unit_row}
+    # and patch H's column and M's row and column to match, with the row
+    # of A from the gather ``rows`` or, if it lacks it, read alone.
     target[:, col] = 0.0
     coef[:, col] = 0.0
     coef[unit_row, col] = 1.0
@@ -248,52 +250,47 @@ def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
     M[col, :] = coef[unit_row, :]
 
 
+def _unit_row(coef, kept, last: int) -> int:
+    # Column last's own row, unless the kept columns' minor on their rows
+    # is 0: then the first kept row they leave zero, else the last one.
+    rows = coef[np.ix_(kept, kept)].tolist()
+    if _det(rows) != 0.0:
+        return last
+    return next((i for i, row in zip(kept, rows) if not any(row)), kept[-1])
+
+
+def _det(rows) -> float:
+    # Cofactor expansion along the first row; 1 for no rows.
+    if not rows:
+        return 1.0
+    return sum(
+        (-1) ** i * x * _det([row[:i] + row[i + 1 :] for row in rows[1:]])
+        for i, x in enumerate(rows[0])
+    )
+
+
 def _repair(A, coef, target, H, M, cols, rows) -> RepairPlan:
     """Make the coefficient block full rank while preserving its product
     with the target block.  No-op on already independent columns.
 
-    :func:`rank_deficiency` checks the columns left to right on the live
-    Gram block, so each test sees the fixes before it: a vanished leading
-    column is rebuilt as a unit vector, a dependent second column is
-    folded into the first, and of a dependent triple the column that
-    :func:`triple_fold` finds a nonnegative combination of the other two
-    is folded into them and rebuilt.  ``rows`` maps a row index of ``A``
-    to its entries from :func:`read_rows`, gathered in advance.
+    One rule for every position j, left to right on the live Gram block:
+    where :func:`rank_deficiency` fires, :func:`fold` names the column to
+    rebuild and the nonnegative shares by which the kept columns' targets
+    absorb its target, and :func:`_rebuild` makes it the unit vector
+    :func:`_unit_row` picks.  ``rows`` holds rows of ``A`` gathered in
+    advance by :func:`read_rows`.
     """
     plan = RepairPlan()
-    k = len(cols)
-    c1 = cols[0]
-    block = slice(c1, cols[-1] + 1)
+    block = slice(cols[0], cols[-1] + 1)
     Mb = M[block, block]
-    if rank_deficiency(Mb, 0):
-        _rebuild(A, coef, target, H, M, rows, c1, c1)
-        plan.reset_first = True
-    if k == 1:
-        return plan
-
-    c2 = cols[1]
-    if rank_deficiency(Mb, 1):
-        target[:, c1] += math.sqrt(Mb[1, 1] / Mb[0, 0]) * target[:, c2]
-        unit_row = c2 if coef[c1, c1] != 0.0 else c1
-        _rebuild(A, coef, target, H, M, rows, c2, unit_row)
-        plan.reset_pair = True
-    if k == 2:
-        return plan
-
-    if rank_deficiency(Mb, 2):
-        order, mix1, mix2 = triple_fold(Mb)
-        j1, j2, j3 = (cols[i] for i in order)
-        target[:, j1] += mix1 * target[:, j3]
-        target[:, j2] += mix2 * target[:, j3]
-        minor = coef[j1, j1] * coef[j2, j2] - coef[j2, j1] * coef[j1, j2]
-        if minor != 0.0:
-            unit_row = j3
-        elif coef[j1, j1] + coef[j1, j2] == 0.0:
-            unit_row = j1
-        else:
-            unit_row = j2
-        _rebuild(A, coef, target, H, M, rows, j3, unit_row)
-        plan.reset_triple = True
+    for j in range(len(cols)):
+        if rank_deficiency(Mb, j):
+            order, shares = fold(Mb, j)
+            *kept, last = (cols[i] for i in order)
+            for col, share in zip(kept, shares):
+                target[:, col] += share * target[:, last]
+            _rebuild(A, coef, target, H, M, rows, last, _unit_row(coef, kept, last))
+            setattr(plan, REPAIR_KINDS[j], True)
     return plan
 
 
@@ -330,6 +327,7 @@ def repair_block(
     """Repair the coefficient block ``U_i`` for a V-side pass.  ``rank_eps``
     must be ``RANK_EPS``."""
     _check_rank_eps(rank_eps)
+    _check_pair(factors)
     cols = _block_columns(factors.r, factors.k)[block_index]
     U, V = factors.U.data, factors.V.data
     return _repair(A, U, V, workspace.H, workspace.M, cols, {})
@@ -342,14 +340,12 @@ def update_block_V(
     block_index: int,
     rank_eps: float = RANK_EPS,
 ) -> None:
-    """Update the V columns of one block in place.
-
-    Requires current caches and a full-rank coefficient block (repair
-    first).  ``A`` is unused by the formulas themselves, which read only
-    the caches; it is part of the signature for parity with the repair, as
-    is ``rank_eps``, which must be ``RANK_EPS``.
+    """Update the V columns of one block in place from current caches and
+    a full-rank coefficient block (repair first).  ``A`` is unread; it and
+    ``rank_eps``, which must be ``RANK_EPS``, mirror :func:`repair_block`.
     """
     _check_rank_eps(rank_eps)
+    _check_pair(factors)
     cols = _block_columns(factors.r, factors.k)[block_index]
     V = factors.V.data
     R, work = _block_scratch(V.shape[0], len(cols))
@@ -370,14 +366,10 @@ def _dead_columns(coef: np.ndarray, M: np.ndarray) -> list[int]:
 
 def _products(data: MatrixRef, coef: DenseMatrix, dead: list[int]) -> np.ndarray:
     """``H = data^T coef``, skipping the all-zero columns ``dead`` on
-    sparse input.
-
-    scipy's sparse kernels compute every output column on its own, so the
-    live columns come out bitwise as in the full product, and a dead
-    column's exact zeros are what the kernel would have written.  The live
-    columns are written straight into ``H``.  Dense input always runs the
-    full product: BLAS on a column subset changed the last bits of the
-    live columns.
+    sparse input, whose kernels compute every output column on its own: the
+    live columns, written straight into ``H``, come out bitwise as in the
+    full product, and dead ones as its exact zeros.  Dense input runs the
+    full product: BLAS on a column subset changed the live columns' bits.
     """
     if isinstance(data, DenseMatrix):
         return at_times(data, coef).data
@@ -396,18 +388,16 @@ def _half_sweep(
     """The driver behind :func:`sweep` and :func:`fit`: repair plus update
     every block of the ``side`` factor once.
 
-    ``M`` is the coefficient factor's Gram matrix if the caller has it
-    (Fortran-ordered, as :func:`gram` returns it); it is computed
-    otherwise, and updated in place.  Coefficient columns that are all
-    zero (dead) are read off its diagonal before the product: sparse input
-    skips their product columns, and the rows of ``A`` their repairs will
-    read are gathered in one pass by :func:`read_rows`.  Returns the
-    objective, the number of repairs and the updated factor's Gram matrix,
-    which is the next half-sweep's ``M``.  The objective comes from the
-    trace identity on the maintained caches (:func:`_trace_residual`).
-    Besides the factors, ``H`` and r x r Gram matrices, the pass holds
-    only the blocks' residual buffer and kernel scratch, allocated once
-    and freed before the objective.
+    ``M`` is the coefficient factor's Gram matrix (Fortran-ordered, as
+    :func:`gram` returns it) if the caller has it, else computed; it is
+    updated in place.  All-zero (dead) coefficient columns are read off its
+    diagonal: sparse input skips their product columns, and the rows of
+    ``A`` their repairs read are gathered at once by :func:`read_rows`.
+    Returns the objective from the trace identity on the caches
+    (:func:`_trace_residual`), the number of repairs and the updated
+    factor's Gram, the next half's ``M``.  Besides the factors, ``H`` and
+    r x r matrices, the pass holds only the residual buffer and kernel
+    scratch, allocated once and freed before the objective.
     """
     if side == "V":
         data, coef, target = A, factors.U, factors.V
@@ -454,8 +444,10 @@ def sweep(
     runs the identical code on the transposed view of the data matrix with
     the roles swapped.  Returns the objective ``|A - U V^T|_F^2`` after the
     pass.  Negative dense input raises :class:`ValueError`, and a
-    non-finite objective :class:`FloatingPointError`.
+    non-finite objective :class:`FloatingPointError`, and ``factors`` whose
+    ``r`` or ``k`` does not fit its own factors :class:`ValueError`.
     """
+    _check_pair(factors)
     return _half_sweep(A, factors, direction, _nonnegative_fro2(A), observer)[0]
 
 

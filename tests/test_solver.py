@@ -1,5 +1,6 @@
 import collections
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from arknls.matrix import (
 )
 from arknls.nnls import RANK_EPS, RankDeficiencyError, nnls_block
 from arknls.solver import (
+    REPAIR_KINDS,
     BlockWorkspace,
     FactorPair,
     SolverConfig,
@@ -186,6 +188,36 @@ class TestShimThreshold:
         assert np.array_equal(f.V.data, before)
 
 
+class TestCallerBuiltPair:
+    # sweep and the two shims take a FactorPair as the caller built it;
+    # one whose r or k does not fit its 4-column factors is refused,
+    # naming r or k, before anything is written.
+    @pytest.mark.parametrize(
+        "r, k, message",
+        [
+            (5, 2, "^r = 5 but"),
+            (2, 2, "^r = 2 but"),
+            (4, 4, "^block width k"),
+            (4, 0, "^block width k"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["sweep", "repair_block", "update_block_V"])
+    def test_mismatched_pair_rejected(self, r, k, message, entry):
+        rng = np.random.default_rng(12)
+        a = DenseMatrix(rng.random((10, 8)))
+        u, v = rng.random((10, 4)), rng.random((8, 4))
+        f = FactorPair(U=DenseMatrix(u.copy()), V=DenseMatrix(v.copy()), r=r, k=k, q=0)
+        ws = build_workspace(a, f)
+        calls = {
+            "sweep": lambda: sweep(a, f),
+            "repair_block": lambda: repair_block(f, ws, 0, a),
+            "update_block_V": lambda: update_block_V(a, f, ws, 0),
+        }
+        with pytest.raises(ValueError, match=message):
+            calls[entry]()
+        assert np.array_equal(f.U.data, u) and np.array_equal(f.V.data, v)
+
+
 class TestRepairBlock:
     def run_repair(self, u_cols, seed=0, m=12, n=9):
         rng = np.random.default_rng(seed)
@@ -195,7 +227,9 @@ class TestRepairBlock:
         f = make_factors(u, v)
         before = f.U.data @ f.V.data.T
         ws = build_workspace(a, f)
-        plan = repair_block(f, ws, 0, a)
+        with pytest.MonkeyPatch.context() as mp:
+            self.fixes = record_fixes(mp)
+            plan = repair_block(f, ws, 0, a)
         self.check_state(a, f, ws, before)
         # The repair decides on ratios and folds by ratios of norms, so U
         # scaled by a power of two gives the same fixes and the same V.
@@ -219,6 +253,20 @@ class TestRepairBlock:
         assert np.max(np.abs(ws.M - m)) <= 1e-11 * (1.0 + np.max(np.abs(m)))
         assert f.V.data.min() >= 0.0
 
+    def check_rule(self, plan, kinds, unit_rows):
+        # The one rule, fix by fix: the plan's kinds, the unit row of each
+        # rebuilt column, and shares that are the least-squares fit of the
+        # rebuilt column on the kept ones.
+        assert [kind for kind in REPAIR_KINDS if getattr(plan, kind)] == kinds
+        assert [fix.unit_row for fix in self.fixes] == unit_rows
+        for fix in self.fixes:
+            assert len(fix.shares) == len(fix.kept)
+            if fix.kept:
+                u = fix.u
+                want = np.linalg.lstsq(u[:, fix.kept], u[:, fix.last], rcond=None)[0]
+                err = np.linalg.norm(np.subtract(fix.shares, want))
+                assert err <= 1e-12 * np.linalg.norm(want)
+
     def rebuilt_column(self, f):
         # The one column a single fix rebuilt: its V column is zero and
         # its U column a unit vector.
@@ -235,6 +283,7 @@ class TestRepairBlock:
         )
         assert plan.reset_first and plan.events == 1
         assert f.U.data[0, 0] == 1.0 and np.all(f.V.data[:, 0] == 0.0)
+        self.check_rule(plan, ["reset_first"], [0])
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_dependent_pair(self, alpha):
@@ -248,6 +297,7 @@ class TestRepairBlock:
             v[:, 0], v0[:, 0] + alpha * v0[:, 1], rtol=0.0, atol=1e-12
         )
         assert np.all(v[:, 1] == 0.0)
+        self.check_rule(plan, ["reset_pair"], [1])
 
     def test_dependent_triple_identity_case(self):
         # u3 = 0.5 u1 + 0.25 u2: the first two V columns absorb 0.5 and
@@ -262,6 +312,7 @@ class TestRepairBlock:
                 v[:, j], v0[:, j] + mix * v0[:, 2], rtol=0.0, atol=1e-10
             )
         assert self.rebuilt_column(f) == 2
+        self.check_rule(plan, ["reset_triple"], [2])
 
     def test_dependent_triple_sign_cases(self):
         # One negative mixing coefficient: the sign cases reorder the
@@ -274,10 +325,12 @@ class TestRepairBlock:
         plan, f, _ = self.run_repair([base, bigger, 2.0 * bigger - base])
         assert plan.reset_triple and plan.events == 1
         assert self.rebuilt_column(f) == 1
+        self.check_rule(plan, ["reset_triple"], [1])
         # third column = 2 * first - 1 * second: order (1, 2, 0)
         plan, f, _ = self.run_repair([bigger, base, 2.0 * bigger - base])
         assert plan.reset_triple and plan.events == 1
         assert self.rebuilt_column(f) == 0
+        self.check_rule(plan, ["reset_triple"], [0])
 
     @pytest.mark.parametrize("share", [0.25, 0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("delta", [0.0, 1e-16, -1e-16])
@@ -291,6 +344,7 @@ class TestRepairBlock:
         plan, f, _ = self.run_repair([u1, u2, share * u1 + delta * u2])
         assert plan.reset_triple and plan.events == 1
         assert self.rebuilt_column(f) == 2
+        self.check_rule(plan, ["reset_triple"], [2])
 
     def test_noop_on_full_rank(self):
         rng = np.random.default_rng(8)
@@ -298,12 +352,37 @@ class TestRepairBlock:
         plan, f, _ = self.run_repair(u)
         assert plan.events == 0
         np.testing.assert_array_equal(f.U.data, np.column_stack(u))
+        self.check_rule(plan, [], [])
 
     def test_cascaded_degeneracies(self):
         rng = np.random.default_rng(9)
         u2 = rng.random(12)
         plan, _, _ = self.run_repair([np.zeros(12), u2, 3.0 * u2])
         assert plan.reset_first and plan.reset_triple and plan.events == 2
+        self.check_rule(plan, ["reset_first", "reset_triple"], [0, 2])
+
+    def test_cascaded_dead_columns(self):
+        # Two dead columns after a live one: the second is folded with a
+        # zero share, the third then rebuilt beside the two kept columns.
+        rng = np.random.default_rng(10)
+        plan, _, _ = self.run_repair([rng.random(12), np.zeros(12), np.zeros(12)])
+        self.check_rule(plan, ["reset_pair", "reset_triple"], [1, 2])
+
+    def test_unit_row_when_the_kept_minor_vanishes(self):
+        # Where the kept columns' minor on their own rows is 0, the rebuilt
+        # column takes the first kept row they leave all zero, else the
+        # last kept row.
+        rng = np.random.default_rng(11)
+        u1, u2 = rng.random(12), rng.random(12)
+        u1[0] = 0.0
+        plan, _, _ = self.run_repair([u1, 2.0 * u1, u2])
+        self.check_rule(plan, ["reset_pair"], [0])
+        u2[0] = 0.0
+        plan, _, _ = self.run_repair([u1, u2, 0.5 * u1 + 0.25 * u2])
+        self.check_rule(plan, ["reset_triple"], [0])
+        u1[:2], u2[:2] = 1.0, 1.0
+        plan, _, _ = self.run_repair([u1, u2, u1 + u2])
+        self.check_rule(plan, ["reset_triple"], [1])
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("family", ["vanishing-first", "dependent-last"])
@@ -875,7 +954,27 @@ class TestWorkingSet:
         assert peak <= (self.n * self.r + 8 * self.r**2) * 8 + 16 * 1024
 
 
-REPAIR_KINDS = ("reset_first", "reset_pair", "reset_triple")
+def record_fixes(monkeypatch):
+    """Record each fix the repair applies from now on: its kept and
+    rebuilt columns, shares and unit row, and the coefficient factor it
+    folded.  Positions are columns, as in a block at column 0."""
+    fixes = []
+    fold, rebuild = solver_module.fold, solver_module._rebuild
+
+    def recorded_fold(Mb, j):
+        order, shares = fold(Mb, j)
+        fix = SimpleNamespace(kept=list(order[:-1]), last=order[-1], shares=shares)
+        fixes.append(fix)
+        return order, shares
+
+    def recorded_rebuild(A, coef, target, H, M, rows, col, unit_row):
+        assert col == fixes[-1].last
+        fixes[-1].u, fixes[-1].unit_row = coef.copy(), unit_row
+        return rebuild(A, coef, target, H, M, rows, col, unit_row)
+
+    monkeypatch.setattr(solver_module, "fold", recorded_fold)
+    monkeypatch.setattr(solver_module, "_rebuild", recorded_rebuild)
+    return fixes
 
 
 def count_repair_kinds(monkeypatch):
