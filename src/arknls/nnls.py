@@ -164,27 +164,30 @@ def fold(Mb, j: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return (*kept, j, p), (*(-a[i] / a[p] for i in kept), 1.0 / a[p])
 
 
-def solve_block(Mb, R, V, work=None) -> None:
+def solve_block(Mb, R, V, work=None, tested=False) -> None:
     """Closed-form joint NNLS update of k columns, k in ``BLOCK_WIDTHS``,
     row by row, written into ``V``.
 
     ``Mb`` is the k x k Gram matrix of the coefficient columns, ``V`` the
-    current n x k values and ``R = rhs - V Mb`` their residual; each row
-    of the result solves its own rank-k problem, elementwise over the
-    rows, by the lift in :func:`_lift`.  ``R`` is only read.  ``work`` is
-    scratch from :func:`lift_work` for n rows and at least k columns; a
-    caller that solves many blocks passes one and allocates nothing per
-    block.  Raises :class:`RankDeficiencyError`, with ``V`` untouched,
-    where :func:`rank_deficiency` fails.
+    current values, an n x k array or a sequence of k length-n column
+    views (the solver passes its factor's own columns, in any order), and
+    ``R = rhs - V Mb`` their residual, an n x k array; each row of the
+    result solves its own rank-k problem, elementwise over the rows, by
+    the lift in :func:`_lift`.  ``R`` is only read.  ``work`` is scratch
+    from :func:`lift_work` for n rows and at least k columns; a caller
+    that solves many blocks passes one and allocates nothing per block.
+    Raises :class:`RankDeficiencyError`, with ``V`` untouched, where
+    :func:`rank_deficiency` fails; ``tested=True`` says the caller ran it
+    at every position of this ``Mb`` and none failed, and skips it.
     """
     k = Mb.shape[0]
-    for j in range(k):
+    for j in range(k) if not tested else ():
         failed = rank_deficiency(Mb, j)
         if failed is not None:
             raise RankDeficiencyError(failed)
     if work is None:
         work = lift_work(R.shape[0], k)
-    _lift(Mb.tolist(), R.T, V.T, work)
+    _lift(Mb.tolist(), R.T, V.T if isinstance(V, np.ndarray) else V, work)
 
 
 def lift_work(n: int, k: int) -> np.ndarray:

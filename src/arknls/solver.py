@@ -1,13 +1,15 @@
 """Alternating block-coordinate NMF driver.
 
-Factors ``U`` (m x r) and ``V`` (n x r) are updated in blocks of ``k``
-consecutive columns, ``k`` in ``BLOCK_WIDTHS``.  Each block's nonnegative
-least squares subproblem is solved by :func:`arknls.nnls.solve_block`
-from two cached products: ``H``, the data matrix transposed times the
-coefficient factor, and the coefficient Gram matrix ``M``.  Before the
-update, one rule repairs each block position in turn where
-:func:`arknls.nnls.rank_deficiency`, the test the kernel raises through,
-fails, without changing the product ``U_i V_i^T``.
+Factors ``U`` (m x r) and ``V`` (n x r) are updated in blocks of up to
+``k`` columns, ``k`` in ``BLOCK_WIDTHS``.  Each half regroups the columns
+from the coefficient Gram matrix ``M`` (:func:`_partition`): a block is a
+set of columns, the most correlated first, and the r mod k left over form
+a ragged last block.  Each block's nonnegative least squares subproblem
+is solved by :func:`arknls.nnls.solve_block` from two cached products:
+``H``, the data matrix transposed times the coefficient factor, and
+``M``.  Before the update, one rule repairs each block position in turn
+where :func:`arknls.nnls.rank_deficiency`, the test the kernel raises
+through, fails, without changing the product ``U_i V_i^T``.
 
 One driver, ``_half_sweep``, runs both halves of a sweep for ``sweep`` and
 ``fit``; the U half runs the same code on a transposed view of the data
@@ -134,11 +136,11 @@ def _check_pair(factors: FactorPair) -> None:
 
 @dataclass
 class FactorPair:
-    """The two nonnegative factors plus their block partition metadata.
+    """The two nonnegative factors, their rank ``r`` and block width ``k``.
 
-    ``q`` is the number of full k-column blocks; when ``k`` does not divide
-    ``r`` one extra block covering the final k columns (overlapping the
-    last full block) is processed per sweep.
+    ``q``, the number of full k-column blocks, is accepted for callers
+    that build a pair by hand and read by nothing: each half-sweep chooses
+    its own blocks (:func:`_partition`).
     """
 
     U: DenseMatrix
@@ -182,10 +184,15 @@ class BlockWorkspace:
     ``H`` holds the data-times-coefficient product (one column per column
     of the coefficient factor) and ``M`` the coefficient Gram matrix; both
     stay consistent with the coefficient factor through repairs.
+    ``blocks`` is the partition :func:`repair_block` and
+    :func:`update_block_V` index: left ``None``, it is computed from ``M``
+    on the first of their calls, before any repair, as a half-sweep
+    computes it, and kept for the workspace's life.
     """
 
     H: np.ndarray
     M: np.ndarray
+    blocks: Optional[list[tuple[int, ...]]] = None
 
 
 @dataclass
@@ -205,12 +212,43 @@ class RepairPlan:
 REPAIR_KINDS = tuple(f.name for f in fields(RepairPlan))
 
 
-def _block_columns(r: int, k: int) -> list[tuple[int, ...]]:
-    q, rem = divmod(r, k)
-    blocks = [tuple(range(k * i, k * (i + 1))) for i in range(q)]
-    if rem:
-        blocks.append(tuple(range(r - k, r)))
-    return blocks
+def _partition(M: np.ndarray, k: int) -> list[tuple[int, ...]]:
+    """One half's blocks: range(r) as r // k blocks of ``k`` columns, in
+    the order taken, then the r mod k columns left, each block sorted.
+
+    Greedy on the normalized Gram ``c_ij = m_ij / (s_i s_j)``,
+    ``s_i = sqrt(m_ii)``, with ``c_ij = 0`` where ``s_i s_j = 0``: a block
+    starts from the free pair with the largest ``c_ij``, ties to the
+    smaller ``(i, j)``, and at k = 3 adds the free column with the largest
+    ``c_il + c_jl``, ties to the lower index.  Coupled columns then share
+    a block and are solved jointly.  A pure function of ``M``'s bits, and
+    the identity at k = 1 and at r = k.
+    """
+    r = M.shape[0]
+    if k == 1 or r == k:
+        return [tuple(range(i, i + k)) for i in range(0, r, k)]
+    s = np.sqrt(np.diagonal(M))
+    # A non-finite M makes no valid partition; the rank test reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.multiply.outer(s, s)
+        c = np.divide(M, scale, out=np.zeros((r, r)), where=scale > 0.0)
+    # A stable sort in row-major order breaks ties by (i, j).
+    first, second = np.divmod(np.argsort(-c, axis=None, kind="stable"), r)
+    upper = first < second
+    free = [True] * r
+    blocks = []
+    for i, j in zip(first[upper].tolist(), second[upper].tolist()):
+        if free[i] and free[j]:
+            free[i] = free[j] = False
+            block = [i, j]
+            if k == 3:
+                block.append(int(np.argmax(np.where(free, c[i] + c[j], -np.inf))))
+                free[block[-1]] = False
+            blocks.append(tuple(sorted(block)))
+            if len(blocks) == r // k:
+                break
+    tail = tuple(x for x in range(r) if free[x])
+    return blocks + [tail] if tail else blocks
 
 
 def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
@@ -269,20 +307,28 @@ def _det(rows) -> float:
     )
 
 
-def _repair(A, coef, target, H, M, cols, rows) -> RepairPlan:
-    """Make the coefficient block full rank while preserving its product
-    with the target block.  No-op on already independent columns.
+def _gather(M, cols) -> np.ndarray:
+    # The Gram block of the columns cols, a copy.  take on M's transpose,
+    # C-ordered where M is Fortran-ordered, copies nothing else: M.take
+    # would copy all of M to C order first, and an index array or np.ix_
+    # allocates index buffers; both also ran slower.
+    return M.T.take(cols, 1).take(cols, 0).T
 
-    One rule for every position j, left to right on the live Gram block:
-    where :func:`rank_deficiency` fires, :func:`fold` names the column to
-    rebuild and the nonnegative shares by which the kept columns' targets
-    absorb its target, and :func:`_rebuild` makes it the unit vector
-    :func:`_unit_row` picks.  ``rows`` holds rows of ``A`` gathered in
-    advance by :func:`read_rows`.
+
+def _repair(A, coef, target, H, M, cols, Mb, rows) -> RepairPlan:
+    """Make the coefficient block of columns ``cols`` full rank while
+    preserving its product with the target block.  No-op on already
+    independent columns.
+
+    One rule for every position j, left to right on the block's Gram
+    ``Mb``, gathered by the caller: where :func:`rank_deficiency` fires,
+    :func:`fold` names the column to rebuild and the nonnegative shares by
+    which the kept columns' targets absorb its target, :func:`_rebuild`
+    makes it the unit vector :func:`_unit_row` picks, and ``Mb`` is
+    gathered again in place from the ``M`` that rebuild patched.  ``rows``
+    holds rows of ``A`` gathered in advance by :func:`read_rows`.
     """
     plan = RepairPlan()
-    block = slice(cols[0], cols[-1] + 1)
-    Mb = M[block, block]
     for j in range(len(cols)):
         if rank_deficiency(Mb, j):
             order, shares = fold(Mb, j)
@@ -290,29 +336,33 @@ def _repair(A, coef, target, H, M, cols, rows) -> RepairPlan:
             for col, share in zip(kept, shares):
                 target[:, col] += share * target[:, last]
             _rebuild(A, coef, target, H, M, rows, last, _unit_row(coef, kept, last))
+            Mb[...] = _gather(M, cols)
             setattr(plan, REPAIR_KINDS[j], True)
     return plan
 
 
-def _update_block(target, H, M, cols, R, work) -> None:
-    """Closed-form joint update of the target columns of one block.
+def _update_block(target, H, M, cols, Mb, tested, R, work) -> None:
+    """Closed-form joint update of the target columns ``cols`` of one
+    block, whose coefficient Gram is ``Mb``.
 
     The residual columns ``r_j = H[:, c_j] - target @ M[:, c_j]`` are
-    formed with the current target, one column at a time, in the
-    Fortran-ordered buffer ``R`` (a row per target row, a column per
-    block column), and :func:`solve_block` turns them into the block's
-    new columns with ``work`` as its scratch; both come from
+    formed with the current target, one column at a time, in the leading
+    columns of the Fortran-ordered buffer ``R`` (a row per target row),
+    and :func:`solve_block` writes the block's new values straight into
+    the target's columns, with ``work`` as its scratch; both come from
     :func:`_block_scratch`, so a block allocates nothing of column length.
+    ``tested`` skips the kernel's rank tests, which the repair ran on this
+    ``Mb`` without a rebuild.
     """
-    block = slice(cols[0], cols[-1] + 1)
+    R = R[:, : len(cols)]
     for j, c in enumerate(cols):
         np.matmul(target, M[:, c], out=R[:, j])
         np.subtract(H[:, c], R[:, j], out=R[:, j])
-    solve_block(M[block, block], R, target[:, block], work)
+    solve_block(Mb, R, [target[:, c] for c in cols], work, tested)
 
 
 def _block_scratch(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # The residual buffer and the kernel's scratch for k-column blocks of
+    # The residual buffer and the kernel's scratch for blocks of up to k
     # n-row factor columns, allocated once and reused by every block.
     return np.empty((n, k), order="F"), lift_work(n, k)
 
@@ -324,13 +374,15 @@ def repair_block(
     A: MatrixRef,
     rank_eps: float = RANK_EPS,
 ) -> RepairPlan:
-    """Repair the coefficient block ``U_i`` for a V-side pass.  ``rank_eps``
-    must be ``RANK_EPS``."""
+    """Repair the coefficient block ``U_i`` for a V-side pass, block
+    ``block_index`` of ``workspace.blocks``.  ``rank_eps`` must be
+    ``RANK_EPS``."""
     _check_rank_eps(rank_eps)
     _check_pair(factors)
-    cols = _block_columns(factors.r, factors.k)[block_index]
+    cols = _workspace_block(factors, workspace, block_index)
     U, V = factors.U.data, factors.V.data
-    return _repair(A, U, V, workspace.H, workspace.M, cols, {})
+    M = workspace.M
+    return _repair(A, U, V, workspace.H, M, cols, _gather(M, cols), {})
 
 
 def update_block_V(
@@ -340,16 +392,25 @@ def update_block_V(
     block_index: int,
     rank_eps: float = RANK_EPS,
 ) -> None:
-    """Update the V columns of one block in place from current caches and
-    a full-rank coefficient block (repair first).  ``A`` is unread; it and
+    """Update the V columns of block ``block_index`` of
+    ``workspace.blocks`` in place from current caches and a full-rank
+    coefficient block (repair first).  ``A`` is unread; it and
     ``rank_eps``, which must be ``RANK_EPS``, mirror :func:`repair_block`.
     """
     _check_rank_eps(rank_eps)
     _check_pair(factors)
-    cols = _block_columns(factors.r, factors.k)[block_index]
-    V = factors.V.data
+    cols = _workspace_block(factors, workspace, block_index)
+    V, M = factors.V.data, workspace.M
     R, work = _block_scratch(V.shape[0], len(cols))
-    _update_block(V, workspace.H, workspace.M, cols, R, work)
+    _update_block(V, workspace.H, M, cols, _gather(M, cols), False, R, work)
+
+
+def _workspace_block(
+    factors: FactorPair, workspace: BlockWorkspace, index: int
+) -> tuple[int, ...]:
+    if workspace.blocks is None:
+        workspace.blocks = _partition(workspace.M, factors.k)
+    return workspace.blocks[index]
 
 
 def _check_rank_eps(rank_eps: float) -> None:
@@ -384,17 +445,20 @@ def _half_sweep(
     fro2: float,
     observer: Optional[BlockObserver],
     M: Optional[np.ndarray] = None,
-) -> tuple[float, int, np.ndarray]:
+    objective: bool = True,
+) -> tuple[Optional[float], int, np.ndarray]:
     """The driver behind :func:`sweep` and :func:`fit`: repair plus update
     every block of the ``side`` factor once.
 
     ``M`` is the coefficient factor's Gram matrix (Fortran-ordered, as
     :func:`gram` returns it) if the caller has it, else computed; it is
-    updated in place.  All-zero (dead) coefficient columns are read off its
-    diagonal: sparse input skips their product columns, and the rows of
-    ``A`` their repairs read are gathered at once by :func:`read_rows`.
-    Returns the objective from the trace identity on the caches
-    (:func:`_trace_residual`), the number of repairs and the updated
+    updated in place.  The blocks are partitioned from it first, so that
+    their r x r temporaries are gone before ``H`` is live.  All-zero
+    (dead) coefficient columns are read off its diagonal: sparse input
+    skips their product columns, and the rows of ``A`` their repairs read
+    are gathered at once by :func:`read_rows`.  Returns the objective from
+    the trace identity on the caches (:func:`_trace_residual`), or
+    ``None`` unless ``objective``, the number of repairs and the updated
     factor's Gram, the next half's ``M``.  Besides the factors, ``H`` and
     r x r matrices, the pass holds only the residual buffer and kernel
     scratch, allocated once and freed before the objective.
@@ -408,21 +472,25 @@ def _half_sweep(
     coef_arr, target_arr = coef.data, target.data
     if M is None:
         M = gram(coef).data
+    blocks = _partition(M, factors.k)
     dead = _dead_columns(coef_arr, M)
     H = _products(data, coef, dead)
     # A dead column is rebuilt as e_c, so its repair reads row c.
     rows = read_rows(data, dead) if dead else {}
     R, work = _block_scratch(target.rows, factors.k)
     repairs = 0
-    for idx, cols in enumerate(_block_columns(factors.r, factors.k)):
-        plan = _repair(data, coef_arr, target_arr, H, M, cols, rows)
+    for idx, cols in enumerate(blocks):
+        Mb = _gather(M, cols)
+        plan = _repair(data, coef_arr, target_arr, H, M, cols, Mb, rows)
         repairs += plan.events
-        _update_block(target_arr, H, M, cols, R, work)
+        _update_block(target_arr, H, M, cols, Mb, not plan.events, R, work)
         if observer is not None:
             observer(side, idx)
     del R, work  # freed before the objective, which then sets the peak
-    objective, target_gram = _trace_residual(fro2, H, target, M)
-    return objective, repairs, target_gram
+    if not objective:
+        return None, repairs, gram(target).data
+    value, target_gram = _trace_residual(fro2, H, target, M)
+    return value, repairs, target_gram
 
 
 def _nonnegative_fro2(A: MatrixRef) -> float:
@@ -461,8 +529,8 @@ def fit(
     The trace records the relative residual once per full sweep, measured
     after the U half from the caches that half maintained.  The U half runs
     on ``transposed(A)``, a view of ``A``'s own storage.  Each half hands
-    the Gram matrix of the factor it updated, already computed for its
-    objective, to the next half as that half's coefficient Gram.  Negative
+    the Gram matrix of the factor it updated to the next half as that
+    half's coefficient Gram; the V half computes no objective.  Negative
     dense input raises :class:`ValueError`, and a numerical breakdown (a
     non-finite objective) :class:`FloatingPointError`.
     """
@@ -480,7 +548,7 @@ def fit(
     for sweep_index in range(1, config.max_sweeps + 1):
         for side in "VU":
             objective, repairs, gram_next = _half_sweep(
-                A, factors, side, fro2, None, gram_next
+                A, factors, side, fro2, None, gram_next, side == "U"
             )
             trace.repair_events += repairs
         residual = math.sqrt(objective) / fro

@@ -26,7 +26,6 @@ from arknls.solver import (
     BlockWorkspace,
     FactorPair,
     SolverConfig,
-    _block_columns,
     fit,
     initialize,
     repair_block,
@@ -237,9 +236,9 @@ def test_c07_row_decoupling():
         a = DenseMatrix(rng.random((20, 15)))
         factors = initialize(a, 3, seed=trial, k=3)
         ws = build_workspace(a, factors)
-        cols = _block_columns(3, 3)[0]
         residual = a.data.copy()  # single block, nothing else to subtract
         repair_block(factors, ws, 0, a)
+        cols = ws.blocks[0]
         update_block_V(a, factors, ws, 0)
         for t in range(a.cols):
             want = nnls_block(factors.U.data[:, list(cols)], residual[:, t]).y

@@ -22,7 +22,7 @@ from arknls.solver import (
     BlockWorkspace,
     FactorPair,
     SolverConfig,
-    _block_columns,
+    _partition,
     fit,
     flops_per_sweep,
     _half_sweep_flops,
@@ -102,15 +102,68 @@ class TestInitialize:
         assert str(caught.value) == message
 
 
-class TestBlockPartition:
-    def test_exact_division(self):
-        assert _block_columns(3, 3) == [(0, 1, 2)]
-        assert _block_columns(6, 2) == [(0, 1), (2, 3), (4, 5)]
+def planted_gram(blocks, strength, diag, rest=0.1):
+    """A Gram matrix whose normalized entries are ``strength[b]`` within
+    ``blocks[b]`` and ``rest`` elsewhere, with diagonal ``diag``."""
+    r = len(diag)
+    c = np.full((r, r), rest)
+    for block, value in zip(blocks, strength):
+        c[np.ix_(block, block)] = value
+    np.fill_diagonal(c, 1.0)
+    s = np.sqrt(np.asarray(diag, dtype=float))
+    return c * np.multiply.outer(s, s)
 
-    def test_overlapping_remainder(self):
-        assert _block_columns(7, 3) == [(0, 1, 2), (3, 4, 5), (4, 5, 6)]
-        assert _block_columns(8, 3) == [(0, 1, 2), (3, 4, 5), (5, 6, 7)]
-        assert _block_columns(5, 2) == [(0, 1), (2, 3), (3, 4)]
+
+class TestBlockPartition:
+    # Each half partitions range(r) by _partition on the coefficient Gram.
+    @pytest.mark.parametrize("r", [3, 5, 6, 7, 8, 13, 29, 30])
+    def test_covers_every_column_once(self, r):
+        M = gram(DenseMatrix(np.random.default_rng(r).random((40, r)))).data
+        for k in (1, 2, 3):
+            blocks = _partition(M, k)
+            assert sorted(c for block in blocks for c in block) == list(range(r))
+            assert all(list(block) == sorted(block) for block in blocks)
+
+    @pytest.mark.parametrize("r, k", [(5, 2), (7, 2), (7, 3), (8, 3), (29, 2), (29, 3)])
+    def test_ragged_tail(self, r, k):
+        u = np.random.default_rng(r).random((40, r))
+        widths = [len(block) for block in _partition(gram(DenseMatrix(u)).data, k)]
+        assert widths == [k] * (r // k) + [r % k]
+
+    def test_exact_division(self):
+        # The identity at k = 1 and at r = k, however the columns correlate.
+        M = planted_gram([[0, 5], [2, 3]], [0.9, 0.8], [1, 2, 3, 4, 5, 6])
+        assert _partition(M, 1) == [(c,) for c in range(6)]
+        assert _partition(M[:2, :2], 2) == [(0, 1)]
+        assert _partition(M[:3, :3], 3) == [(0, 1, 2)]
+        assert _partition(M, 2) != [(0, 1), (2, 3), (4, 5)]
+
+    def test_ties_break_by_index(self):
+        # Equal (or zero, or undefined) correlations leave the index order.
+        for M in (np.eye(7), np.zeros((7, 7)), planted_gram([], [], [1.0] * 7)):
+            assert _partition(M, 2) == [(0, 1), (2, 3), (4, 5), (6,)]
+            assert _partition(M, 3) == [(0, 1, 2), (3, 4, 5), (6,)]
+        # Two pairs at 0.9: (0, 3) comes before (1, 2).  At k = 3 every
+        # free column scores c_0l + c_3l = 0.2, and 1 is added; raise 4
+        # and 5 to a tie at 0.4, and 4 is.
+        M = planted_gram([[0, 3], [1, 2]], [0.9, 0.9], [1.0] * 6)
+        assert _partition(M, 2) == [(0, 3), (1, 2), (4, 5)]
+        assert _partition(M, 3)[0] == (0, 1, 3)
+        M[np.ix_([0, 3], [4, 5])] = M[np.ix_([4, 5], [0, 3])] = 0.2
+        assert _partition(M, 3)[0] == (0, 3, 4)
+
+    def test_planted_pairs_group(self):
+        # Planted pairs come out as blocks, strongest first, whatever the
+        # column norms; at k = 3 the planted triples do.
+        diag = [1.0, 1e-6, 4.0, 9.0, 1e6, 0.5]
+        pairs = [[1, 4], [0, 5], [2, 3]]
+        M = planted_gram(pairs, [0.7, 0.95, 0.8], diag)
+        assert _partition(M, 2) == [(0, 5), (2, 3), (1, 4)]
+        triples = [[1, 3, 4], [0, 2, 5]]
+        M = planted_gram(triples, [0.6, 0.9], diag)
+        assert _partition(M, 3) == [(0, 2, 5), (1, 3, 4)]
+        tail = planted_gram([[1, 3], [0, 4]], [0.6, 0.9], diag[:5])
+        assert _partition(tail, 2) == [(0, 4), (1, 3), (2,)]
 
 
 class TestUpdateBlock:
@@ -488,7 +541,7 @@ class TestSweep:
         f = initialize(a, 7, seed=3, k=3)
         f.U.data[:, 1] = 0.0  # force a repair so the refresh path runs
         ws = build_workspace(a, f)
-        for i in range(len(_block_columns(f.r, f.k))):
+        for i in range(-(-f.r // f.k)):
             repair_block(f, ws, i, a)
             update_block_V(a, f, ws, i)
         h_ref = a.data.T @ f.U.data
@@ -496,22 +549,47 @@ class TestSweep:
         assert np.max(np.abs(ws.H - h_ref)) <= 1e-11 * (1 + np.max(np.abs(h_ref)))
         assert np.max(np.abs(ws.M - m_ref)) <= 1e-11 * (1 + np.max(np.abs(m_ref)))
 
+    @pytest.mark.parametrize("r, k", [(6, 2), (7, 3), (5, 1)])
+    def test_rank_tests_run_once_per_block(self, r, k, monkeypatch):
+        # With no repair firing, the kernel trusts the repair's tests on
+        # the Gram block it was handed: one test per column, not two.
+        import arknls.nnls as nnls_module
+
+        calls = []
+        test = nnls_module.rank_deficiency
+
+        def counted(Mb, j):
+            calls.append(j)
+            return test(Mb, j)
+
+        monkeypatch.setattr(nnls_module, "rank_deficiency", counted)
+        monkeypatch.setattr(solver_module, "rank_deficiency", counted)
+        rng = np.random.default_rng(16)
+        a = DenseMatrix(rng.random((20, 15)))
+        f = initialize(a, r, seed=5, k=k)
+        sweep(a, f, "V")
+        assert len(calls) == r
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_row_decoupling(self, k):
         # Each updated block row solves its own small NNLS against the
-        # residual with every other block frozen.
+        # residual with every other block frozen.  The blocks are those of
+        # the partition the workspace holds, which regroups r = 6 at k > 1.
         rng = np.random.default_rng(14)
         a = DenseMatrix(rng.random((20, 15)))
         f = initialize(a, 6, seed=4, k=k)
         ws = build_workspace(a, f)
-        for i, cols in enumerate(_block_columns(f.r, f.k)):
+        for i in range(f.r // f.k):
+            repair_block(f, ws, i, a)
+            cols = ws.blocks[i]
             others = [c for c in range(f.r) if c not in cols]
             residual = a.data - f.U.data[:, others] @ f.V.data[:, others].T
-            repair_block(f, ws, i, a)
             update_block_V(a, f, ws, i)
             for t in range(a.cols):
                 want = nnls_block(f.U.data[:, list(cols)], residual[:, t]).y
                 assert np.max(np.abs(f.V.data[t, list(cols)] - want)) <= 1e-10
+        if k > 1:
+            assert ws.blocks != [tuple(range(i, i + k)) for i in range(0, 6, k)]
 
 
 class TestFit:
@@ -637,6 +715,21 @@ class TestFit:
         assert np.array_equal(f.U.data, g.U.data)
         assert np.array_equal(f.V.data, g.V.data)
         assert trace.final_residual == np.sqrt(obj_u) / frobenius_norm(a)
+
+    def test_one_objective_per_sweep(self, monkeypatch):
+        # fit reads the objective after the U half only, so the V half
+        # computes none; the trace is bitwise as sweep pairs give it.
+        calls = []
+        trace_residual = solver_module._trace_residual
+
+        def counted(*args):
+            calls.append(args[0])
+            return trace_residual(*args)
+
+        monkeypatch.setattr(solver_module, "_trace_residual", counted)
+        a = gen_dense(SynthSpec(m=30, n=20, true_rank=3, seed=2))
+        fit(a, SolverConfig(rank=5, k=2, max_sweeps=4, seed=1))
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("k, scale", [(1, 1e155), (2, 1e155), (3, 1e155)])
     def test_numerical_breakdown_raises(self, k, scale):
@@ -883,6 +976,83 @@ class TestFit:
         assert trace.rel_residual == trace_ref.rel_residual
         assert np.array_equal(f.U.data, f_ref.U.data)
         assert np.array_equal(f.V.data, f_ref.V.data)
+
+
+def holed_input():
+    """A rank-3 sparse input with two zero rows and two zero columns, and
+    its dense twin.  Fitted at rank 12 or 13 it needs repairs."""
+    spec = SynthSpec(m=60, n=45, true_rank=3, noise_std=0.0, sparsity=0.3, seed=6)
+    d = gen_sparse(spec).to_dense().data.copy()
+    d[[4, 17], :] = 0.0
+    d[:, [0, 31]] = 0.0
+    i, j = np.nonzero(d)
+    return SparseMatrixCSR.from_coo(60, 45, i, j, d[i, j]), DenseMatrix(d)
+
+
+# (rank, k) with k dividing the rank and not: the correlation grouping
+# regroups every half, and a ragged last block runs where k does not.
+GROUPED = [(12, 2), (13, 2), (12, 3), (13, 3)]
+
+
+class TestGroupedFit:
+    @pytest.mark.parametrize("rank, k", GROUPED)
+    def test_monotone_with_repairs(self, rank, k):
+        s, d = holed_input()
+        for a in (s, d):
+            f, trace = fit(a, SolverConfig(rank=rank, k=k, max_sweeps=60, seed=1))
+            res = trace.rel_residual
+            for lo, hi in zip(res[1:], res[:-1]):
+                assert lo <= hi + 1e-10 * (1.0 + hi)
+            assert trace.repair_events > 0
+            assert f.U.data.min() >= 0.0 and f.V.data.min() >= 0.0
+            assert trace.final_residual == pytest.approx(
+                relative_residual(a, f.U, f.V), rel=1e-9
+            )
+
+    @pytest.mark.parametrize("rank, k", GROUPED)
+    def test_repeated_fits_bitwise(self, rank, k):
+        s, _ = holed_input()
+        cfg = SolverConfig(rank=rank, k=k, max_sweeps=30, seed=2)
+        (f1, t1), (f2, t2) = fit(s, cfg), fit(s, cfg)
+        assert np.array_equal(f1.U.data, f2.U.data)
+        assert np.array_equal(f1.V.data, f2.V.data)
+        assert t1.rel_residual == t2.rel_residual
+        assert t1.repair_events == t2.repair_events
+
+    @pytest.mark.parametrize("rank, k", GROUPED)
+    def test_dense_and_sparse_twins_agree(self, rank, k):
+        s, d = holed_input()
+        cfg = SolverConfig(rank=rank, k=k, max_sweeps=60, seed=1)
+        _, t_sparse = fit(s, cfg)
+        _, t_dense = fit(d, cfg)
+        assert t_sparse.repair_events == t_dense.repair_events > 0
+        np.testing.assert_allclose(
+            t_sparse.rel_residual, t_dense.rel_residual, rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    @pytest.mark.parametrize("rank, k", GROUPED)
+    def test_shim_loops_reproduce_sweep(self, rank, k, form):
+        # The public shims walk the partition a fresh workspace holds, one
+        # block index at a time, as a caller replaying fit would.
+        s, d = holed_input()
+        a = s if form == "sparse" else d
+        g = initialize(a, rank, seed=3, k=k)
+        h = initialize(a, rank, seed=3, k=k)
+        events = 0
+        for side in "VUVUVU":
+            sweep(a, g, side)
+            data, coef, target = (a, h.U, h.V) if side == "V" else (
+                transposed(a), h.V, h.U
+            )
+            pair = FactorPair(U=coef, V=target, r=rank, k=k, q=rank // k)
+            ws = BlockWorkspace(H=at_times(data, coef).data, M=gram(coef).data)
+            for i in range(-(-rank // k)):
+                events += repair_block(pair, ws, i, data).events
+                update_block_V(data, pair, ws, i)
+            assert np.array_equal(g.U.data, h.U.data)
+            assert np.array_equal(g.V.data, h.V.data)
+        assert events > 0
 
 
 def traced_peak(call) -> int:
