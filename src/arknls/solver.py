@@ -184,15 +184,17 @@ class BlockWorkspace:
     ``H`` holds the data-times-coefficient product (one column per column
     of the coefficient factor) and ``M`` the coefficient Gram matrix; both
     stay consistent with the coefficient factor through repairs.
-    ``blocks`` is the partition :func:`repair_block` and
-    :func:`update_block_V` index: left ``None``, it is computed from ``M``
-    on the first of their calls, before any repair, as a half-sweep
-    computes it, and kept for the workspace's life.
+    ``blocks`` is a cache, not an argument: the partition
+    :func:`repair_block` and :func:`update_block_V` index, which the first
+    of their calls fills from ``M``, before any repair, as a half-sweep
+    computes it, and which is kept for the workspace's life.
     """
 
     H: np.ndarray
     M: np.ndarray
-    blocks: Optional[list[tuple[int, ...]]] = None
+    blocks: Optional[list[tuple[int, ...]]] = field(
+        default=None, init=False, repr=False
+    )
 
 
 @dataclass
@@ -225,8 +227,8 @@ def _partition(M: np.ndarray, k: int) -> list[tuple[int, ...]]:
     the identity at k = 1 and at r = k.
     """
     r = M.shape[0]
-    if k == 1 or r == k:
-        return [tuple(range(i, i + k)) for i in range(0, r, k)]
+    if k == 1:
+        return [(c,) for c in range(r)]
     s = np.sqrt(np.diagonal(M))
     # A non-finite M makes no valid partition; the rank test reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,8 +244,12 @@ def _partition(M: np.ndarray, k: int) -> list[tuple[int, ...]]:
             free[i] = free[j] = False
             block = [i, j]
             if k == 3:
-                block.append(int(np.argmax(np.where(free, c[i] + c[j], -np.inf))))
-                free[block[-1]] = False
+                l = int(np.argmax(np.where(free, c[i] + c[j], -np.inf)))
+                if not free[l]:
+                    # Every free score is -inf: the tie goes to the lowest.
+                    l = free.index(True)
+                block.append(l)
+                free[l] = False
             blocks.append(tuple(sorted(block)))
             if len(blocks) == r // k:
                 break

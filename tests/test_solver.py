@@ -165,6 +165,27 @@ class TestBlockPartition:
         tail = planted_gram([[1, 3], [0, 4]], [0.6, 0.9], diag[:5])
         assert _partition(tail, 2) == [(0, 4), (1, 3), (2,)]
 
+    @pytest.mark.parametrize("r", [3, 6, 7])
+    def test_cover_when_every_free_score_is_minus_inf(self, r):
+        # A Gram that is not one of nonnegative factors can score every
+        # free column -inf, as low as a taken one: the lowest free column
+        # is added, and the partition still covers range(r).
+        M = np.eye(r)
+        M[0, 1] = M[1, 0] = 1e300
+        M[0, 2:] = M[2:, 0] = M[1, 2:] = M[2:, 1] = -1e300
+        M[range(2, r), range(2, r)] = 1e-300
+        blocks = _partition(M, 3)
+        assert blocks[0] == (0, 1, 2)
+        assert sorted(c for block in blocks for c in block) == list(range(r))
+
+    def test_workspace_partition_is_a_cache(self):
+        # The shims fill it; a caller cannot pass a partition unchecked.
+        M = np.eye(4)
+        ws = BlockWorkspace(H=np.zeros((2, 4)), M=M)
+        assert ws.blocks is None
+        with pytest.raises(TypeError):
+            BlockWorkspace(H=np.zeros((2, 4)), M=M, blocks=[(0, 1, 2, 3)])
+
 
 class TestUpdateBlock:
     def test_single_rhs_reduction(self):
