@@ -11,6 +11,11 @@ is solved by :func:`arknls.nnls.solve_block` from two cached products:
 where :func:`arknls.nnls.rank_deficiency`, the test the kernel raises
 through, fails, without changing the product ``U_i V_i^T``.
 
+:func:`initialize` starts V from rows of the data, and a repair rebuilds a
+column at a power of two of the coefficient factor's scale, so the fit of
+``2^e A`` is the fit of ``A`` with V scaled by ``2^e``, bit for bit,
+wherever nothing under- or overflows.
+
 One driver, ``_half_sweep``, runs both halves of a sweep for ``sweep`` and
 ``fit``; the U half runs the same code on a transposed view of the data
 with the factor roles swapped.
@@ -223,46 +228,59 @@ def _partition(M: np.ndarray, k: int) -> list[tuple[int, ...]]:
     starts from the free pair with the largest ``c_ij``, ties to the
     smaller ``(i, j)``, and at k = 3 adds the free column with the largest
     ``c_il + c_jl``, ties to the lower index.  Coupled columns then share
-    a block and are solved jointly.  A pure function of ``M``'s bits, and
-    the identity at k = 1 and at r = k.
+    a block and are solved jointly.  The walk stops when only the last
+    block's columns are left: k of them when k divides r, which the walk
+    would take whatever their scores.  A pure function of ``M``'s bits,
+    and the identity at k = 1 and at r = k.
     """
     r = M.shape[0]
     if k == 1:
         return [(c,) for c in range(r)]
-    s = np.sqrt(np.diagonal(M))
-    # A non-finite M makes no valid partition; the rank test reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.multiply.outer(s, s)
-        c = np.divide(M, scale, out=np.zeros((r, r)), where=scale > 0.0)
-    # A stable sort in row-major order breaks ties by (i, j).
-    first, second = np.divmod(np.argsort(-c, axis=None, kind="stable"), r)
-    upper = first < second
+    whole, ragged = divmod(r, k)
+    walked = whole if ragged else whole - 1
     free = [True] * r
     blocks = []
-    for i, j in zip(first[upper].tolist(), second[upper].tolist()):
-        if free[i] and free[j]:
-            free[i] = free[j] = False
-            block = [i, j]
-            if k == 3:
-                l = int(np.argmax(np.where(free, c[i] + c[j], -np.inf)))
-                if not free[l]:
-                    # Every free score is -inf: the tie goes to the lowest.
-                    l = free.index(True)
-                block.append(l)
-                free[l] = False
-            blocks.append(tuple(sorted(block)))
-            if len(blocks) == r // k:
-                break
-    tail = tuple(x for x in range(r) if free[x])
-    return blocks + [tail] if tail else blocks
+    if walked:
+        s = np.sqrt(np.diagonal(M))
+        # A non-finite M makes no valid partition; the rank test reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.multiply.outer(s, s)
+            c = np.divide(M, scale, out=np.zeros((r, r)), where=scale > 0.0)
+        # A stable sort in row-major order breaks ties by (i, j).
+        first, second = np.divmod(np.argsort(-c, axis=None, kind="stable"), r)
+        upper = first < second
+        for i, j in zip(first[upper].tolist(), second[upper].tolist()):
+            if free[i] and free[j]:
+                free[i] = free[j] = False
+                block = [i, j]
+                if k == 3:
+                    # Taken columns score -inf: c is marked in place once
+                    # the sort has read it.
+                    c[:, i] = c[:, j] = -np.inf
+                    l = int(np.argmax(c[i] + c[j]))
+                    if not free[l]:
+                        # Every free score is -inf: the tie goes to the lowest.
+                        l = free.index(True)
+                    block.append(l)
+                    free[l] = False
+                    c[:, l] = -np.inf
+                blocks.append(tuple(sorted(block)))
+                if len(blocks) == walked:
+                    break
+    return blocks + [tuple(x for x in range(r) if free[x])]
 
 
 def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
-    """Random nonnegative factors: uniform(0, 1) entries, V drawn before U,
-    then the columns of U scaled to unit 2-norm.
+    """Seeded nonnegative factors: U uniform(0, 1) with unit 2-norm
+    columns, and column j of V row ``rows[j]`` of ``A``.
 
-    The stream is PCG64 seeded with ``seed`` and matrices are filled
-    column-major, so a seed pins the factors bit for bit.
+    The stream is PCG64 seeded with ``seed``.  U is drawn first, filled
+    column-major, then the r distinct rows ``rng.choice(m, r,
+    replace=False)``, read by :func:`read_rows`: the "random Acol" start
+    of Langville, Meyer, Albright & Cooper (2014).  So a seed pins the
+    factors bit for bit, V carries the data's scale (``2^e A`` starts from
+    the same U and ``2^e V``), and the dense and sparse forms of one
+    matrix start alike.  An all-zero sampled row gives an all-zero column.
     """
     _check_integers(rank=r, k=k)
     _check_seed(seed)
@@ -271,27 +289,41 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
         raise ValueError(f"rank {r} must lie in [1, min(m, n)] = [1, {min(m, n)}]")
     _check_block_width(r, k)
     rng = make_rng(seed)
-    v = uniform_matrix(rng, n, r)
     u = uniform_matrix(rng, m, r)
     norms = np.sqrt(np.sum(u * u, axis=0))
     if np.any(norms == 0.0):
         raise RuntimeError("drew an all-zero column, seed unusable")
     u /= norms
+    rows = rng.choice(m, r, replace=False).tolist()
+    entries = read_rows(A, rows)
+    v = np.zeros((n, r), order="F")
+    for j, i in enumerate(rows):
+        slots, values = entries[i]
+        v[slots, j] = values
     return FactorPair(DenseMatrix._wrap(u), DenseMatrix._wrap(v), r, k, r // k)
 
 
 def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
-    # Zero target[:, col], make coef[:, col] the unit vector e_{unit_row}
-    # and patch H's column and M's row and column to match, with the row
-    # of A from the gather ``rows`` or, if it lacks it, read alone.
+    """Zero ``target[:, col]``, make ``coef[:, col]`` the vector
+    ``s e_{unit_row}`` and patch ``H``'s column and ``M``'s row and column
+    to match, with the row of ``A`` from the gather ``rows`` or, if it
+    lacks it, read alone.
+
+    ``s`` is the power of two ``2**frexp(sqrt(max_i m_ii))[1]`` over the
+    coefficient Gram ``M``, at the scale of the coefficient columns rather
+    than 1.  Multiplying by it is exact, so ``H`` and ``M`` stay the
+    products of the rebuilt column, and the rebuild scales with the data.
+    """
+    s = math.ldexp(1.0, math.frexp(math.sqrt(np.max(np.diagonal(M))))[1])
     target[:, col] = 0.0
     coef[:, col] = 0.0
-    coef[unit_row, col] = 1.0
+    coef[unit_row, col] = s
     slots, values = rows.get(unit_row) or read_rows(A, [unit_row])[unit_row]
     H[:, col] = 0.0
-    H[slots, col] = values
-    M[:, col] = coef[unit_row, :]
-    M[col, :] = coef[unit_row, :]
+    H[slots, col] = s * values
+    row = s * coef[unit_row, :]
+    M[:, col] = row
+    M[col, :] = row
 
 
 def _unit_row(coef, kept, last: int) -> int:
@@ -330,7 +362,7 @@ def _repair(A, coef, target, H, M, cols, Mb, rows) -> RepairPlan:
     ``Mb``, gathered by the caller: where :func:`rank_deficiency` fires,
     :func:`fold` names the column to rebuild and the nonnegative shares by
     which the kept columns' targets absorb its target, :func:`_rebuild`
-    makes it the unit vector :func:`_unit_row` picks, and ``Mb`` is
+    makes it the scaled unit vector :func:`_unit_row` picks, and ``Mb`` is
     gathered again in place from the ``M`` that rebuild patched.  ``rows``
     holds rows of ``A`` gathered in advance by :func:`read_rows`.
     """
@@ -530,7 +562,8 @@ def fit(
     config: SolverConfig,
     clock: Optional[Callable[[], float]] = None,
 ) -> tuple[FactorPair, SolveTrace]:
-    """Run alternating V-then-U sweeps from a seeded random start.
+    """Run alternating V-then-U sweeps from the seeded start of
+    :func:`initialize`.
 
     The trace records the relative residual once per full sweep, measured
     after the U half from the caches that half maintained.  The U half runs
