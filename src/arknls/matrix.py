@@ -43,8 +43,11 @@ class DenseMatrix:
     given, not copied: the matrix shares the caller's memory, so later
     edits to the array show through, and :func:`arknls.fit` only reads
     it.  Any other input (another dtype, a strided view, a list) is
-    converted to a new Fortran-ordered ``float64`` array.  All stored
-    values must be finite.
+    converted to a new Fortran-ordered ``float64`` array.  Wrapping
+    reads no values: :func:`arknls.fit`, :func:`arknls.sweep` and
+    :func:`relative_residual` check them on every call, from the sum of
+    squares they compute anyway, so an entry written after wrapping is
+    checked too.  The other functions propagate a NaN as numpy does.
     """
 
     __slots__ = ("data",)
@@ -60,8 +63,6 @@ class DenseMatrix:
             arr = np.asfortranarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
-        if not _all_finite(arr):
-            raise ValueError("dense matrix entries must be finite")
         self.data = arr
 
     @classmethod
@@ -90,17 +91,6 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
-
-
-def _all_finite(arr: np.ndarray) -> bool:
-    # A sum of squares is finite only if every entry is, so the dot screens
-    # the array without the m x n mask np.isfinite builds.  The exact scan
-    # runs only when the screen fails: on a NaN, an infinity, or squares
-    # that overflow.
-    flat = arr.ravel(order="K")
-    with np.errstate(over="ignore"):
-        screen = float(np.dot(flat, flat))
-    return math.isfinite(screen) or bool(np.isfinite(arr).all())
 
 
 class SparseView:
@@ -155,8 +145,8 @@ class SparseMatrixCSR(SparseView):
         _check_integers(rows=rows, cols=cols)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        off = _index_array("row_offsets", row_offsets)
-        idx = _index_array("col_indices", col_indices)
+        off = np.ascontiguousarray(_index_array("row_offsets", row_offsets), np.int64)
+        idx = np.ascontiguousarray(_index_array("col_indices", col_indices), np.int64)
         vals = np.ascontiguousarray(values, dtype=np.float64)
         sp = csr_array((vals, idx, off), shape=(rows, cols), copy=False)
         # scipy drops the entries past a short end without a word, and its
@@ -205,10 +195,11 @@ class SparseMatrixCSR(SparseView):
 
 def _index_array(name, value) -> np.ndarray:
     # scipy truncates float and bool indices; an empty list is let through.
+    # The dtype is kept: scipy converts indices to the dtype it picks.
     arr = np.asarray(value)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-    return np.ascontiguousarray(arr, dtype=np.int64)
+    return arr
 
 
 def _check_integers(**values) -> None:
@@ -354,13 +345,33 @@ def _fro_squared(A: MatrixRef) -> float:
     return float(np.dot(A.sp.data, A.sp.data))
 
 
+def _finite_fro2(A: MatrixRef) -> float:
+    """``|A|^2``, after checking that a dense ``A`` holds only finite values.
+
+    A sum of squares is finite only if every entry is, so ``|A|^2`` screens
+    the array without the m x n mask ``np.isfinite`` builds.  The exact
+    scan runs only when the screen fails: on a NaN, an infinity, or squares
+    that overflow, which it accepts.
+    """
+    fro2 = _fro_squared(A)
+    if (
+        not math.isfinite(fro2)
+        and isinstance(A, DenseMatrix)
+        and not np.isfinite(A.data).all()
+    ):
+        raise ValueError("dense matrix entries must be finite")
+    return fro2
+
+
 def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
     """Frobenius norm of ``A - U V^T`` divided by the norm of ``A``, from
     :func:`_trace_residual`, so the low-rank product is never materialized.
+    A dense ``A`` with a NaN or an infinite entry raises :class:`ValueError`,
+    and a non-finite residual :class:`FloatingPointError`.
     """
     if U.rows != A.rows or V.rows != A.cols or U.cols != V.cols:
         raise ValueError("factor dimensions do not conform with A")
-    a2 = _fro_squared(A)
+    a2 = _finite_fro2(A)
     if a2 == 0.0:
         raise ValueError("relative residual undefined for an all-zero matrix")
     return math.sqrt(_trace_residual(a2, at_times(A, U).data, V, gram(U).data)[0] / a2)

@@ -257,9 +257,14 @@ def _read_plain(text, header):
         # mmread appends the mirror of each off-diagonal entry after all
         # the file's entries.
         entries += np.count_nonzero(parsed.row[:count] != parsed.col[:count])
-    if parsed.nnz != entries or not _admissible(parsed.data):
+    if parsed.nnz != entries:
         return None
-    return SparseMatrixCSR.from_coo(m, n, parsed.row, parsed.col, parsed.data)
+    try:
+        # The CSR constructor checks the values.  The guard admits no sign,
+        # so a summed duplicate cannot hide a negative entry.
+        return SparseMatrixCSR.from_coo(m, n, parsed.row, parsed.col, parsed.data)
+    except ValueError:
+        return None
 
 
 def _entry_offset(text, size_no):

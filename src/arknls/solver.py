@@ -36,7 +36,7 @@ from .matrix import (
     MatrixRef,
     _check_integers,
     _check_seed,
-    _fro_squared,
+    _finite_fro2,
     _sparse_at_times,
     _trace_residual,
     at_times,
@@ -532,10 +532,13 @@ def _half_sweep(
 
 
 def _nonnegative_fro2(A: MatrixRef) -> float:
-    # |A|^2; the scan for negative entries runs once per call, not per half.
+    # |A|^2 of a dense A checked finite, then nonnegative: the checks run
+    # once per call, not per half, and on every call, since the caller can
+    # edit a wrapped array.  Finiteness first, so -inf is named non-finite.
+    fro2 = _finite_fro2(A)
     if isinstance(A, DenseMatrix) and A.data.size and A.data.min() < 0.0:
         raise ValueError("dense matrix entries must be nonnegative")
-    return _fro_squared(A)
+    return fro2
 
 
 def sweep(
@@ -549,9 +552,10 @@ def sweep(
     ``direction="V"`` updates V with U as coefficients; ``direction="U"``
     runs the identical code on the transposed view of the data matrix with
     the roles swapped.  Returns the objective ``|A - U V^T|_F^2`` after the
-    pass.  Negative dense input raises :class:`ValueError`, and a
-    non-finite objective :class:`FloatingPointError`, and ``factors`` whose
-    ``r`` or ``k`` does not fit its own factors :class:`ValueError`.
+    pass.  Dense input with a NaN, infinite or negative entry raises
+    :class:`ValueError`, checked on every call; so do ``factors`` whose
+    ``r`` or ``k`` does not fit its own factors.  A non-finite objective
+    raises :class:`FloatingPointError`.
     """
     _check_pair(factors)
     return _half_sweep(A, factors, direction, _nonnegative_fro2(A), observer)[0]
@@ -569,9 +573,11 @@ def fit(
     after the U half from the caches that half maintained.  The U half runs
     on ``transposed(A)``, a view of ``A``'s own storage.  Each half hands
     the Gram matrix of the factor it updated to the next half as that
-    half's coefficient Gram; the V half computes no objective.  Negative
-    dense input raises :class:`ValueError`, and a numerical breakdown (a
-    non-finite objective) :class:`FloatingPointError`.
+    half's coefficient Gram; the V half computes no objective.  Dense input
+    with a NaN, infinite or negative entry raises :class:`ValueError`: the
+    check reads the values as they are when ``fit`` is called.  A
+    numerical breakdown (a non-finite objective) raises
+    :class:`FloatingPointError`.
     """
     config.validate()
     fro2 = _nonnegative_fro2(A)

@@ -17,6 +17,7 @@ from arknls.matrix import (
     relative_residual,
     transposed,
 )
+from arknls.solver import SolverConfig, fit, initialize, sweep
 
 
 def triple_loop_atb(a, b):
@@ -300,18 +301,54 @@ class TestContainers:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("order", ["C", "F", "list"])
     def test_dense_rejects_nonfinite(self, value, order):
+        # Wrapping reads no values; the functions that need finite input
+        # check it where they read the matrix.
         arr = np.random.default_rng(11).random((7, 5))
+        factors = initialize(DenseMatrix(arr.copy()), 2, 0, k=1)
         arr[4, 3] = value
         given = arr.tolist() if order == "list" else arr.copy(order=order)
-        with pytest.raises(ValueError, match="^dense matrix entries must be finite$"):
-            DenseMatrix(given)
+        a = DenseMatrix(given)
+        np.testing.assert_array_equal(a.data, arr)
+        message = "^dense matrix entries must be finite$"
+        with pytest.raises(ValueError, match=message):
+            fit(a, SolverConfig(rank=2, k=1))
+        for direction in ("V", "U"):
+            with pytest.raises(ValueError, match=message):
+                sweep(a, factors, direction)
+        with pytest.raises(ValueError, match=message):
+            relative_residual(a, factors.U, factors.V)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(np.nan, "must be finite"), (-1.0, "must be nonnegative")],
+        ids=["nan", "negative"],
+    )
+    def test_dense_checked_after_wrapping(self, value, message):
+        # The matrix shares the caller's array, so an entry written after
+        # wrapping is read by the next call.
+        arr = np.random.default_rng(12).random((7, 5))
+        a = DenseMatrix(arr)
+        factors = initialize(a, 2, 0, k=1)
+        arr[2, 1] = value
+        with pytest.raises(ValueError, match=message):
+            fit(a, SolverConfig(rank=2, k=1))
+        for direction in ("V", "U"):
+            with pytest.raises(ValueError, match=message):
+                sweep(a, factors, direction)
 
     def test_dense_accepts_entries_whose_squares_overflow(self):
-        # The finiteness screen's sum of squares overflows here; the exact
-        # scan behind it must still accept the array.
+        # |A|^2, the finiteness screen, overflows here; the exact scan
+        # behind it must accept the entry.  What stops the fit is the
+        # overflowed |A|^2 itself, as a numerical breakdown.
         arr = np.ones((4, 3))
         arr[2, 1] = 1e200
-        assert DenseMatrix(arr).data[2, 1] == 1e200
+        a = DenseMatrix(arr)
+        factors = initialize(DenseMatrix(np.ones((4, 3))), 1, 0, k=1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="numerical breakdown"):
+                fit(a, SolverConfig(rank=1, k=1))
+            with pytest.raises(FloatingPointError, match="numerical breakdown"):
+                relative_residual(a, factors.U, factors.V)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_dense_holds_contiguous_float64(self, order):
@@ -338,8 +375,8 @@ class TestContainers:
         assert not np.shares_memory(a.data, given)
 
     def test_wrapping_c_ordered_array_copies_nothing(self):
-        # The finiteness check screens with a sum of squares and builds no
-        # one-byte-per-entry mask (nbytes / 8) unless the screen fails.
+        # Wrapping neither copies the array nor builds a one-byte-per-entry
+        # mask (nbytes / 8) over it.
         arr = np.random.default_rng(10).random((400, 300))
         tracemalloc.start()
         try:

@@ -689,6 +689,24 @@ class TestFastParse:
         assert tiers == [tier]
         assert got == _outcome(mmio._read_by_lines, path.read_bytes())
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _GENERAL + b"2 2 2\n1 1 1.0\n2 2 1e400\n",
+            b"%%MatrixMarket matrix array real general\n2 1\n1.0\n1e400\n",
+        ],
+        ids=["coordinate", "array"],
+    )
+    def test_overflow_named_by_line_reader(self, tmp_path, tiers, text):
+        # Plain text holds no sign, so the one bad value the compiled tier
+        # can parse is one that overflows to inf.  The tier hands the file
+        # on, and the line reader names the line.
+        path = tmp_path / "o.mtx"
+        path.write_bytes(text)
+        with pytest.raises(MatrixMarketError, match="^line 4: non-finite value$"):
+            read_matrix_market(path)
+        assert tiers == ["mmread", "_read_by_lines"]
+
     def test_read_peak_rss(self, tmp_path):
         # tracemalloc cannot see the compiled reader's own buffers, so the
         # peak resident size of a child process that reads a file is
