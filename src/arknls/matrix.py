@@ -8,16 +8,23 @@ The sparse container is standard CSR with sorted column indices,
 restricted to nonnegative values since it only ever holds the data matrix
 of a nonnegative factorization; its products run in scipy's compiled
 sparse kernels on that storage, and scipy's format checks validate its
-structure.  The product on a CSR operand calls one of those kernels
-directly, the private ``scipy.sparse._sparsetools.csr_matvecs``, so as to
-write its result block by block into a column-major array; its tests pin
-it bit for bit to scipy's own operator.
+structure.  The products call those kernels directly, the private
+``scipy.sparse._sparsetools.csr_matvecs`` and ``csc_matvecs``: the CSR
+one so as to write its result block by block into a column-major array,
+and both so as to split a large product between the CPUs the process may
+run on.  Each output entry gets the same operations in the same order as
+in scipy's own operator, whatever the split, so the results do not depend
+on the worker count; the tests pin both kernels bit for bit to that
+operator.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional, Union
 
 import numpy as np
 from scipy.sparse import _sparsetools, coo_array, csr_array
@@ -136,7 +143,11 @@ class SparseMatrixCSR(SparseView):
     The arrays are held by a ``scipy.sparse.csr_array``, whose own checks
     validate the structure: contiguous int64 index arrays and float64
     values uncopied, index arrays of any other integer dtype as int64
-    copies, and values of other dtypes as float64 copies.
+    copies, and values of other dtypes as float64 copies.  The values are
+    checked here, and again on every call of :func:`arknls.fit` and
+    :func:`arknls.sweep` (finite and nonnegative) and of
+    :func:`relative_residual` (finite), which read them as they are then:
+    a value written into held ``values`` later is caught too.
     """
 
     __slots__ = ()
@@ -244,13 +255,17 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     column-major.  Sparse input runs scipy's compiled kernels on the
     transpose view of ``A.sp``, which accumulate each scaled row of ``U``
     into the output row given by the column index, rows in increasing
-    order.  The result is bitwise ``A.sp.T @ U``, Fortran-ordered.  When
-    that view is CSR (the U half's ``A V``) it is computed block by block
-    of rows with ``scipy.sparse._sparsetools.csr_matvecs`` straight into
-    the result (:func:`_sparse_at_times`), so the product holds only the
-    result, a row-major copy of ``U`` and one block of rows; the CSC view
-    (the V half) takes scipy's operator, whose row-major result is copied.
-    Each sparse output column depends only on its own column of ``U``, so
+    order.  The result is bitwise ``A.sp.T @ U``, Fortran-ordered, for any
+    number of workers (:func:`_sparse_at_times`).  When that view is CSR
+    (the U half's ``A V``) it is computed block by block of rows with
+    ``scipy.sparse._sparsetools.csr_matvecs`` straight into the result, so
+    the product holds only the result, a row-major copy of ``U`` and one
+    block of rows, which workers splitting the rows share out.  When it is
+    CSC (the V half) each worker takes a range of ``U``'s columns, copies
+    it row-major and runs ``csc_matvecs`` into its own row-major result,
+    which is copied into the result once the copies of ``U`` are freed;
+    the product then holds what scipy's operator does.  Each sparse output
+    column depends only on its own column of ``U``, so
     a product on a subset of the columns equals those columns of the full
     product bit for bit; the solver relies on this to skip all-zero
     columns.  The dense BLAS product has no such property: on a column
@@ -271,62 +286,247 @@ def _check_rows(A: MatrixRef, u: np.ndarray) -> None:
         )
 
 
-# Rows of a CSR product computed at a time by _sparse_at_times.
+# Rows of a CSR product computed at a time by _sparse_at_times.  Split
+# between workers, each takes blocks of 1/workers of this, so that their
+# row buffers add up to one block of this many rows.
 _ROW_BLOCK = 256
+
+# The floors below were measured on a 2-core Xeon virtual machine with
+# one BLAS thread, split products against unsplit ones.
+#
+# Least work, in stored entries times product columns (nnz * r), that a
+# split of a sparse product hands each worker.  Handing a share to the
+# pool and waiting for it took about 0.1 ms, and the kernels run about
+# 2.5e9 of these units a second; split in two, CSC products of up to 1e6
+# units ran no faster.
+_SHARE_FLOOR = 1 << 19
+
+# Least work a CSR split puts in each worker's block of rows.  Every block
+# takes the GIL for its Python steps, and a worker that finds the other
+# holding it waits tens of microseconds: on blocks of 3 200 units the split
+# ran 2.8 times slower than one thread, on 25 600 about as fast, and on
+# 51 200 and more mostly faster.
+_BLOCK_FLOOR = 1 << 16
+
+# Least columns of ``u`` in each share of a CSC split.  Every share reads
+# all of the stored entries, so on few columns the workers contend for
+# memory: with 2 or 3 columns a share the split ran up to 1.7 times slower
+# than one thread, with 4 or more mostly faster.
+_SHARE_COLUMNS = 4
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    """Workers a sparse product is split between: the CPUs this process
+    may run on (its affinity mask, as ``taskset`` or a cgroup sets it),
+    or the machine's count where the platform reports no mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads; it starts its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    # The pool, created on first use with a thread per worker but the
+    # calling thread's.
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max(_worker_count() - 1, 1), thread_name_prefix="arknls"
+            )
+        return _pool
+
+
+def _run_shares(task, shares: list) -> list:
+    """``[task(s) for s in shares]``, run by the calling thread and by pool
+    threads, each taking the next share no thread has taken until none is
+    left.  The caller waits only for the shares taken: a pool thread that
+    wakes once the caller has taken them all takes none, so a pool thread
+    that is slow to wake, or busy with another caller's shares, costs at
+    worst the time of running every share on the calling thread.  Every
+    share has finished when this returns or raises; the first exception a
+    share raised is raised here, and no share is taken after it.  A single
+    share never touches the pool.
+    """
+    results = [None] * len(shares)
+    errors = []
+    taken = running = 0
+    done = threading.Condition()
+
+    def take_shares():
+        nonlocal taken, running
+        while True:
+            with done:
+                if taken == len(shares) or errors:
+                    return
+                index, taken, running = taken, taken + 1, running + 1
+            try:
+                results[index] = task(shares[index])
+            except BaseException as error:
+                with done:
+                    errors.append(error)
+            finally:
+                with done:
+                    running -= 1
+                    done.notify_all()
+
+    if len(shares) > 1:
+        pool = _executor()
+        for _ in shares[1:]:
+            pool.submit(take_shares)
+    take_shares()
+    with done:
+        done.wait_for(lambda: not running)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _row_major(u: np.ndarray, cols) -> np.ndarray:
+    """Columns ``cols`` (a slice or an index array) of ``u`` as a
+    C-ordered array, one copy at most: ``take`` and fancy indexing first
+    copy a Fortran ``u`` whole."""
+    if isinstance(cols, slice):
+        return np.ascontiguousarray(u[:, cols])
+    x = np.empty((u.shape[0], len(cols)), u.dtype)
+    for j, c in enumerate(cols):
+        x[:, j] = u[:, c]
+    return x
+
+
+def _csr_rows(sp, x, out, cols, start: int, stop: int, step: int) -> None:
+    # Rows start:stop of the CSR ``sp`` times ``x`` into ``out[:, cols]``,
+    # ``step`` rows at a time through one reused row-major buffer.
+    n, r = sp.shape[1], x.shape[1]
+    block = np.empty((min(step, stop - start), r))
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        rows = block[: hi - lo]
+        rows.fill(0.0)
+        _sparsetools.csr_matvecs(
+            hi - lo,
+            n,
+            r,
+            sp.indptr[lo : hi + 1],
+            sp.indices,
+            sp.data,
+            x.ravel(),
+            rows.ravel(),
+        )
+        out[lo:hi, cols] = rows
+
+
+def _csc_columns(sp, u: np.ndarray, cols) -> np.ndarray:
+    # The CSC ``sp`` times columns ``cols`` of ``u``, as scipy's operator
+    # computes it: the kernel into a zeroed row-major result.
+    x = _row_major(u, cols)
+    y = np.zeros((sp.shape[0], x.shape[1]))
+    _sparsetools.csc_matvecs(
+        sp.shape[0],
+        sp.shape[1],
+        x.shape[1],
+        sp.indptr,
+        sp.indices,
+        sp.data,
+        x.ravel(),
+        y.ravel(),
+    )
+    return y
 
 
 def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
     """``A^T u`` for sparse ``A``, as a new Fortran-ordered array.
 
     With ``live``, an index array of columns of ``u``, only those columns
-    of the product are computed and the others are exact zeros.  When
-    ``A.sp.T`` is CSR with float64 values, the product runs
-    ``scipy.sparse._sparsetools.csr_matvecs``, the kernel scipy's operator
-    calls for it, on a row-major copy of those columns (one or more),
-    :data:`_ROW_BLOCK` rows at a time.  Each block starts from zeros in
-    one reused row-major buffer, as the operator's whole result does, and
-    is copied into its rows of the result, so every output row comes from
-    the same operations in the same order as in scipy's product, and no
-    m x r row-major result or Fortran copy of it is made.  The kernel
-    writes its output only if that is a C-contiguous array of the values'
-    dtype, hence the float64 guard.  The public form of the same loop,
-    ``sp[start:stop] @ x``, gives the same bits, but each slice copies its
-    block's indices and values: on ``sparse-mtx`` it made a sweep 40-70%
-    slower and the peak 0.22 MB higher.  Everything else (other dtypes, and
-    the CSC operand, whose kernel scatters each stored entry anywhere in
-    the output) runs scipy's operator on the same row-major copy, whose
-    row-major result is then copied.  A ``u`` whose row count is not
-    ``A.rows`` raises :class:`ValueError` first: the kernel checks no sizes
-    and would read past the end of a short ``u``.
+    of the product are computed and the others are exact zeros.  Both
+    compiled kernels scipy's operator calls accumulate each output entry
+    on its own, over the stored entries in storage order, so a split of
+    the work by output rows or by columns of ``u`` gives scipy's bits.
+
+    A product is split into at most :func:`_worker_count` shares, run by
+    the calling thread and a pool (:func:`_run_shares`), and into no more
+    shares than leave :data:`_SHARE_FLOOR` work in each, :data:`_BLOCK_FLOOR`
+    in each CSR block of rows and :data:`_SHARE_COLUMNS` columns of ``u``
+    in each CSC share.  So a process that may run on one CPU, a small
+    product, a CSC product on fewer than ``2 * _SHARE_COLUMNS`` columns
+    (``r = 1`` among them) and a CSR one with few stored entries per row
+    run unsplit, on the calling thread.  The kernels write their output
+    only if that is a C-contiguous array of the values' dtype, hence the
+    float64 guards; other dtypes run scipy's operator, unsplit.
+
+    When ``A.sp.T`` is CSR (the U half's ``A V``), ``csr_matvecs`` reads
+    one shared row-major copy of the live columns.  Each share is a range
+    of rows, with about equal numbers of stored entries, computed
+    :data:`_ROW_BLOCK` / shares rows at a time: each block starts from
+    zeros in the share's reused row-major buffer, as the operator's whole
+    result does, and is copied into its rows of the result.  So no m x r
+    row-major result or Fortran copy of it is made, and the buffers add up
+    to one block of :data:`_ROW_BLOCK` rows.  The public form of the same
+    loop, ``sp[start:stop] @ x``, gives the same bits, but each slice
+    copies its block's indices and values: on ``sparse-mtx`` it made a
+    sweep 40-70% slower and the peak 0.22 MB higher.
+
+    When ``A.sp.T`` is CSC (the V half's ``A^T U``), whose kernel scatters
+    each stored entry anywhere in the output, each share is a range of the
+    live columns: one row-major copy of them (:func:`_row_major`) and
+    ``csc_matvecs`` into the share's own zeroed row-major result, as the
+    operator computes it.  The result is allocated once those copies are
+    freed, so the split product holds no more than scipy's operator, which
+    runs the unsplit product on one row-major copy of the live columns.
+
+    A ``u`` whose row count is not ``A.rows`` raises :class:`ValueError`
+    first: the kernels check no sizes and would read past the end of a
+    short ``u``.
     """
     _check_rows(A, u)
     sp = A.sp.T
     m, n = sp.shape
     cols = slice(None) if live is None else live
-    x = np.ascontiguousarray(u if live is None else u.take(live, axis=1))
+    r = u.shape[1] if live is None else len(live)
+    kernel = sp.dtype == u.dtype == np.float64
+    work = sp.nnz * r
+    if sp.format == "csr":
+        cap = work * _ROW_BLOCK // (max(m, 1) * _BLOCK_FLOOR)
+    else:
+        cap = r // _SHARE_COLUMNS
+    shares = max(1, min(_worker_count(), work // _SHARE_FLOOR, cap))
     # Zeros only where columns are skipped.
     new = np.empty if live is None else np.zeros
-    if sp.format == "csr" and sp.dtype == x.dtype == np.float64:
+    if kernel and sp.format == "csr":
+        step = _ROW_BLOCK // shares
+        x = _row_major(u, cols)
         out = new((m, u.shape[1]), order="F")
-        r = x.shape[1]
-        block = np.empty((min(m, _ROW_BLOCK), r))
-        for start in range(0, m, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, m)
-            rows = block[: stop - start]
-            rows.fill(0.0)
-            _sparsetools.csr_matvecs(
-                stop - start,
-                n,
-                r,
-                sp.indptr[start : stop + 1],
-                sp.indices,
-                sp.data,
-                x.ravel(),
-                rows.ravel(),
-            )
-            out[start:stop, cols] = rows
+        bounds = _row_bounds(sp.indptr, shares, step)
+        _run_shares(
+            lambda span: _csr_rows(sp, x, out, cols, *span, step),
+            list(zip(bounds, bounds[1:])),
+        )
+        return out
+    if kernel and sp.format == "csc" and shares > 1:
+        ends = [r * s // shares for s in range(shares + 1)]
+        parts = [
+            slice(a, b) if live is None else live[a:b] for a, b in zip(ends, ends[1:])
+        ]
+        products = _run_shares(lambda part: _csc_columns(sp, u, part), parts)
+        out = new((m, u.shape[1]), order="F")
+        for part, y in zip(parts, products):
+            out[:, part] = y
         return out
     # x is freed before the result is allocated, so the peak does not rise.
+    x = _row_major(u, cols)
     prod = sp @ x
     del x
     out = new((m, u.shape[1]), order="F")
@@ -334,39 +534,62 @@ def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
     return out
 
 
+def _row_bounds(indptr: np.ndarray, shares: int, step: int) -> list[int]:
+    # Bounds of up to ``shares`` row ranges, each a whole number of
+    # ``step``-row blocks but the last, with about equal stored entries.
+    m = indptr.size - 1
+    # Integer targets: float ones would make searchsorted copy indptr.
+    targets = np.arange(1, shares) * indptr[-1] // shares
+    cuts = np.rint(np.searchsorted(indptr, targets) / step).astype(np.int64) * step
+    return [0, *sorted({c for c in cuts.tolist() if 0 < c < m}), m]
+
+
 def frobenius_norm(A: MatrixRef) -> float:
     return math.sqrt(_fro_squared(A))
 
 
 def _fro_squared(A: MatrixRef) -> float:
+    # Squares that overflow give inf, which callers read as a failed
+    # screen or a breakdown, not a RuntimeWarning.
+    values = _stored(A)
+    with np.errstate(over="ignore"):
+        return float(np.dot(values, values))
+
+
+def _stored(A: MatrixRef) -> np.ndarray:
+    # The values A stores, as a flat array: a view of every entry of a
+    # dense A, the nnz stored values of a sparse one.
     if isinstance(A, DenseMatrix):
-        flat = A.data.ravel(order="K")
-        return float(np.dot(flat, flat))
-    return float(np.dot(A.sp.data, A.sp.data))
+        return A.data.ravel(order="K")
+    return A.sp.data
 
 
-def _finite_fro2(A: MatrixRef) -> float:
-    """``|A|^2``, after checking that a dense ``A`` holds only finite values.
+def _finite_fro2(A: MatrixRef, nonnegative: bool = False) -> float:
+    """``|A|^2``, after checking that ``A`` holds only finite values and,
+    with ``nonnegative``, no negative one.
 
-    A sum of squares is finite only if every entry is, so ``|A|^2`` screens
-    the array without the m x n mask ``np.isfinite`` builds.  The exact
-    scan runs only when the screen fails: on a NaN, an infinity, or squares
-    that overflow, which it accepts.
+    The checks read the values as they are at the call, so an entry the
+    caller writes into a held array after wrapping is caught too.  A sum of
+    squares is finite only if every value is, so ``|A|^2`` screens them
+    without the mask ``np.isfinite`` builds.  The exact scan runs only when
+    the screen fails: on a NaN, an infinity, or squares that overflow,
+    which it accepts.  The sign check is one pass over the stored values:
+    every entry of a dense ``A``, the nnz stored ones of a sparse one.
     """
+    values = _stored(A)
     fro2 = _fro_squared(A)
-    if (
-        not math.isfinite(fro2)
-        and isinstance(A, DenseMatrix)
-        and not np.isfinite(A.data).all()
-    ):
-        raise ValueError("dense matrix entries must be finite")
+    kind = "dense" if isinstance(A, DenseMatrix) else "sparse"
+    if not math.isfinite(fro2) and not np.isfinite(values).all():
+        raise ValueError(f"{kind} matrix entries must be finite")
+    if nonnegative and values.size and values.min() < 0.0:
+        raise ValueError(f"{kind} matrix entries must be nonnegative")
     return fro2
 
 
 def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
     """Frobenius norm of ``A - U V^T`` divided by the norm of ``A``, from
     :func:`_trace_residual`, so the low-rank product is never materialized.
-    A dense ``A`` with a NaN or an infinite entry raises :class:`ValueError`,
+    An ``A`` with a NaN or an infinite entry raises :class:`ValueError`,
     and a non-finite residual :class:`FloatingPointError`.
     """
     if U.rows != A.rows or V.rows != A.cols or U.cols != V.cols:

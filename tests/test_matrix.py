@@ -1,4 +1,13 @@
+import collections
+import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +18,7 @@ from arknls.matrix import (
     DenseMatrix,
     SparseMatrixCSR,
     SparseView,
+    _run_shares,
     _sparse_at_times,
     at_times,
     frobenius_norm,
@@ -18,6 +28,7 @@ from arknls.matrix import (
     transposed,
 )
 from arknls.solver import SolverConfig, fit, initialize, sweep
+from arknls.synth import SynthSpec, gen_dense, gen_sparse
 
 
 def triple_loop_atb(a, b):
@@ -135,12 +146,51 @@ class TestAtTimes:
             assert peak <= 2 * 8 * (m + n) * r < 8 * a.nnz * r
 
 
+def holed_sparse():
+    """A planted rank-3 120 x 80 CSR matrix with two zero rows and two
+    zero columns: fitted at rank 30, columns of the start die and the
+    halves repair them."""
+    spec = SynthSpec(m=120, n=80, true_rank=3, noise_std=0.05, seed=6)
+    d = gen_dense(spec).data.copy()
+    d[[4, 17], :] = 0.0
+    d[:, [0, 11]] = 0.0
+    i, j = np.nonzero(d)
+    return SparseMatrixCSR.from_coo(120, 80, i, j, d[i, j])
+
+
+def no_floors(monkeypatch):
+    """Split every sparse product as far as the worker count allows."""
+    for name in ("_SHARE_FLOOR", "_BLOCK_FLOOR", "_SHARE_COLUMNS"):
+        monkeypatch.setattr(matrix, name, 1)
+
+
+def record_shares(monkeypatch) -> list:
+    """The number of shares of every split :func:`_run_shares` runs."""
+    counts, run = [], matrix._run_shares
+
+    def recorded(task, shares):
+        counts.append(len(shares))
+        return run(task, shares)
+
+    monkeypatch.setattr(matrix, "_run_shares", recorded)
+    return counts
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"workers={w}")
+def workers(request, monkeypatch):
+    monkeypatch.setattr(matrix, "_worker_count", lambda: request.param)
+    return request.param
+
+
 class TestSparseProduct:
-    """The sparse product is bitwise scipy's ``A.sp.T @ u``, Fortran-ordered.
+    """The sparse product is bitwise scipy's ``A.sp.T @ u``, Fortran-ordered,
+    at any worker count.
 
     On the transposed view the operand is CSR and the product runs
-    ``scipy.sparse._sparsetools.csr_matvecs`` block by block of rows; a
-    change of that private kernel's signature or arithmetic fails here.
+    ``scipy.sparse._sparsetools.csr_matvecs`` block by block of rows; on
+    the CSR matrix it is CSC, and a split product runs ``csc_matvecs`` on
+    ranges of columns.  A change of either private kernel's signature or
+    arithmetic fails here.
     """
 
     # Rows of the CSR operand (the original matrix): two full blocks and
@@ -223,6 +273,124 @@ class TestSparseProduct:
         assert got[:, live].tobytes() == want.tobytes()
         assert not got[:, [0, 1, 3]].any()
 
+    @pytest.mark.parametrize("live", ["all", "every_other"])
+    @pytest.mark.parametrize("r", [1, 2, 7, 13, 20])
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_split_matches_scipy_bitwise(self, view, r, live, workers, monkeypatch):
+        # With the floors at 1 the CSR operand splits into one row range
+        # per worker and the CSC operand into one column range per worker
+        # or per live column, whichever is fewer.
+        no_floors(monkeypatch)
+        shares = record_shares(monkeypatch)
+        A = self.matrix(self.ROWS[0])
+        if view == "transposed":
+            A = transposed(A)
+        u = np.asfortranarray(np.random.default_rng(r).random((A.rows, r)))
+        cols = np.arange(r) if live == "all" else np.arange(0, r, 2)
+        u[:, np.setdiff1d(np.arange(r), cols)] = 0.0
+        want = A.sp.T @ u[:, cols]
+        got = _sparse_at_times(A, u, None if live == "all" else cols)
+        assert got.flags.f_contiguous
+        assert got[:, cols].tobytes() == want.tobytes()
+        assert not np.delete(got, cols, axis=1).any()
+        if live == "all":
+            assert at_times(A, DenseMatrix(u)).data.tobytes() == got.tobytes()
+        if A.sp.T.format == "csr":
+            assert set(shares) == {workers}
+        else:
+            split = min(workers, cols.size)
+            assert set(shares) == ({split} if split > 1 else set())
+
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_small_product_runs_unsplit(self, view, workers, monkeypatch):
+        # Below the floors a product takes the calling thread alone: the
+        # CSR loop in one share, the CSC operand in scipy's operator.
+        shares = record_shares(monkeypatch)
+        A = self.matrix(self.ROWS[0])
+        if view == "transposed":
+            A = transposed(A)
+        assert A.nnz * 20 < 2 * matrix._SHARE_FLOOR
+        self.check(A, np.random.default_rng(7).random((A.rows, 20)))
+        assert shares == ([1] if view == "transposed" else [])
+
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_large_product_splits(self, view, workers, monkeypatch):
+        # 3000 x 1200 at density 0.05 and r = 20 is above every floor at
+        # three workers: the product splits with the module's floors.
+        shares = record_shares(monkeypatch)
+        A = self.matrix(3000, n=1200, density=0.05)
+        if view == "transposed":
+            A = transposed(A)
+        self.check(A, np.random.default_rng(8).random((A.rows, 20)))
+        assert max(shares, default=1) == workers
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_fit_does_not_depend_on_workers(self, view, k, monkeypatch):
+        # An over-rank fit, so repairs fire and products on live column
+        # subsets run too, with every product split as far as 1, 2 and 3
+        # workers allow.
+        no_floors(monkeypatch)
+        subsets = []
+        product = matrix._sparse_at_times
+
+        def recorded(A, u, live=None):
+            subsets.append(live is not None)
+            return product(A, u, live)
+
+        monkeypatch.setattr("arknls.solver._sparse_at_times", recorded)
+        a = holed_sparse()
+        if view == "transposed":
+            a = transposed(a)
+        cfg = SolverConfig(rank=30, k=k, max_sweeps=15, seed=1)
+        runs = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(matrix, "_worker_count", lambda count=count: count)
+            runs.append(fit(a, cfg))
+        (f1, t1), rest = runs[0], runs[1:]
+        assert t1.repair_events > 0 and any(subsets)
+        for f, t in rest:
+            assert f.U.data.tobytes() == f1.U.data.tobytes()
+            assert f.V.data.tobytes() == f1.V.data.tobytes()
+            assert t.rel_residual == t1.rel_residual
+            assert t.repair_events == t1.repair_events
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="no fork start method",
+    )
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_fit_in_forked_child(self, monkeypatch):
+        # A child forked after the pool exists has none of the pool's
+        # threads: it must start its own rather than wait on the old one.
+        no_floors(monkeypatch)
+        monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
+        a = gen_sparse(SynthSpec(m=200, n=120, true_rank=4, sparsity=0.3, seed=2))
+        cfg = SolverConfig(rank=8, k=2, max_sweeps=5, seed=3)
+        f, t = fit(a, cfg)
+        assert matrix._pool is not None
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def child():
+            fresh = matrix._pool is None
+            g, s = fit(a, cfg)
+            send.send((fresh, g.U.data.tobytes(), g.V.data.tobytes(), s.rel_residual))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert receive.poll(60), "the forked child's fit did not finish"
+            fresh, U, V, residuals = receive.recv()
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+        assert process.exitcode == 0
+        assert fresh
+        assert U == f.U.data.tobytes() and V == f.V.data.tobytes()
+        assert residuals == t.rel_residual
+
     @pytest.mark.parametrize("index", [np.int32, np.int64])
     @pytest.mark.parametrize("value", [np.float32, np.int64, np.float64])
     @pytest.mark.parametrize("fmt", ["csr", "csc"])
@@ -243,6 +411,94 @@ class TestSparseProduct:
         view = SparseView(sp)
         u = np.random.default_rng(4).random((view.rows, 5))
         self.check(view, u)
+
+
+class TestRunShares:
+    def test_results_in_order(self, workers):
+        assert _run_shares(lambda s: s * s, list(range(7))) == [
+            s * s for s in range(7)
+        ]
+
+    def test_shares_run_at_once(self, monkeypatch):
+        # Each share waits for the other, so they must run on two threads.
+        monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
+        both = threading.Barrier(2, timeout=10)
+        threads = _run_shares(lambda s: (both.wait(), threading.current_thread())[1], [0, 1])
+        assert threads[0] is not threads[1]
+        assert threading.current_thread() in threads
+
+    def test_every_share_runs_once_under_stress(self, monkeypatch):
+        # More threads than cores and a short switch interval, so the
+        # threads interleave inside the taking of shares; a share taken
+        # twice or never would show in the counts.
+        pool = ThreadPoolExecutor(8)
+        monkeypatch.setattr(matrix, "_pool", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                runs = collections.Counter()
+
+                def task(share):
+                    runs[share] += 1
+                    return share
+
+                assert _run_shares(task, list(range(50))) == list(range(50))
+                assert runs == collections.Counter(range(50))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+
+    def test_single_share_never_starts_the_pool(self, monkeypatch):
+        monkeypatch.setattr(matrix, "_pool", None)
+        assert _run_shares(lambda s: threading.current_thread(), [0]) == [
+            threading.current_thread()
+        ]
+        assert matrix._pool is None
+
+    def test_caller_takes_every_share_the_pool_does_not(self, monkeypatch):
+        # With the pool's thread busy, the caller runs all the shares and
+        # returns without waiting for it.
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(matrix, "_pool", pool)
+        release = threading.Event()
+        busy = pool.submit(release.wait, 10)
+        try:
+            caller = threading.current_thread()
+            got = _run_shares(lambda s: threading.current_thread() is caller, [0, 1, 2])
+            assert got == [True, True, True]
+            assert not busy.done()
+        finally:
+            release.set()
+            pool.shutdown()
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_exception_raised_once_no_share_runs(self, failing, monkeypatch):
+        # Shares write into one result, so none may still run when the
+        # error reaches the caller, and none may start after it.
+        monkeypatch.setattr(matrix, "_worker_count", lambda: 3)
+        running, started = set(), []
+
+        def task(share):
+            running.add(share)
+            started.append(share)
+            time.sleep(0.02)
+            running.discard(share)
+            if share == failing:
+                raise KeyError(share)
+
+        with pytest.raises(KeyError):
+            _run_shares(task, list(range(6)))
+        assert not running
+        count = len(started)
+        time.sleep(0.1)
+        assert len(started) == count < 6
+
+    def test_worker_count_is_the_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert matrix._worker_count() == len(os.sched_getaffinity(0))
+        else:
+            assert matrix._worker_count() == (os.cpu_count() or 1)
 
 
 class TestRelativeResidual:
@@ -349,6 +605,48 @@ class TestContainers:
                 fit(a, SolverConfig(rank=1, k=1))
             with pytest.raises(FloatingPointError, match="numerical breakdown"):
                 relative_residual(a, factors.U, factors.V)
+
+    def test_squares_overflow_without_a_warning(self):
+        # No errstate here: the suite turns RuntimeWarnings into errors, so
+        # an overflow warning from |A|^2 would reach the caller in place
+        # of the breakdown.
+        factors = initialize(DenseMatrix(np.ones((4, 3))), 1, 0, k=1)
+        dense = DenseMatrix(np.full((4, 3), 1e200))
+        rows, cols = np.nonzero(np.ones((4, 3)))
+        sparse = SparseMatrixCSR.from_coo(4, 3, rows, cols, np.full(12, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (dense, sparse):
+                assert frobenius_norm(a) == math.inf
+                with pytest.raises(FloatingPointError, match="numerical breakdown"):
+                    relative_residual(a, factors.U, factors.V)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(np.nan, "finite"), (np.inf, "finite"), (-5.0, "nonnegative")],
+        ids=["nan", "inf", "negative"],
+    )
+    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    def test_sparse_checked_where_read(self, view, value, message):
+        # The CSR matrix holds its values uncopied, so a value written
+        # after construction is read by the next call, through the
+        # transposed view too.  relative_residual checks finiteness only,
+        # as for a dense matrix.
+        a = random_sparse(np.random.default_rng(13), 9, 6, 0.5)
+        A = a if view == "csr" else transposed(a)
+        factors = initialize(A, 2, 0, k=1)
+        a.values[3] = value
+        pattern = f"^sparse matrix entries must be {message}$"
+        with pytest.raises(ValueError, match=pattern):
+            fit(A, SolverConfig(rank=2, k=1))
+        for direction in ("V", "U"):
+            with pytest.raises(ValueError, match=pattern):
+                sweep(A, factors, direction)
+        if message == "finite":
+            with pytest.raises(ValueError, match=pattern):
+                relative_residual(A, factors.U, factors.V)
+        else:
+            assert math.isfinite(relative_residual(A, factors.U, factors.V))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_dense_holds_contiguous_float64(self, order):
