@@ -326,10 +326,11 @@ class TestSparseProduct:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("view", ["csr", "transposed"])
-    def test_fit_does_not_depend_on_workers(self, view, k, monkeypatch):
-        # An over-rank fit, so repairs fire and products on live column
-        # subsets run too, with every product split as far as 1, 2 and 3
-        # workers allow.
+    @pytest.mark.parametrize("data", ["gen_sparse", "holed"])
+    def test_fit_does_not_depend_on_workers(self, data, view, k, monkeypatch):
+        # Every product split as far as 1, 2 and 3 workers allow.  The
+        # holed input is fitted over rank, so repairs fire and products on
+        # live column subsets run too.
         no_floors(monkeypatch)
         subsets = []
         product = matrix._sparse_at_times
@@ -339,16 +340,21 @@ class TestSparseProduct:
             return product(A, u, live)
 
         monkeypatch.setattr("arknls.solver._sparse_at_times", recorded)
-        a = holed_sparse()
+        if data == "holed":
+            a, rank = holed_sparse(), 30
+        else:
+            spec = SynthSpec(m=300, n=200, true_rank=5, noise_std=0.01, sparsity=0.3, seed=8)
+            a, rank = gen_sparse(spec), 20
         if view == "transposed":
             a = transposed(a)
-        cfg = SolverConfig(rank=30, k=k, max_sweeps=15, seed=1)
+        cfg = SolverConfig(rank=rank, k=k, max_sweeps=15, seed=1)
         runs = []
         for count in (1, 2, 3):
             monkeypatch.setattr(matrix, "_worker_count", lambda count=count: count)
             runs.append(fit(a, cfg))
         (f1, t1), rest = runs[0], runs[1:]
-        assert t1.repair_events > 0 and any(subsets)
+        if data == "holed":
+            assert t1.repair_events > 0 and any(subsets)
         for f, t in rest:
             assert f.U.data.tobytes() == f1.U.data.tobytes()
             assert f.V.data.tobytes() == f1.V.data.tobytes()
