@@ -8,14 +8,14 @@ The sparse container is standard CSR with sorted column indices,
 restricted to nonnegative values since it only ever holds the data matrix
 of a nonnegative factorization; its products run in scipy's compiled
 sparse kernels on that storage, and scipy's format checks validate its
-structure.  The products call those kernels directly, the private
-``scipy.sparse._sparsetools.csr_matvecs`` and ``csc_matvecs``: the CSR
-one so as to write its result block by block into a column-major array,
-and both so as to split a large product between the CPUs the process may
-run on.  Each output entry gets the same operations in the same order as
-in scipy's own operator, whatever the split, so the results do not depend
-on the worker count; the tests pin both kernels bit for bit to that
-operator.
+structure.  Every float64 product calls those kernels directly, the
+private ``scipy.sparse._sparsetools.csr_matvecs`` and ``csc_matvecs``:
+the CSR one so as to write its result block by block into a
+column-major array, and both so as to split a large product between the
+CPUs the process may run on.  Each output entry gets the same operations
+in the same order as in scipy's own operator, whatever the split, so the
+results do not depend on the worker count; the tests pin both kernels
+bit for bit to that operator.
 """
 
 from __future__ import annotations
@@ -261,15 +261,12 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     ``scipy.sparse._sparsetools.csr_matvecs`` straight into the result, so
     the product holds only the result, a row-major copy of ``U`` and one
     block of rows, which workers splitting the rows share out.  When it is
-    CSC (the V half) each worker takes a range of ``U``'s columns, copies
-    it row-major and runs ``csc_matvecs`` into its own row-major result,
-    which is copied into the result once the copies of ``U`` are freed;
-    the product then holds what scipy's operator does.  Each sparse output
-    column depends only on its own column of ``U``, so
-    a product on a subset of the columns equals those columns of the full
-    product bit for bit; the solver relies on this to skip all-zero
-    columns.  The dense BLAS product has no such property: on a column
-    subset OpenBLAS changed the last bits, and so it did between the two
+    CSC (the V half) each share, one unless the product is split, is a
+    range of ``U``'s columns, copied row-major, and ``csc_matvecs`` into
+    its own row-major result, which is copied into the result once the
+    copies of ``U`` are freed; the product then holds what scipy's
+    operator does.  Every column of ``U`` is multiplied, all-zero ones
+    too.  The dense BLAS product's last bits differed between the two
     memory orders of ``A`` on products under about 1e6 multiply-adds.
     """
     u = U.data
@@ -395,21 +392,9 @@ def _run_shares(task, shares: list) -> list:
     return results
 
 
-def _row_major(u: np.ndarray, cols) -> np.ndarray:
-    """Columns ``cols`` (a slice or an index array) of ``u`` as a
-    C-ordered array, one copy at most: ``take`` and fancy indexing first
-    copy a Fortran ``u`` whole."""
-    if isinstance(cols, slice):
-        return np.ascontiguousarray(u[:, cols])
-    x = np.empty((u.shape[0], len(cols)), u.dtype)
-    for j, c in enumerate(cols):
-        x[:, j] = u[:, c]
-    return x
-
-
-def _csr_rows(sp, x, out, cols, start: int, stop: int, step: int) -> None:
-    # Rows start:stop of the CSR ``sp`` times ``x`` into ``out[:, cols]``,
-    # ``step`` rows at a time through one reused row-major buffer.
+def _csr_rows(sp, x, out, start: int, stop: int, step: int) -> None:
+    # Rows start:stop of the CSR ``sp`` times ``x`` into ``out``, ``step``
+    # rows at a time through one reused row-major buffer.
     n, r = sp.shape[1], x.shape[1]
     block = np.empty((min(step, stop - start), r))
     for lo in range(start, stop, step):
@@ -426,13 +411,14 @@ def _csr_rows(sp, x, out, cols, start: int, stop: int, step: int) -> None:
             x.ravel(),
             rows.ravel(),
         )
-        out[lo:hi, cols] = rows
+        out[lo:hi] = rows
 
 
-def _csc_columns(sp, u: np.ndarray, cols) -> np.ndarray:
-    # The CSC ``sp`` times columns ``cols`` of ``u``, as scipy's operator
-    # computes it: the kernel into a zeroed row-major result.
-    x = _row_major(u, cols)
+def _csc_columns(sp, u: np.ndarray, part: slice) -> np.ndarray:
+    # The CSC ``sp`` times columns ``part`` of ``u``, as scipy's operator
+    # computes it: the kernel on a row-major copy into a zeroed row-major
+    # result.
+    x = np.ascontiguousarray(u[:, part])
     y = np.zeros((sp.shape[0], x.shape[1]))
     _sparsetools.csc_matvecs(
         sp.shape[0],
@@ -447,14 +433,12 @@ def _csc_columns(sp, u: np.ndarray, cols) -> np.ndarray:
     return y
 
 
-def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
+def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
     """``A^T u`` for sparse ``A``, as a new Fortran-ordered array.
 
-    With ``live``, an index array of columns of ``u``, only those columns
-    of the product are computed and the others are exact zeros.  Both
-    compiled kernels scipy's operator calls accumulate each output entry
-    on its own, over the stored entries in storage order, so a split of
-    the work by output rows or by columns of ``u`` gives scipy's bits.
+    Both compiled kernels scipy's operator calls accumulate each output
+    entry on its own, over the stored entries in storage order, so a split
+    of the work by output rows or by columns of ``u`` gives scipy's bits.
 
     A product is split into at most :func:`_worker_count` shares, run by
     the calling thread and a pool (:func:`_run_shares`), and into no more
@@ -463,13 +447,13 @@ def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
     in each CSC share.  So a process that may run on one CPU, a small
     product, a CSC product on fewer than ``2 * _SHARE_COLUMNS`` columns
     (``r = 1`` among them) and a CSR one with few stored entries per row
-    run unsplit, on the calling thread.  The kernels write their output
-    only if that is a C-contiguous array of the values' dtype, hence the
-    float64 guards; other dtypes run scipy's operator, unsplit.
+    run as one share, on the calling thread.  The kernels write their
+    output only if that is a C-contiguous array of the values' dtype, so a
+    hand-built view whose values are not float64 runs scipy's operator.
 
     When ``A.sp.T`` is CSR (the U half's ``A V``), ``csr_matvecs`` reads
-    one shared row-major copy of the live columns.  Each share is a range
-    of rows, with about equal numbers of stored entries, computed
+    one shared row-major copy of ``u``.  Each share is a range of rows,
+    with about equal numbers of stored entries, computed
     :data:`_ROW_BLOCK` / shares rows at a time: each block starts from
     zeros in the share's reused row-major buffer, as the operator's whole
     result does, and is copied into its rows of the result.  So no m x r
@@ -481,11 +465,10 @@ def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
 
     When ``A.sp.T`` is CSC (the V half's ``A^T U``), whose kernel scatters
     each stored entry anywhere in the output, each share is a range of the
-    live columns: one row-major copy of them (:func:`_row_major`) and
-    ``csc_matvecs`` into the share's own zeroed row-major result, as the
-    operator computes it.  The result is allocated once those copies are
-    freed, so the split product holds no more than scipy's operator, which
-    runs the unsplit product on one row-major copy of the live columns.
+    columns of ``u``: one row-major copy of them and ``csc_matvecs`` into
+    the share's own zeroed row-major result, as the operator computes it.
+    The result is allocated once those copies are freed, so the product
+    holds no more than scipy's operator, which is this path with one share.
 
     A ``u`` whose row count is not ``A.rows`` raises :class:`ValueError`
     first: the kernels check no sizes and would read past the end of a
@@ -493,44 +476,31 @@ def _sparse_at_times(A: SparseView, u: np.ndarray, live=None) -> np.ndarray:
     """
     _check_rows(A, u)
     sp = A.sp.T
-    m, n = sp.shape
-    cols = slice(None) if live is None else live
-    r = u.shape[1] if live is None else len(live)
-    kernel = sp.dtype == u.dtype == np.float64
+    m, r = sp.shape[0], u.shape[1]
+    if not sp.dtype == u.dtype == np.float64:
+        return np.asfortranarray(sp @ np.ascontiguousarray(u))
     work = sp.nnz * r
     if sp.format == "csr":
         cap = work * _ROW_BLOCK // (max(m, 1) * _BLOCK_FLOOR)
     else:
         cap = r // _SHARE_COLUMNS
     shares = max(1, min(_worker_count(), work // _SHARE_FLOOR, cap))
-    # Zeros only where columns are skipped.
-    new = np.empty if live is None else np.zeros
-    if kernel and sp.format == "csr":
+    if sp.format == "csr":
         step = _ROW_BLOCK // shares
-        x = _row_major(u, cols)
-        out = new((m, u.shape[1]), order="F")
+        x = np.ascontiguousarray(u)
+        out = np.empty((m, r), order="F")
         bounds = _row_bounds(sp.indptr, shares, step)
         _run_shares(
-            lambda span: _csr_rows(sp, x, out, cols, *span, step),
+            lambda span: _csr_rows(sp, x, out, *span, step),
             list(zip(bounds, bounds[1:])),
         )
         return out
-    if kernel and sp.format == "csc" and shares > 1:
-        ends = [r * s // shares for s in range(shares + 1)]
-        parts = [
-            slice(a, b) if live is None else live[a:b] for a, b in zip(ends, ends[1:])
-        ]
-        products = _run_shares(lambda part: _csc_columns(sp, u, part), parts)
-        out = new((m, u.shape[1]), order="F")
-        for part, y in zip(parts, products):
-            out[:, part] = y
-        return out
-    # x is freed before the result is allocated, so the peak does not rise.
-    x = _row_major(u, cols)
-    prod = sp @ x
-    del x
-    out = new((m, u.shape[1]), order="F")
-    out[:, cols] = prod
+    ends = [r * s // shares for s in range(shares + 1)]
+    parts = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    products = _run_shares(lambda part: _csc_columns(sp, u, part), parts)
+    out = np.empty((m, r), order="F")
+    for part, y in zip(parts, products):
+        out[:, part] = y
     return out
 
 
@@ -575,6 +545,9 @@ def _finite_fro2(A: MatrixRef, nonnegative: bool = False) -> float:
     the screen fails: on a NaN, an infinity, or squares that overflow,
     which it accepts.  The sign check is one pass over the stored values:
     every entry of a dense ``A``, the nnz stored ones of a sparse one.
+    Valid values whose squares overflow then raise
+    :class:`FloatingPointError`: an infinite ``|A|^2`` makes every
+    objective non-finite, and the products would overflow first.
     """
     values = _stored(A)
     fro2 = _fro_squared(A)
@@ -583,20 +556,32 @@ def _finite_fro2(A: MatrixRef, nonnegative: bool = False) -> float:
         raise ValueError(f"{kind} matrix entries must be finite")
     if nonnegative and values.size and values.min() < 0.0:
         raise ValueError(f"{kind} matrix entries must be nonnegative")
+    if fro2 == math.inf:
+        raise FloatingPointError("numerical breakdown: |A|^2 overflows")
     return fro2
+
+
+def _reject_zero(A: MatrixRef, message: str) -> None:
+    """Raise for an ``A`` whose ``|A|^2`` is 0: :class:`ValueError` with
+    ``message`` if every value is zero, else :class:`FloatingPointError`,
+    since the squares of its nonzero values underflow."""
+    if _stored(A).any():
+        raise FloatingPointError("numerical breakdown: |A|^2 underflows to 0")
+    raise ValueError(message)
 
 
 def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
     """Frobenius norm of ``A - U V^T`` divided by the norm of ``A``, from
     :func:`_trace_residual`, so the low-rank product is never materialized.
     An ``A`` with a NaN or an infinite entry raises :class:`ValueError`,
-    and a non-finite residual :class:`FloatingPointError`.
+    as does an all-zero one; an ``|A|^2`` that over- or underflows and a
+    non-finite residual raise :class:`FloatingPointError`.
     """
     if U.rows != A.rows or V.rows != A.cols or U.cols != V.cols:
         raise ValueError("factor dimensions do not conform with A")
     a2 = _finite_fro2(A)
     if a2 == 0.0:
-        raise ValueError("relative residual undefined for an all-zero matrix")
+        _reject_zero(A, "relative residual undefined for an all-zero matrix")
     return math.sqrt(_trace_residual(a2, at_times(A, U).data, V, gram(U).data)[0] / a2)
 
 

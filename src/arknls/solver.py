@@ -37,7 +37,7 @@ from .matrix import (
     _check_integers,
     _check_seed,
     _finite_fro2,
-    _sparse_at_times,
+    _reject_zero,
     _trace_residual,
     at_times,
     gram,
@@ -463,19 +463,6 @@ def _dead_columns(coef: np.ndarray, M: np.ndarray) -> list[int]:
     return [int(c) for c in zero_diag if not coef[:, c].any()]
 
 
-def _products(data: MatrixRef, coef: DenseMatrix, dead: list[int]) -> np.ndarray:
-    """``H = data^T coef``, skipping the all-zero columns ``dead`` on
-    sparse input, whose kernels compute every output column on its own: the
-    live columns, written straight into ``H``, come out bitwise as in the
-    full product, and dead ones as its exact zeros.  Dense input runs the
-    full product: BLAS on a column subset changed the live columns' bits.
-    """
-    if isinstance(data, DenseMatrix):
-        return at_times(data, coef).data
-    live = np.setdiff1d(np.arange(coef.cols), dead) if dead else None
-    return _sparse_at_times(data, coef.data, live)
-
-
 def _half_sweep(
     A: MatrixRef,
     factors: FactorPair,
@@ -491,28 +478,28 @@ def _half_sweep(
     ``M`` is the coefficient factor's Gram matrix (Fortran-ordered, as
     :func:`gram` returns it) if the caller has it, else computed; it is
     updated in place.  The blocks are partitioned from it first, so that
-    their r x r temporaries are gone before ``H`` is live.  All-zero
-    (dead) coefficient columns are read off its diagonal: sparse input
-    skips their product columns, and the rows of ``A`` their repairs read
-    are gathered at once by :func:`read_rows`.  Returns the objective from
-    the trace identity on the caches (:func:`_trace_residual`), or
-    ``None`` unless ``objective``, the number of repairs and the updated
-    factor's Gram, the next half's ``M``.  Besides the factors, ``H`` and
+    their r x r temporaries are gone before ``H`` is live.  ``H`` is the
+    full product, dead columns included: a repair rewrites a dead
+    column's ``H`` column anyway.  All-zero (dead) coefficient columns
+    are read off ``M``'s diagonal, and the rows of ``A`` their repairs
+    read are gathered in one pass by :func:`read_rows`.  Returns the
+    objective from the trace identity on the caches
+    (:func:`_trace_residual`), or ``None`` unless ``objective``, the
+    number of repairs and the updated factor's Gram, the next half's
+    ``M``.  Besides the factors, ``H`` and
     r x r matrices, the pass holds only the residual buffer and kernel
     scratch, allocated once and freed before the objective.
     """
     if side == "V":
         data, coef, target = A, factors.U, factors.V
-    elif side == "U":
-        data, coef, target = transposed(A), factors.V, factors.U
     else:
-        raise ValueError('direction must be "V" or "U"')
+        data, coef, target = transposed(A), factors.V, factors.U
     coef_arr, target_arr = coef.data, target.data
     if M is None:
         M = gram(coef).data
     blocks = _partition(M, factors.k)
     dead = _dead_columns(coef_arr, M)
-    H = _products(data, coef, dead)
+    H = at_times(data, coef).data
     # A dead column is rebuilt as e_c, so its repair reads row c.
     rows = read_rows(data, dead) if dead else {}
     R, work = _block_scratch(target.rows, factors.k)
@@ -542,11 +529,14 @@ def sweep(
     ``direction="V"`` updates V with U as coefficients; ``direction="U"``
     runs the identical code on the transposed view of the data matrix with
     the roles swapped.  Returns the objective ``|A - U V^T|_F^2`` after the
-    pass.  Dense or sparse input with a NaN, infinite or negative entry
+    pass.  Any other ``direction`` raises :class:`ValueError` before ``A``
+    is read.  Dense or sparse input with a NaN, infinite or negative entry
     raises :class:`ValueError`, checked on every call; so do ``factors`` whose
-    ``r`` or ``k`` does not fit its own factors.  A non-finite objective
-    raises :class:`FloatingPointError`.
+    ``r`` or ``k`` does not fit its own factors.  An ``|A|^2`` that
+    overflows and a non-finite objective raise :class:`FloatingPointError`.
     """
+    if direction not in ("V", "U"):
+        raise ValueError('direction must be "V" or "U"')
     _check_pair(factors)
     fro2 = _finite_fro2(A, nonnegative=True)
     return _half_sweep(A, factors, direction, fro2, observer)[0]
@@ -567,14 +557,14 @@ def fit(
     half's coefficient Gram; the V half computes no objective.  Dense or
     sparse input with a NaN, infinite or negative entry raises
     :class:`ValueError`: the check reads the values as they are when
-    ``fit`` is called, once per call, not per half.  A
-    numerical breakdown (a non-finite objective) raises
-    :class:`FloatingPointError`.
+    ``fit`` is called, once per call, not per half; so does an all-zero
+    matrix.  A numerical breakdown (an ``|A|^2`` that over- or underflows,
+    or a non-finite objective) raises :class:`FloatingPointError`.
     """
     config.validate()
     fro2 = _finite_fro2(A, nonnegative=True)
     if fro2 == 0.0:
-        raise ValueError("cannot factorize an all-zero matrix")
+        _reject_zero(A, "cannot factorize an all-zero matrix")
     fro = math.sqrt(fro2)
     factors = initialize(A, config.rank, config.seed, k=config.k)
     tick = clock if clock is not None else time.perf_counter

@@ -154,8 +154,13 @@ def holed_sparse():
     d = gen_dense(spec).data.copy()
     d[[4, 17], :] = 0.0
     d[:, [0, 11]] = 0.0
-    i, j = np.nonzero(d)
-    return SparseMatrixCSR.from_coo(120, 80, i, j, d[i, j])
+    return csr_of(d)
+
+
+def csr_of(values: np.ndarray) -> SparseMatrixCSR:
+    """The nonzero entries of a dense array as a CSR matrix."""
+    i, j = np.nonzero(values)
+    return SparseMatrixCSR.from_coo(*values.shape, i, j, values[i, j])
 
 
 def no_floors(monkeypatch):
@@ -188,9 +193,9 @@ class TestSparseProduct:
 
     On the transposed view the operand is CSR and the product runs
     ``scipy.sparse._sparsetools.csr_matvecs`` block by block of rows; on
-    the CSR matrix it is CSC, and a split product runs ``csc_matvecs`` on
-    ranges of columns.  A change of either private kernel's signature or
-    arithmetic fails here.
+    the CSR matrix it is CSC, and the product runs ``csc_matvecs`` on
+    ranges of columns, one range unless it is split.  A change of either
+    private kernel's signature or arithmetic fails here.
     """
 
     # Rows of the CSR operand (the original matrix): two full blocks and
@@ -237,16 +242,18 @@ class TestSparseProduct:
     @pytest.mark.parametrize("dead", [[3], [0, 4, 5], [1, 2, 3, 4, 5], list(range(6))])
     @pytest.mark.parametrize("view", ["csr", "transposed"])
     def test_column_subset(self, view, dead):
-        # The solver's product on the live columns, the dead ones left
-        # zero, equals scipy's product on the live columns, and a view
-        # of the live columns gives the same through at_times.
+        # Each output column depends only on its own column of u: where u
+        # has all-zero (dead) columns, as the solver's factor does once
+        # columns die, the product is exact zeros there, and its other
+        # columns are scipy's product on those columns alone, which a
+        # view of them through at_times gives too.
         A = self.matrix(self.ROWS[0])
         if view == "transposed":
             A = transposed(A)
         u = np.asfortranarray(np.random.default_rng(3).random((A.rows, 6)))
         live = np.setdiff1d(np.arange(6), dead)
         u[:, dead] = 0.0
-        got = _sparse_at_times(A, u, live)
+        got = _sparse_at_times(A, u)
         assert got.flags.f_contiguous
         assert np.array_equal(got[:, live], A.sp.T @ u[:, live])
         assert not got[:, dead].any()
@@ -254,64 +261,45 @@ class TestSparseProduct:
             subset = at_times(A, DenseMatrix._view(u[:, live])).data
             assert np.array_equal(subset, got[:, live])
 
-    def test_one_live_column_takes_the_kernel(self, monkeypatch):
-        # A single live column of a CSR operand runs the blocked kernel,
-        # once per block of rows, and gives scipy's bits.
-        A = transposed(self.matrix(self.ROWS[0]))
-        u = np.asfortranarray(np.random.default_rng(6).random((A.rows, 4)))
-        live = np.array([2])
-        want = A.sp.T @ u[:, live]
-        kernel, calls = matrix._sparsetools.csr_matvecs, []
-        monkeypatch.setattr(
-            matrix._sparsetools,
-            "csr_matvecs",
-            lambda *args: calls.append(args[2]) or kernel(*args),
-        )
-        got = _sparse_at_times(A, u, live)
-        assert calls == [1, 1, 1]  # one column, three blocks of rows
-        assert got.flags.f_contiguous
-        assert got[:, live].tobytes() == want.tobytes()
-        assert not got[:, [0, 1, 3]].any()
-
     @pytest.mark.parametrize("live", ["all", "every_other"])
     @pytest.mark.parametrize("r", [1, 2, 7, 13, 20])
     @pytest.mark.parametrize("view", ["csr", "transposed"])
     def test_split_matches_scipy_bitwise(self, view, r, live, workers, monkeypatch):
         # With the floors at 1 the CSR operand splits into one row range
         # per worker and the CSC operand into one column range per worker
-        # or per live column, whichever is fewer.
+        # or per column, whichever is fewer.  Every other column of u is
+        # all zero in the second case, as dead columns are in the solver.
         no_floors(monkeypatch)
         shares = record_shares(monkeypatch)
         A = self.matrix(self.ROWS[0])
         if view == "transposed":
             A = transposed(A)
         u = np.asfortranarray(np.random.default_rng(r).random((A.rows, r)))
-        cols = np.arange(r) if live == "all" else np.arange(0, r, 2)
-        u[:, np.setdiff1d(np.arange(r), cols)] = 0.0
-        want = A.sp.T @ u[:, cols]
-        got = _sparse_at_times(A, u, None if live == "all" else cols)
+        if live == "every_other":
+            u[:, 1::2] = 0.0
+        want = A.sp.T @ u
+        got = _sparse_at_times(A, u)
         assert got.flags.f_contiguous
-        assert got[:, cols].tobytes() == want.tobytes()
-        assert not np.delete(got, cols, axis=1).any()
-        if live == "all":
-            assert at_times(A, DenseMatrix(u)).data.tobytes() == got.tobytes()
+        assert got.tobytes() == want.tobytes()
+        if live == "every_other":
+            assert not got[:, 1::2].any()
+        assert at_times(A, DenseMatrix(u)).data.tobytes() == got.tobytes()
         if A.sp.T.format == "csr":
             assert set(shares) == {workers}
         else:
-            split = min(workers, cols.size)
-            assert set(shares) == ({split} if split > 1 else set())
+            assert set(shares) == {min(workers, r)}
 
     @pytest.mark.parametrize("view", ["csr", "transposed"])
     def test_small_product_runs_unsplit(self, view, workers, monkeypatch):
-        # Below the floors a product takes the calling thread alone: the
-        # CSR loop in one share, the CSC operand in scipy's operator.
+        # Below the floors a product runs as one share, which takes the
+        # calling thread alone.
         shares = record_shares(monkeypatch)
         A = self.matrix(self.ROWS[0])
         if view == "transposed":
             A = transposed(A)
         assert A.nnz * 20 < 2 * matrix._SHARE_FLOOR
         self.check(A, np.random.default_rng(7).random((A.rows, 20)))
-        assert shares == ([1] if view == "transposed" else [])
+        assert shares == [1]
 
     @pytest.mark.parametrize("view", ["csr", "transposed"])
     def test_large_product_splits(self, view, workers, monkeypatch):
@@ -329,17 +317,9 @@ class TestSparseProduct:
     @pytest.mark.parametrize("data", ["gen_sparse", "holed"])
     def test_fit_does_not_depend_on_workers(self, data, view, k, monkeypatch):
         # Every product split as far as 1, 2 and 3 workers allow.  The
-        # holed input is fitted over rank, so repairs fire and products on
-        # live column subsets run too.
+        # holed input is fitted over rank, so repairs fire on columns that
+        # died.
         no_floors(monkeypatch)
-        subsets = []
-        product = matrix._sparse_at_times
-
-        def recorded(A, u, live=None):
-            subsets.append(live is not None)
-            return product(A, u, live)
-
-        monkeypatch.setattr("arknls.solver._sparse_at_times", recorded)
         if data == "holed":
             a, rank = holed_sparse(), 30
         else:
@@ -354,7 +334,7 @@ class TestSparseProduct:
             runs.append(fit(a, cfg))
         (f1, t1), rest = runs[0], runs[1:]
         if data == "holed":
-            assert t1.repair_events > 0 and any(subsets)
+            assert t1.repair_events > 0
         for f, t in rest:
             assert f.U.data.tobytes() == f1.U.data.tobytes()
             assert f.V.data.tobytes() == f1.V.data.tobytes()
@@ -613,19 +593,38 @@ class TestContainers:
                 relative_residual(a, factors.U, factors.V)
 
     def test_squares_overflow_without_a_warning(self):
-        # No errstate here: the suite turns RuntimeWarnings into errors, so
-        # an overflow warning from |A|^2 would reach the caller in place
-        # of the breakdown.
+        # No errstate here: warnings are errors, so an overflow warning
+        # from |A|^2 or from a product after it would reach the caller in
+        # place of the breakdown, which is raised before either runs.
         factors = initialize(DenseMatrix(np.ones((4, 3))), 1, 0, k=1)
-        dense = DenseMatrix(np.full((4, 3), 1e200))
-        rows, cols = np.nonzero(np.ones((4, 3)))
-        sparse = SparseMatrixCSR.from_coo(4, 3, rows, cols, np.full(12, 1e200))
+        values = np.full((4, 3), 1e200)
+        message = r"^numerical breakdown: \|A\|\^2 overflows$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for a in (dense, sparse):
+            for a in (DenseMatrix(values), csr_of(values)):
                 assert frobenius_norm(a) == math.inf
-                with pytest.raises(FloatingPointError, match="numerical breakdown"):
-                    relative_residual(a, factors.U, factors.V)
+                for call in (
+                    lambda: fit(a, SolverConfig(rank=1, k=1)),
+                    lambda: sweep(a, factors, "V"),
+                    lambda: sweep(a, factors, "U"),
+                    lambda: relative_residual(a, factors.U, factors.V),
+                ):
+                    with pytest.raises(FloatingPointError, match=message):
+                        call()
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_squares_underflow_is_no_zero_matrix(self, kind):
+        # Entries of 2^-600 (and subnormal ones) square to 0, so |A|^2 is
+        # 0 on a matrix that is not all zero: a breakdown, not the
+        # all-zero rejection.
+        values = np.full((4, 3), 2.0**-600)
+        values[1, 2] = 5e-324
+        a = DenseMatrix(values) if kind == "dense" else csr_of(values)
+        factors = initialize(DenseMatrix(np.ones((4, 3))), 1, 0, k=1)
+        with pytest.raises(FloatingPointError, match="underflows"):
+            fit(a, SolverConfig(rank=1, k=1))
+        with pytest.raises(FloatingPointError, match="underflows"):
+            relative_residual(a, factors.U, factors.V)
 
     @pytest.mark.parametrize(
         "value, message",

@@ -678,6 +678,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="nonnegative"):
             sweep(a, f, direction)
 
+    def test_direction_checked_before_the_data(self, monkeypatch):
+        # An unknown direction is reported as such, not as the NaN the
+        # data holds, and without reading the data.
+        arr = np.random.default_rng(0).random((8, 6))
+        f = initialize(DenseMatrix(arr.copy()), 2, 0, k=1)
+        arr[3, 2] = np.nan
+        monkeypatch.setattr(solver_module, "_finite_fro2", None)
+        with pytest.raises(ValueError, match='^direction must be "V" or "U"$'):
+            sweep(DenseMatrix(arr), f, "X")
+
     @pytest.mark.parametrize("dead", [False, True], ids=["full", "dead_column"])
     @pytest.mark.parametrize("view", ["csr", "transposed"])
     def test_short_sparse_coefficient_rejected(self, view, dead):
@@ -919,9 +929,15 @@ class TestFit:
         assert got.repair_events == want.repair_events
 
     def test_zero_matrix_rejected(self):
-        a = DenseMatrix(np.zeros((6, 5)))
-        with pytest.raises(ValueError):
-            fit(a, SolverConfig(rank=2, k=2))
+        # Dense, CSR storing no entries and CSR storing only zeros.
+        message = "^cannot factorize an all-zero matrix$"
+        for a in (
+            DenseMatrix(np.zeros((6, 5))),
+            SparseMatrixCSR(6, 5, np.zeros(7, int), [], []),
+            SparseMatrixCSR(6, 5, np.arange(7) // 2, [0, 1, 4], [0.0, -0.0, 0.0]),
+        ):
+            with pytest.raises(ValueError, match=message):
+                fit(a, SolverConfig(rank=2, k=2))
 
     def test_negative_dense_rejected(self):
         a = gen_dense(SynthSpec(m=8, n=6, true_rank=2, seed=0))
@@ -1116,9 +1132,8 @@ class TestFit:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_dead_columns_match_full_products(self, k, monkeypatch):
         # Over-rank sparse input on which most V columns vanish in the
-        # first V half.  The U half then skips their product columns and
-        # gathers the rows their repairs read in one pass.  The reference
-        # multiplies every column and reads each repaired row through
+        # first V half.  The U half then gathers the rows their repairs
+        # read in one pass.  The reference reads each repaired row through
         # scipy's indexing.
         s, _ = holed_input()
         rank = 16
@@ -1129,11 +1144,6 @@ class TestFit:
         cfg = SolverConfig(rank=rank, k=k, max_sweeps=20, seed=1)
         f, trace = fit(s, cfg)
         reads = []
-        monkeypatch.setattr(
-            solver_module,
-            "_products",
-            lambda data, coef, dead: solver_module.at_times(data, coef).data,
-        )
         monkeypatch.setattr(solver_module, "read_rows", scipy_rows(reads))
         f_ref, trace_ref = fit(s, cfg)
         assert [fmt for fmt, _ in reads].count("csc") >= dead
