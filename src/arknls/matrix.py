@@ -8,7 +8,7 @@ The sparse container is standard CSR with sorted column indices,
 restricted to nonnegative values since it only ever holds the data matrix
 of a nonnegative factorization; its products run in scipy's compiled
 sparse kernels on that storage, and scipy's format checks validate its
-structure.  Every float64 product calls those kernels directly, the
+structure.  Every sparse product calls those kernels directly, the
 private ``scipy.sparse._sparsetools.csr_matvecs`` and ``csc_matvecs``:
 the CSR one so as to write its result block by block into a
 column-major array, and both so as to split a large product between the
@@ -106,13 +106,15 @@ class SparseView:
 
     :func:`transposed` returns one over the transpose of a
     :class:`SparseMatrixCSR`'s storage; the products read ``sp`` directly,
-    so the view copies nothing.
+    so the view copies nothing unless its values are not float64: the
+    kernels write only into an array of the values' dtype, so such values
+    are converted here once, as scipy's operator converts them.
     """
 
     __slots__ = ("sp",)
 
     def __init__(self, sp):
-        self.sp = sp
+        self.sp = sp if sp.dtype == np.float64 else sp.astype(np.float64)
 
     @property
     def rows(self) -> int:
@@ -348,45 +350,38 @@ def _executor() -> ThreadPoolExecutor:
 
 
 def _run_shares(task, shares: list) -> list:
-    """``[task(s) for s in shares]``, run by the calling thread and by pool
-    threads, each taking the next share no thread has taken until none is
-    left.  The caller waits only for the shares taken: a pool thread that
-    wakes once the caller has taken them all takes none, so a pool thread
-    that is slow to wake, or busy with another caller's shares, costs at
-    worst the time of running every share on the calling thread.  Every
-    share has finished when this returns or raises; the first exception a
-    share raised is raised here, and no share is taken after it.  A single
-    share never touches the pool.
+    """``[task(s) for s in shares]``, run by the calling thread and by
+    helpers, one pool future per share but the first, each taking the next
+    share no thread has taken until none is left.  Once the caller finds
+    none left it cancels the helpers and waits only for those the pool had
+    started, so a pool slow to start them, or busy with another caller's
+    shares, costs at worst the time of running every share on the calling
+    thread.  Every share has finished when this returns or raises; the
+    first exception a share raised is raised here, and no share is taken
+    after it.  A single share never touches the pool.
     """
     results = [None] * len(shares)
     errors = []
-    taken = running = 0
-    done = threading.Condition()
+    pending = enumerate(shares)
+    lock = threading.Lock()
 
     def take_shares():
-        nonlocal taken, running
         while True:
-            with done:
-                if taken == len(shares) or errors:
+            with lock:
+                if errors or (taken := next(pending, None)) is None:
                     return
-                index, taken, running = taken, taken + 1, running + 1
+            index, share = taken
             try:
-                results[index] = task(shares[index])
+                results[index] = task(share)
             except BaseException as error:
-                with done:
+                with lock:
                     errors.append(error)
-            finally:
-                with done:
-                    running -= 1
-                    done.notify_all()
 
-    if len(shares) > 1:
-        pool = _executor()
-        for _ in shares[1:]:
-            pool.submit(take_shares)
+    helpers = [_executor().submit(take_shares) for _ in shares[1:]]
     take_shares()
-    with done:
-        done.wait_for(lambda: not running)
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()
     if errors:
         raise errors[0]
     return results
@@ -447,9 +442,7 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
     in each CSC share.  So a process that may run on one CPU, a small
     product, a CSC product on fewer than ``2 * _SHARE_COLUMNS`` columns
     (``r = 1`` among them) and a CSR one with few stored entries per row
-    run as one share, on the calling thread.  The kernels write their
-    output only if that is a C-contiguous array of the values' dtype, so a
-    hand-built view whose values are not float64 runs scipy's operator.
+    run as one share, on the calling thread.
 
     When ``A.sp.T`` is CSR (the U half's ``A V``), ``csr_matvecs`` reads
     one shared row-major copy of ``u``.  Each share is a range of rows,
@@ -477,8 +470,6 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
     _check_rows(A, u)
     sp = A.sp.T
     m, r = sp.shape[0], u.shape[1]
-    if not sp.dtype == u.dtype == np.float64:
-        return np.asfortranarray(sp @ np.ascontiguousarray(u))
     work = sp.nnz * r
     if sp.format == "csr":
         cap = work * _ROW_BLOCK // (max(m, 1) * _BLOCK_FLOOR)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Callable, ClassVar, Literal, Optional
 
 import numpy as np
@@ -144,15 +144,15 @@ class FactorPair:
     """The two nonnegative factors, their rank ``r`` and block width ``k``.
 
     ``q``, the number of full k-column blocks, is accepted for callers
-    that build a pair by hand and read by nothing: each half-sweep chooses
-    its own blocks (:func:`_partition`).
+    that build a pair by hand and not kept: each half-sweep chooses its
+    own blocks (:func:`_partition`).
     """
 
     U: DenseMatrix
     V: DenseMatrix
     r: int
     k: int
-    q: int
+    q: InitVar[Optional[int]] = None
 
 
 @dataclass
@@ -300,7 +300,7 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
     for j, i in enumerate(rows):
         slots, values = entries[i]
         v[slots, j] = values
-    return FactorPair(DenseMatrix._wrap(u), DenseMatrix._wrap(v), r, k, r // k)
+    return FactorPair(DenseMatrix._wrap(u), DenseMatrix._wrap(v), r, k)
 
 
 def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:

@@ -193,6 +193,21 @@ def test_input_from_a_pipe(tmp_path):
     assert piped == (tmp_path / "file.csv").read_bytes()
 
 
+def test_python_m_runs_the_cli():
+    # ``python -m arknls.cli`` is the installed script's command.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    args = [sys.executable, "-m", "arknls.cli", "--synthetic", "60,45,5,0.01,0",
+            "--rank", "5", "--max-sweeps", "3"]
+    done = subprocess.run(args + ["--summary"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert SUMMARY_RE.match(done.stdout.strip()), done.stdout
+    bad = subprocess.run(args + ["--no-such-flag"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --no-such-flag" in bad.stderr
+
+
 def test_tol_flag_stops_early(tmp_path):
     out = tmp_path / "t.csv"
     code = run(["--synthetic", "30,25,2,0,0", "--rank", "2", "--k", "2",

@@ -396,7 +396,11 @@ class TestSparseProduct:
         assert sp.format == fmt and sp.indices.dtype == index
         view = SparseView(sp)
         u = np.random.default_rng(4).random((view.rows, 5))
-        self.check(view, u)
+        got = self.check(view, u)
+        # The view holds float64 values, copied once unless they are
+        # float64; the product is the operator's on the array as given.
+        assert (view.sp is sp) == (value is np.float64)
+        assert np.array_equal(got, sp.T @ u)
 
 
 class TestRunShares:
@@ -457,6 +461,27 @@ class TestRunShares:
         finally:
             release.set()
             pool.shutdown()
+
+    def test_busy_pool_released_later_runs_no_share(self, monkeypatch):
+        # The pool frees its thread only after the caller has run every
+        # share; what it then runs must not call the task again.
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(matrix, "_pool", pool)
+        release = threading.Event()
+        pool.submit(release.wait, 10)
+        calls = collections.Counter()
+
+        def task(share):
+            calls[share] += 1
+            return share
+
+        try:
+            assert _run_shares(task, [0, 1, 2]) == [0, 1, 2]
+            assert calls == collections.Counter([0, 1, 2])
+        finally:
+            release.set()
+            pool.shutdown()
+        assert calls == collections.Counter([0, 1, 2])
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_exception_raised_once_no_share_runs(self, failing, monkeypatch):
