@@ -318,9 +318,10 @@ _pool_lock = threading.Lock()
 
 
 def _worker_count() -> int:
-    """Workers a sparse product is split between: the CPUs this process
-    may run on (its affinity mask, as ``taskset`` or a cgroup sets it),
-    or the machine's count where the platform reports no mask."""
+    """Workers a sparse product, or mmio's guard of plain text, is split
+    between: the CPUs this process may run on (its affinity mask, as
+    ``taskset`` or a cgroup sets it), or the machine's count where the
+    platform reports no mask."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:

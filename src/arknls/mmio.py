@@ -20,8 +20,14 @@ the same bytes, the second only when the first declined:
    byte-level guard proves the text plain before that call, because the
    compiled reader accepts some text ``int``/``float`` reject or read
    differently (``1.0e5e5``, ``1_0``, ``0x1p0``, a fourth field).  The
+   guard checks blocks of whole lines in numpy passes, which release the
+   GIL, so contiguous runs of blocks are shared between the CPUs the
+   process may use (one share, on the calling thread, on one CPU).  The
    result is checked as a whole (shape, entry count, finite and
    nonnegative values; scipy's reader checks the index range itself).
+   Coordinate entries in row-major order with no cell repeated, as
+   :func:`write_matrix_market` writes them, become CSR without a sort;
+   other entries are sorted and summed.
 2. A line-at-a-time reader takes every other file; it names the line at
    fault, and it alone accepts comment lines between entries, tabs, CRLF
    line ends and other lenient text.
@@ -40,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.io import mmread
 
+from . import matrix
 from .matrix import DenseMatrix, MatrixRef, SparseMatrixCSR
 
 __all__ = [
@@ -106,8 +113,8 @@ def read_matrix_market(path) -> MatrixRef:
     with open(path, "rb") as handle:
         text = handle.read()
     header, _ = _read_header(_lines(text))
-    matrix = _read_plain(text, header)
-    return _read_by_lines(text) if matrix is None else matrix
+    plain = _read_plain(text, header)
+    return _read_by_lines(text) if plain is None else plain
 
 
 def _lines(text):
@@ -169,22 +176,23 @@ def _read_header(numbered):
     return _Header(layout, field, symmetry, size_no, dims), entries
 
 
-# Classes of the bytes of plain entry text that are not digits, as a
-# bytes.translate table.
+# Classes of the bytes of plain entry text that are not digits.  The guard
+# codes each non-digit byte as class * 2, plus 1 when the byte before it is
+# a non-digit too: twelve codes.  This bytes.translate table gives class * 2.
 _LF, _SP, _DOT, _EXP, _SIGN, _OTHER = range(6)
-_CLASS = bytes(
-    dict(zip(b"\n .e+-", (_LF, _SP, _DOT, _EXP, _SIGN, _SIGN))).get(byte, _OTHER)
+_CODE = bytes(
+    2 * dict(zip(b"\n .e+-", (_LF, _SP, _DOT, _EXP, _SIGN, _SIGN))).get(byte, _OTHER)
     for byte in range(256)
 )
 
 
-def _legal_steps(spaces: int, real: bool) -> bytes:
+def _legal_steps(spaces: int, real: bool) -> dict:
     # The steps from one non-digit byte of a plain entry line to the next,
     # and whether digits lie between the two: True (some), False (none) or
     # None (either).  A line is ``spaces`` fields 'digits SP', then the last
     # field: digits in a pattern file, else value = mantissa [e [sign]
     # digits] with mantissa = digits [. digits] or . digits; that a dot has
-    # a digit on at least one side is checked apart.  The last field's
+    # a digit on at least one side is left to _legal_pairs.  The last field's
     # steps start from the byte before it, SP or the previous line's LF.
     before = _SP if spaces else _LF
     steps = {(before, _LF): True}
@@ -202,21 +210,31 @@ def _legal_steps(spaces: int, real: bool) -> bytes:
             (_EXP, _LF): True,
             (_SIGN, _LF): True,
         })
-    # The legal steps coded as (class * 6 + next class) * 2 + adjacent.
+    return steps
+
+
+def _legal_pairs(spaces: int, real: bool) -> bytes:
+    # The legal pairs of consecutive non-digit codes, of the 144, each coded
+    # as code * 12 + next code: a step of _legal_steps with the digits
+    # between the two that it allows, unless the first is a dot that follows
+    # a non-digit and the second follows the dot (no digit beside the dot).
+    steps = _legal_steps(spaces, real)
     return bytes(
-        (here * 6 + following) * 2 + adjacent
-        for (here, following), digits in steps.items()
-        for adjacent in (0, 1)
-        if digits is None or digits != adjacent
+        here * 12 + following
+        for here in range(12)
+        for following in range(12)
+        if (here // 2, following // 2) in steps
+        and steps[here // 2, following // 2] in (None, not following % 2)
+        and not (here == 2 * _DOT + 1 and following % 2)
     )
 
 
 # Per (layout, field): the spaces in a plain entry line, 'v LF',
-# 'i SP j SP v LF' or 'i SP j LF', and the legal steps of its grammar.
+# 'i SP j SP v LF' or 'i SP j LF', and the legal pairs of its grammar.
 _GRAMMARS = {
-    ("array", "real"): (0, _legal_steps(0, real=True)),
-    ("coordinate", "real"): (2, _legal_steps(2, real=True)),
-    ("coordinate", "pattern"): (1, _legal_steps(1, real=False)),
+    ("array", "real"): (0, _legal_pairs(0, real=True)),
+    ("coordinate", "real"): (2, _legal_pairs(2, real=True)),
+    ("coordinate", "pattern"): (1, _legal_pairs(1, real=False)),
 }
 
 
@@ -260,11 +278,29 @@ def _read_plain(text, header):
     if parsed.nnz != entries:
         return None
     try:
-        # The CSR constructor checks the values.  The guard admits no sign,
-        # so a summed duplicate cannot hide a negative entry.
-        return SparseMatrixCSR.from_coo(m, n, parsed.row, parsed.col, parsed.data)
+        return _coordinate_matrix(m, n, parsed.row, parsed.col, parsed.data)
     except ValueError:
         return None
+
+
+def _coordinate_matrix(m, n, rows, cols, values) -> SparseMatrixCSR:
+    # The CSR matrix of mmread's coordinate entries.  Entries in row-major
+    # order with no cell repeated, as write_matrix_market writes them, need
+    # no sort: the offsets are the running count of each row's entries, and
+    # the CSR constructor checks that the columns rise within each row.
+    # Where it raises ValueError, the entries go to from_coo, which sorts
+    # and sums them, as do those with rows out of order: a symmetric file's
+    # among them, as mmread lists the mirrors last.  The constructor checks
+    # the values on both paths, so a bad value still raises.  The guard
+    # admits no sign, so a summed duplicate cannot hide a negative entry.
+    if (rows[1:] >= rows[:-1]).all():
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=m), out=offsets[1:])
+        try:
+            return SparseMatrixCSR(m, n, offsets, cols, values)
+        except ValueError:
+            pass
+    return SparseMatrixCSR.from_coo(m, n, rows, cols, values)
 
 
 def _entry_offset(text, size_no):
@@ -286,46 +322,69 @@ _GUARD_BLOCK = 1 << 18
 
 def _plain_entries(text, start, count, spaces, legal) -> bool:
     # True when text[start:] is exactly ``count`` lines of plain entry text
-    # with ``spaces`` spaces each and the ``legal`` steps of _legal_steps,
+    # with ``spaces`` spaces each and the ``legal`` pairs of _legal_pairs,
     # so that scipy's reader, int() and float() read each token alike.
-    # Checks a block of whole lines at a time.
-    lines = 0
-    while start < len(text):
-        end = text.find(b"\n", start + _GUARD_BLOCK)
-        end = len(text) if end < 0 else end + 1
-        block = np.frombuffer(text, dtype=np.uint8, count=end - start, offset=start)
-        plain = _plain_lines(block, spaces, legal)
-        if not plain:
-            return False
-        lines += plain
-        start = end
-    return lines == count
+    # Checks blocks of whole lines, in contiguous runs of blocks shared
+    # between the CPUs the process may use (numpy releases the GIL in its
+    # passes); one CPU or one block runs one share on the calling thread.
+    bounds = [start]
+    while bounds[-1] < len(text):
+        end = text.find(b"\n", bounds[-1] + _GUARD_BLOCK)
+        bounds.append(len(text) if end < 0 else end + 1)
+    blocks = list(zip(bounds, bounds[1:]))
+    if not blocks:
+        return False
+    shares = min(matrix._worker_count(), len(blocks))
+    ends = [len(blocks) * s // shares for s in range(shares + 1)]
+    runs = [blocks[a:b] for a, b in zip(ends, ends[1:])]
+
+    def run_lines(run):
+        # The lines of the blocks ``run``, or 0 when one is not plain.
+        lines = 0
+        for lo, hi in run:
+            block = np.frombuffer(text, dtype=np.uint8, count=hi - lo, offset=lo)
+            plain = _plain_lines(block, spaces, legal)
+            if not plain:
+                return 0
+            lines += plain
+        return lines
+
+    lines = matrix._run_shares(run_lines, runs)
+    return all(lines) and sum(lines) == count
 
 
 def _plain_lines(block, spaces_per_line, legal) -> int:
     # The number of lines in ``block`` (uint8) when it is whole lines of
-    # plain entry text, else 0.  Looks at the non-digit bytes only: their
-    # classes, and whether each directly follows the one before it.
+    # plain entry text, else 0.  Looks at the non-digit bytes only: the
+    # code of each, and each pair of consecutive codes.
     if block[-1] != ord("\n"):
         return 0
-    where = np.flatnonzero(np.subtract(block, 0x30, dtype=np.uint8) > 9)
-    classes = np.empty(where.size + 1, dtype=np.uint8)
-    classes[0] = _LF  # the line end before the first line, at offset -1
-    non_digits = block[where].tobytes()
-    classes[1:] = np.frombuffer(non_digits.translate(_CLASS), dtype=np.uint8)
-    adjacent = np.diff(where, prepend=-1) == 1
+    # Passes write over their input where they can: with fewer large
+    # temporaries the heap gives fewer pages back between blocks, and the
+    # guard measured faster.
+    digits = np.subtract(block, ord("0"), dtype=np.uint8)
+    non_digit = np.greater(digits, 9, out=digits.view(np.bool_))
+    where = np.flatnonzero(non_digit)
+    codes = np.frombuffer(block[where].tobytes().translate(_CODE), dtype=np.uint8)
+    # The byte before each; at index 0 it wraps to the block's final LF,
+    # which stands for the line end before the first line.
+    where -= 1
+    codes = codes + non_digit[where]
+    pairs = np.empty_like(codes)
+    np.multiply(codes[:-1], 12, out=pairs[1:])
+    pairs[1:] += codes[1:]
+    # The final LF comes before the first code too.
+    pairs[0] = codes[-1] * 12 + codes[0]
+    classes = codes >> 1
+    lines = np.count_nonzero(classes == _LF)
     spaces = classes == _SP
-    steps = classes[:-1] * 12 + classes[1:] * 2 + adjacent
-    lines = np.count_nonzero(classes == _LF) - 1
     plain = (
         np.count_nonzero(spaces) == spaces_per_line * lines
-        # Delete every legal step: nothing may remain.
-        and not steps.tobytes().translate(None, legal)
+        # Delete every legal pair: nothing may remain.
+        and not pairs.tobytes().translate(None, legal)
         # Only a two-space grammar allows SP SP.  With two spaces per line
         # on average and none with three: two each.
         and not (spaces[:-2] & spaces[1:-1] & spaces[2:]).any()
-        # A dot with no digit on either side.
-        and not ((classes[1:-1] == _DOT) & adjacent[:-1] & adjacent[1:]).any()
     )
     return lines if plain else 0
 

@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arknls import mmio
+from arknls import matrix, mmio
 from arknls.matrix import DenseMatrix, SparseMatrixCSR, transposed
 from arknls.mmio import (
     MatrixMarketError,
@@ -346,6 +347,9 @@ class TestBulkParse:
                 False,
             ),
             (_GENERAL + b"3 3 0\n", True),
+            # Rows out of order, each row's count of columns rising: only
+            # the rows say that this is not row-major order.
+            (_GENERAL + b"3 3 2\n2 1 0.5\n1 2 0.25\n", False),
             (
                 b"%%MatrixMarket matrix coordinate pattern general\n"
                 b"3 4 3\n3 4\n1 2\n3 1\n",
@@ -553,6 +557,51 @@ def _fuzz_file(rng, layout, field, symmetry):
     return (head + body).encode("utf-8")
 
 
+# Each grammar the guard checks, stated apart from it as a regular
+# expression of one entry line, by (layout, field).
+_VALUE = rb"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+_LINE_PATTERNS = {
+    ("coordinate", "real"): rb"[0-9]+ [0-9]+ " + _VALUE + rb"\n",
+    ("coordinate", "pattern"): rb"[0-9]+ [0-9]+\n",
+    ("array", "real"): _VALUE + rb"\n",
+}
+
+# Bytes a mutation writes: those of plain text and some that are not.
+_MUTANTS = b"0123456789 \n.e+-Ex_\t\r\x80"
+
+
+def _mutated_block(rng, spaces, real) -> bytes:
+    # One to four lines of a grammar's text, then up to three bytes
+    # replaced, inserted or deleted; never empty.
+    def number():
+        return str(rng.integers(0, 10 ** int(rng.integers(1, 4))))
+
+    def value():
+        whole, part = number(), number()
+        token = str(rng.choice([whole, whole + ".", whole + "." + part, "." + part]))
+        if rng.integers(2):
+            token += "e" + str(rng.choice(["", "+", "-"])) + number()
+        return token
+
+    lines = (
+        " ".join([number() for _ in range(spaces)] + [value() if real else number()])
+        + "\n"
+        for _ in range(rng.integers(1, 5))
+    )
+    block = bytearray("".join(lines).encode())
+    for _ in range(rng.integers(4)):
+        spot = int(rng.integers(len(block) + 1))
+        byte = _MUTANTS[rng.integers(len(_MUTANTS))]
+        kind = rng.integers(3)
+        if kind == 0 and spot < len(block):
+            block[spot] = byte
+        elif kind == 1:
+            block.insert(spot, byte)
+        elif spot < len(block) and len(block) > 1:
+            del block[spot]
+    return bytes(block)
+
+
 class TestFastParse:
     """The tier that hands plain coordinate files to scipy's compiled reader."""
 
@@ -572,7 +621,8 @@ class TestFastParse:
 
     def test_fuzz_equals_line_reader(self, tmp_path, monkeypatch, tiers):
         # Guard blocks of a line or two, so that the files, of a few
-        # lines each, are checked in several blocks.
+        # lines each, are checked in several blocks, and split between
+        # 1, 2 and 3 workers: the tier and the bits are the same at each.
         monkeypatch.setattr(mmio, "_GUARD_BLOCK", 24)
         rng = np.random.default_rng(11)
         path = tmp_path / "f.mtx"
@@ -581,16 +631,25 @@ class TestFastParse:
             for _ in range(300):
                 text = _fuzz_file(rng, *header)
                 path.write_bytes(text)
-                tiers.clear()
-                got = _outcome(read_matrix_market, path)
-                served += tiers == ["mmread"]
-                assert got == _outcome(mmio._read_by_lines, text), text
+                want = _outcome(mmio._read_by_lines, text)
+                taken = set()
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(matrix, "_worker_count", lambda w=workers: w)
+                    tiers.clear()
+                    assert _outcome(read_matrix_market, path) == want, (workers, text)
+                    taken.add(tuple(tiers))
+                assert len(taken) == 1, (taken, text)
+                served += taken == {("mmread",)}
             # Both sides of the guard are exercised for every header.
             assert 80 < served < 220, header
 
     @pytest.mark.parametrize("block", [mmio._GUARD_BLOCK, 64])
     def test_written_file_takes_fast_tier(self, tmp_path, monkeypatch, tiers, block):
         monkeypatch.setattr(mmio, "_GUARD_BLOCK", block)
+        shares, run = [], matrix._run_shares
+        monkeypatch.setattr(
+            matrix, "_run_shares", lambda task, s: shares.append(len(s)) or run(task, s)
+        )
         rng = np.random.default_rng(4)
         rows, cols = np.nonzero(rng.random((50, 40)) < 0.2)
         vals = rng.random(rows.size) * 10.0 ** rng.integers(-300, 300, size=rows.size)
@@ -603,10 +662,35 @@ class TestFastParse:
             DenseMatrix(dense),
         ):
             write_matrix_market(written, path)
-            tiers.clear()
-            got = _outcome(read_matrix_market, path)
-            assert tiers == ["mmread"]
-            assert got == _outcome(mmio._read_by_lines, path.read_bytes())
+            want = _outcome(mmio._read_by_lines, path.read_bytes())
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(matrix, "_worker_count", lambda w=workers: w)
+                tiers.clear()
+                shares.clear()
+                got = _outcome(read_matrix_market, path)
+                assert tiers == ["mmread"]
+                assert got == want
+                # The guard's blocks, hundreds at 64 bytes and one at the
+                # default size, are shared between the workers.
+                assert shares == [workers if block == 64 else 1]
+
+    @pytest.mark.parametrize("grammar", list(_LINE_PATTERNS), ids="-".join)
+    def test_guard_equals_grammar(self, grammar):
+        # mmio._plain_lines against the regular expression of its grammar,
+        # on seeded mutations of plain blocks: the line count when the
+        # whole block is lines of the grammar, else 0.
+        spaces, legal = mmio._GRAMMARS[grammar]
+        lines = re.compile(rb"(?:" + _LINE_PATTERNS[grammar] + rb")+")
+        rng = np.random.default_rng(17 + spaces)
+        accepted = 0
+        for _ in range(6000):
+            block = _mutated_block(rng, spaces, real=grammar[1] == "real")
+            want = block.count(b"\n") if lines.fullmatch(block) else 0
+            got = mmio._plain_lines(np.frombuffer(block, np.uint8), spaces, legal)
+            assert got == want, block
+            accepted += want > 0
+        # Both answers are exercised.
+        assert 1200 < accepted < 4800, accepted
 
     @pytest.mark.parametrize(
         "rest",
@@ -688,6 +772,41 @@ class TestFastParse:
         got = _outcome(read_matrix_market, path)
         assert tiers == [tier]
         assert got == _outcome(mmio._read_by_lines, path.read_bytes())
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "repeated"])
+    def test_sorted_entries_need_no_sort(self, tmp_path, monkeypatch, tiers, order):
+        # Row-major entries with no cell repeated are built into CSR
+        # without from_coo's sort; any other order, or a repeated cell,
+        # takes from_coo.  The bits are from_coo's on the same triples.
+        rng = np.random.default_rng(8)
+        rows, cols = np.nonzero(rng.random((40, 30)) < 0.2)
+        vals = rng.random(rows.size)
+        if order == "shuffled":
+            turn = rng.permutation(rows.size)
+            rows, cols, vals = rows[turn], cols[turn], vals[turn]
+        elif order == "repeated":
+            rows, cols = np.insert(rows, 9, rows[9]), np.insert(cols, 9, cols[9])
+            vals = np.insert(vals, 9, 0.75)
+        path = tmp_path / "s.mtx"
+        entries = zip(rows.tolist(), cols.tolist(), vals.tolist())
+        path.write_bytes(
+            _GENERAL
+            + f"40 30 {rows.size}\n".encode()
+            + "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in entries).encode()
+        )
+        sorts, from_coo = [], SparseMatrixCSR.from_coo
+        monkeypatch.setattr(
+            SparseMatrixCSR,
+            "from_coo",
+            staticmethod(lambda *args: sorts.append(order) or from_coo(*args)),
+        )
+        got = read_matrix_market(path)
+        assert tiers == ["mmread"]
+        assert sorts == ([] if order == "sorted" else [order])
+        want = from_coo(40, 30, rows, cols, vals)
+        for name in ("row_offsets", "col_indices", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
         "text",
