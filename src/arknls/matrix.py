@@ -11,9 +11,9 @@ sparse kernels on that storage, and scipy's format checks validate its
 structure.  Every sparse product calls those kernels directly, the
 private ``scipy.sparse._sparsetools.csr_matvecs`` and ``csc_matvecs``:
 the CSR one so as to write its result block by block into a
-column-major array, and both so as to split a large product between the
-CPUs the process may run on.  Each output entry gets the same operations
-in the same order as in scipy's own operator, whatever the split, so the
+column-major array, and both so as to hand a large product's blocks out
+to whichever CPU the process may run on is free.  Each output entry gets
+the same operations in the same order as in scipy's own operator, so the
 results do not depend on the worker count; the tests pin both kernels
 bit for bit to that operator.
 """
@@ -262,9 +262,9 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     (the U half's ``A V``) it is computed block by block of rows with
     ``scipy.sparse._sparsetools.csr_matvecs`` straight into the result, so
     the product holds only the result, a row-major copy of ``U`` and one
-    block of rows, which workers splitting the rows share out.  When it is
-    CSC (the V half) each share, one unless the product is split, is a
-    range of ``U``'s columns, copied row-major, and ``csc_matvecs`` into
+    block of rows, or smaller blocks that free workers take in turn.  When
+    it is CSC (the V half) each share, one unless the product is split, is
+    a range of ``U``'s columns, copied row-major, and ``csc_matvecs`` into
     its own row-major result, which is copied into the result once the
     copies of ``U`` are freed; the product then holds what scipy's
     operator does.  Every column of ``U`` is multiplied, all-zero ones
@@ -286,8 +286,8 @@ def _check_rows(A: MatrixRef, u: np.ndarray) -> None:
 
 
 # Rows of a CSR product computed at a time by _sparse_at_times.  Split
-# between workers, each takes blocks of 1/workers of this, so that their
-# row buffers add up to one block of this many rows.
+# between workers, its shares are blocks of 1/workers of this, so that the
+# workers' row buffers add up to one block of this many rows.
 _ROW_BLOCK = 256
 
 # The floors below were measured on a 2-core Xeon virtual machine with
@@ -350,16 +350,16 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _run_shares(task, shares: list) -> list:
+def _run_shares(task, shares, workers: int) -> list:
     """``[task(s) for s in shares]``, run by the calling thread and by
-    helpers, one pool future per share but the first, each taking the next
-    share no thread has taken until none is left.  Once the caller finds
-    none left it cancels the helpers and waits only for those the pool had
-    started, so a pool slow to start them, or busy with another caller's
-    shares, costs at worst the time of running every share on the calling
-    thread.  Every share has finished when this returns or raises; the
-    first exception a share raised is raised here, and no share is taken
-    after it.  A single share never touches the pool.
+    ``min(workers, len(shares)) - 1`` pool helpers, each thread taking the
+    next share no thread has taken until none is left.  Once the caller
+    finds none left it cancels the helpers and waits only for those the
+    pool had started, so a pool slow to start them, or busy with another
+    caller's shares, costs at worst the time of running every share on the
+    calling thread.  Every share has finished when this returns or raises;
+    the first exception a share raised is raised here, and no share is
+    taken after it.  One share or one worker never touches the pool.
     """
     results = [None] * len(shares)
     errors = []
@@ -378,7 +378,10 @@ def _run_shares(task, shares: list) -> list:
                 with lock:
                     errors.append(error)
 
-    helpers = [_executor().submit(take_shares) for _ in shares[1:]]
+    helpers = [
+        _executor().submit(take_shares)
+        for _ in range(min(workers, len(shares)) - 1)
+    ]
     take_shares()
     for helper in helpers:
         if not helper.cancel():
@@ -386,28 +389,6 @@ def _run_shares(task, shares: list) -> list:
     if errors:
         raise errors[0]
     return results
-
-
-def _csr_rows(sp, x, out, start: int, stop: int, step: int) -> None:
-    # Rows start:stop of the CSR ``sp`` times ``x`` into ``out``, ``step``
-    # rows at a time through one reused row-major buffer.
-    n, r = sp.shape[1], x.shape[1]
-    block = np.empty((min(step, stop - start), r))
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        rows = block[: hi - lo]
-        rows.fill(0.0)
-        _sparsetools.csr_matvecs(
-            hi - lo,
-            n,
-            r,
-            sp.indptr[lo : hi + 1],
-            sp.indices,
-            sp.data,
-            x.ravel(),
-            rows.ravel(),
-        )
-        out[lo:hi] = rows
 
 
 def _csc_columns(sp, u: np.ndarray, part: slice) -> np.ndarray:
@@ -436,26 +417,27 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
     entry on its own, over the stored entries in storage order, so a split
     of the work by output rows or by columns of ``u`` gives scipy's bits.
 
-    A product is split into at most :func:`_worker_count` shares, run by
-    the calling thread and a pool (:func:`_run_shares`), and into no more
-    shares than leave :data:`_SHARE_FLOOR` work in each, :data:`_BLOCK_FLOOR`
-    in each CSR block of rows and :data:`_SHARE_COLUMNS` columns of ``u``
-    in each CSC share.  So a process that may run on one CPU, a small
-    product, a CSC product on fewer than ``2 * _SHARE_COLUMNS`` columns
-    (``r = 1`` among them) and a CSR one with few stored entries per row
-    run as one share, on the calling thread.
+    A product's shares are taken by at most :func:`_worker_count` workers,
+    the calling thread and a pool (:func:`_run_shares`), and by no more
+    workers than leave :data:`_SHARE_FLOOR` work to each,
+    :data:`_BLOCK_FLOOR` in each CSR block of rows and
+    :data:`_SHARE_COLUMNS` columns of ``u`` in each CSC share.  So a
+    process that may run on one CPU, a small product, a CSC product on
+    fewer than ``2 * _SHARE_COLUMNS`` columns (``r = 1`` among them) and a
+    CSR one with few stored entries per row run on the calling thread.
 
     When ``A.sp.T`` is CSR (the U half's ``A V``), ``csr_matvecs`` reads
-    one shared row-major copy of ``u``.  Each share is a range of rows,
-    with about equal numbers of stored entries, computed
-    :data:`_ROW_BLOCK` / shares rows at a time: each block starts from
-    zeros in the share's reused row-major buffer, as the operator's whole
-    result does, and is copied into its rows of the result.  So no m x r
-    row-major result or Fortran copy of it is made, and the buffers add up
-    to one block of :data:`_ROW_BLOCK` rows.  The public form of the same
-    loop, ``sp[start:stop] @ x``, gives the same bits, but each slice
-    copies its block's indices and values: on ``sparse-mtx`` it made a
-    sweep 40-70% slower and the peak 0.22 MB higher.
+    one shared row-major copy of ``u``.  Each share is a block of
+    :data:`_ROW_BLOCK` / workers rows (at least one), taken by whichever
+    worker is free, so rows of uneven length are balanced as the product
+    runs.  A block starts from zeros in its own row-major buffer, as the
+    operator's whole result does, and is copied into its rows of the
+    result.  So no m x r row-major result or Fortran copy of it is made,
+    and the buffers live at once, one per worker, add up to one block of
+    :data:`_ROW_BLOCK` rows.  The public form of the same loop,
+    ``sp[start:stop] @ x``, gives the same bits, but each slice copies its
+    block's indices and values: on ``sparse-mtx`` it made a sweep 40-70%
+    slower and the peak 0.22 MB higher.
 
     When ``A.sp.T`` is CSC (the V half's ``A^T U``), whose kernel scatters
     each stored entry anywhere in the output, each share is a range of the
@@ -476,34 +458,36 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
         cap = work * _ROW_BLOCK // (max(m, 1) * _BLOCK_FLOOR)
     else:
         cap = r // _SHARE_COLUMNS
-    shares = max(1, min(_worker_count(), work // _SHARE_FLOOR, cap))
+    workers = max(1, min(_worker_count(), work // _SHARE_FLOOR, cap))
     if sp.format == "csr":
-        step = _ROW_BLOCK // shares
+        step = max(_ROW_BLOCK // workers, 1)
         x = np.ascontiguousarray(u)
         out = np.empty((m, r), order="F")
-        bounds = _row_bounds(sp.indptr, shares, step)
-        _run_shares(
-            lambda span: _csr_rows(sp, x, out, *span, step),
-            list(zip(bounds, bounds[1:])),
-        )
+
+        def rows(lo):
+            hi = min(lo + step, m)
+            block = np.zeros((hi - lo, r))
+            _sparsetools.csr_matvecs(
+                hi - lo,
+                sp.shape[1],
+                r,
+                sp.indptr[lo : hi + 1],
+                sp.indices,
+                sp.data,
+                x.ravel(),
+                block.ravel(),
+            )
+            out[lo:hi] = block
+
+        _run_shares(rows, range(0, m, step), workers)
         return out
-    ends = [r * s // shares for s in range(shares + 1)]
+    ends = [r * s // workers for s in range(workers + 1)]
     parts = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    products = _run_shares(lambda part: _csc_columns(sp, u, part), parts)
+    products = _run_shares(lambda part: _csc_columns(sp, u, part), parts, workers)
     out = np.empty((m, r), order="F")
     for part, y in zip(parts, products):
         out[:, part] = y
     return out
-
-
-def _row_bounds(indptr: np.ndarray, shares: int, step: int) -> list[int]:
-    # Bounds of up to ``shares`` row ranges, each a whole number of
-    # ``step``-row blocks but the last, with about equal stored entries.
-    m = indptr.size - 1
-    # Integer targets: float ones would make searchsorted copy indptr.
-    targets = np.arange(1, shares) * indptr[-1] // shares
-    cuts = np.rint(np.searchsorted(indptr, targets) / step).astype(np.int64) * step
-    return [0, *sorted({c for c in cuts.tolist() if 0 < c < m}), m]
 
 
 def frobenius_norm(A: MatrixRef) -> float:

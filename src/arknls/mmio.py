@@ -21,8 +21,8 @@ the same bytes, the second only when the first declined:
    compiled reader accepts some text ``int``/``float`` reject or read
    differently (``1.0e5e5``, ``1_0``, ``0x1p0``, a fourth field).  The
    guard checks blocks of whole lines in numpy passes, which release the
-   GIL, so contiguous runs of blocks are shared between the CPUs the
-   process may use (one share, on the calling thread, on one CPU).  The
+   GIL, so each block is a share that whichever of the CPUs the process
+   may use is free takes next (all on the calling thread on one CPU).  The
    result is checked as a whole (shape, entry count, finite and
    nonnegative values; scipy's reader checks the index range itself).
    Coordinate entries in row-major order with no cell repeated, as
@@ -324,9 +324,9 @@ def _plain_entries(text, start, count, spaces, legal) -> bool:
     # True when text[start:] is exactly ``count`` lines of plain entry text
     # with ``spaces`` spaces each and the ``legal`` pairs of _legal_pairs,
     # so that scipy's reader, int() and float() read each token alike.
-    # Checks blocks of whole lines, in contiguous runs of blocks shared
-    # between the CPUs the process may use (numpy releases the GIL in its
-    # passes); one CPU or one block runs one share on the calling thread.
+    # Checks blocks of whole lines, each a share that whichever of the
+    # CPUs the process may use is free takes next (numpy releases the GIL
+    # in its passes); one CPU or one block runs on the calling thread.
     bounds = [start]
     while bounds[-1] < len(text):
         end = text.find(b"\n", bounds[-1] + _GUARD_BLOCK)
@@ -334,22 +334,13 @@ def _plain_entries(text, start, count, spaces, legal) -> bool:
     blocks = list(zip(bounds, bounds[1:]))
     if not blocks:
         return False
-    shares = min(matrix._worker_count(), len(blocks))
-    ends = [len(blocks) * s // shares for s in range(shares + 1)]
-    runs = [blocks[a:b] for a, b in zip(ends, ends[1:])]
 
-    def run_lines(run):
-        # The lines of the blocks ``run``, or 0 when one is not plain.
-        lines = 0
-        for lo, hi in run:
-            block = np.frombuffer(text, dtype=np.uint8, count=hi - lo, offset=lo)
-            plain = _plain_lines(block, spaces, legal)
-            if not plain:
-                return 0
-            lines += plain
-        return lines
+    def block_lines(span):
+        lo, hi = span
+        block = np.frombuffer(text, dtype=np.uint8, count=hi - lo, offset=lo)
+        return _plain_lines(block, spaces, legal)
 
-    lines = matrix._run_shares(run_lines, runs)
+    lines = matrix._run_shares(block_lines, blocks, matrix._worker_count())
     return all(lines) and sum(lines) == count
 
 

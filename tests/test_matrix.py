@@ -170,12 +170,13 @@ def no_floors(monkeypatch):
 
 
 def record_shares(monkeypatch) -> list:
-    """The number of shares of every split :func:`_run_shares` runs."""
+    """The number of threads that take the shares of every split
+    :func:`_run_shares` runs."""
     counts, run = [], matrix._run_shares
 
-    def recorded(task, shares):
-        counts.append(len(shares))
-        return run(task, shares)
+    def recorded(task, shares, workers):
+        counts.append(min(workers, len(shares)))
+        return run(task, shares, workers)
 
     monkeypatch.setattr(matrix, "_run_shares", recorded)
     return counts
@@ -203,7 +204,8 @@ class TestSparseProduct:
     ROWS = (2 * _ROW_BLOCK + 37, _ROW_BLOCK - 5)
 
     def matrix(self, m, n=70, density=0.1, seed=0):
-        # Every seventh row is empty.
+        # Every seventh row is empty.  ``density`` may be a column of one
+        # density per row.
         rng = np.random.default_rng(seed)
         mask = rng.random((m, n)) < density
         mask[::7] = False
@@ -263,16 +265,21 @@ class TestSparseProduct:
 
     @pytest.mark.parametrize("live", ["all", "every_other"])
     @pytest.mark.parametrize("r", [1, 2, 7, 13, 20])
-    @pytest.mark.parametrize("view", ["csr", "transposed"])
+    @pytest.mark.parametrize("view", ["csr", "transposed", "skewed"])
     def test_split_matches_scipy_bitwise(self, view, r, live, workers, monkeypatch):
-        # With the floors at 1 the CSR operand splits into one row range
-        # per worker and the CSC operand into one column range per worker
-        # or per column, whichever is fewer.  Every other column of u is
-        # all zero in the second case, as dead columns are in the solver.
+        # With the floors at 1 every worker takes blocks of the CSR
+        # operand's rows, and the CSC operand splits into one column range
+        # per worker or per column, whichever is fewer.  Every other column
+        # of u is all zero in the second case, as dead columns are in the
+        # solver.  The skewed view is the transposed view of a matrix whose
+        # row i holds about 70 / (i + 1) entries, so the first block of the
+        # CSR operand's rows holds most of them.
         no_floors(monkeypatch)
         shares = record_shares(monkeypatch)
-        A = self.matrix(self.ROWS[0])
-        if view == "transposed":
+        m = self.ROWS[0]
+        density = 1.0 / np.arange(1, m + 1)[:, None] if view == "skewed" else 0.1
+        A = self.matrix(m, density=density)
+        if view != "csr":
             A = transposed(A)
         u = np.asfortranarray(np.random.default_rng(r).random((A.rows, r)))
         if live == "every_other":
@@ -288,6 +295,17 @@ class TestSparseProduct:
             assert set(shares) == {workers}
         else:
             assert set(shares) == {min(workers, r)}
+
+    def test_more_workers_than_block_rows(self, monkeypatch):
+        # Split between more workers than a block of _ROW_BLOCK rows has
+        # rows, each share is one row.
+        no_floors(monkeypatch)
+        monkeypatch.setattr(matrix, "_ROW_BLOCK", 2)
+        monkeypatch.setattr(matrix, "_worker_count", lambda: 3)
+        shares = record_shares(monkeypatch)
+        A = transposed(self.matrix(self.ROWS[1]))
+        self.check(A, np.random.default_rng(9).random((A.rows, 5)))
+        assert shares == [3]
 
     @pytest.mark.parametrize("view", ["csr", "transposed"])
     def test_small_product_runs_unsplit(self, view, workers, monkeypatch):
@@ -405,7 +423,7 @@ class TestSparseProduct:
 
 class TestRunShares:
     def test_results_in_order(self, workers):
-        assert _run_shares(lambda s: s * s, list(range(7))) == [
+        assert _run_shares(lambda s: s * s, list(range(7)), workers) == [
             s * s for s in range(7)
         ]
 
@@ -413,7 +431,9 @@ class TestRunShares:
         # Each share waits for the other, so they must run on two threads.
         monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
         both = threading.Barrier(2, timeout=10)
-        threads = _run_shares(lambda s: (both.wait(), threading.current_thread())[1], [0, 1])
+        threads = _run_shares(
+            lambda s: (both.wait(), threading.current_thread())[1], [0, 1], 2
+        )
         assert threads[0] is not threads[1]
         assert threading.current_thread() in threads
 
@@ -433,7 +453,7 @@ class TestRunShares:
                     runs[share] += 1
                     return share
 
-                assert _run_shares(task, list(range(50))) == list(range(50))
+                assert _run_shares(task, list(range(50)), 9) == list(range(50))
                 assert runs == collections.Counter(range(50))
         finally:
             sys.setswitchinterval(interval)
@@ -441,7 +461,7 @@ class TestRunShares:
 
     def test_single_share_never_starts_the_pool(self, monkeypatch):
         monkeypatch.setattr(matrix, "_pool", None)
-        assert _run_shares(lambda s: threading.current_thread(), [0]) == [
+        assert _run_shares(lambda s: threading.current_thread(), [0], 2) == [
             threading.current_thread()
         ]
         assert matrix._pool is None
@@ -455,7 +475,9 @@ class TestRunShares:
         busy = pool.submit(release.wait, 10)
         try:
             caller = threading.current_thread()
-            got = _run_shares(lambda s: threading.current_thread() is caller, [0, 1, 2])
+            got = _run_shares(
+                lambda s: threading.current_thread() is caller, [0, 1, 2], 3
+            )
             assert got == [True, True, True]
             assert not busy.done()
         finally:
@@ -476,7 +498,7 @@ class TestRunShares:
             return share
 
         try:
-            assert _run_shares(task, [0, 1, 2]) == [0, 1, 2]
+            assert _run_shares(task, [0, 1, 2], 3) == [0, 1, 2]
             assert calls == collections.Counter([0, 1, 2])
         finally:
             release.set()
@@ -499,11 +521,32 @@ class TestRunShares:
                 raise KeyError(share)
 
         with pytest.raises(KeyError):
-            _run_shares(task, list(range(6)))
+            _run_shares(task, list(range(6)), 3)
         assert not running
         count = len(started)
         time.sleep(0.1)
         assert len(started) == count < 6
+
+    def test_helpers_capped_at_workers(self, monkeypatch):
+        # Shares beyond the worker count start no more helpers: the
+        # threads already taking shares take the rest.
+        submitted = []
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        pool = Pool(1)
+        monkeypatch.setattr(matrix, "_pool", pool)
+        try:
+            assert _run_shares(lambda s: s, list(range(50)), 2) == list(range(50))
+        finally:
+            pool.shutdown()
+        assert len(submitted) == 1
+        monkeypatch.setattr(matrix, "_pool", None)
+        assert _run_shares(lambda s: s, list(range(50)), 1) == list(range(50))
+        assert matrix._pool is None
 
     def test_worker_count_is_the_affinity(self):
         if hasattr(os, "sched_getaffinity"):

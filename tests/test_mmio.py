@@ -648,7 +648,9 @@ class TestFastParse:
         monkeypatch.setattr(mmio, "_GUARD_BLOCK", block)
         shares, run = [], matrix._run_shares
         monkeypatch.setattr(
-            matrix, "_run_shares", lambda task, s: shares.append(len(s)) or run(task, s)
+            matrix,
+            "_run_shares",
+            lambda task, s, w: shares.append(min(w, len(s))) or run(task, s, w),
         )
         rng = np.random.default_rng(4)
         rows, cols = np.nonzero(rng.random((50, 40)) < 0.2)
@@ -671,7 +673,7 @@ class TestFastParse:
                 assert tiers == ["mmread"]
                 assert got == want
                 # The guard's blocks, hundreds at 64 bytes and one at the
-                # default size, are shared between the workers.
+                # default size, are taken by every worker, or by one.
                 assert shares == [workers if block == 64 else 1]
 
     @pytest.mark.parametrize("grammar", list(_LINE_PATTERNS), ids="-".join)
