@@ -236,14 +236,14 @@ MatrixRef = Union[DenseMatrix, SparseView]
 def gram(U: DenseMatrix) -> DenseMatrix:
     """Gram matrix of the columns of ``U``.
 
-    The upper triangle is computed and mirrored, so the result is
-    symmetric exactly, not just up to rounding.
+    The result is symmetric exactly, not just up to rounding: numpy's
+    matmul runs a matrix times its own transpose as BLAS ``syrk``, which
+    computes one triangle, and copies it into the other, and its loop
+    without BLAS forms the two products of each pair of entries alike.
     """
     if U.cols < 1:
         raise ValueError("gram requires at least one column")
-    prod = U.data.T @ U.data
-    upper = np.triu(prod)
-    return DenseMatrix._wrap(upper + np.triu(prod, 1).T)
+    return DenseMatrix._wrap(U.data.T @ U.data)
 
 
 def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
@@ -553,12 +553,16 @@ def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
     as does an all-zero one; an ``|A|^2`` that over- or underflows and a
     non-finite residual raise :class:`FloatingPointError`.
     """
-    if U.rows != A.rows or V.rows != A.cols or U.cols != V.cols:
-        raise ValueError("factor dimensions do not conform with A")
+    _check_conform(A, U, V)
     a2 = _finite_fro2(A)
     if a2 == 0.0:
         _reject_zero(A, "relative residual undefined for an all-zero matrix")
     return math.sqrt(_trace_residual(a2, at_times(A, U).data, V, gram(U).data)[0] / a2)
+
+
+def _check_conform(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> None:
+    if U.rows != A.rows or V.rows != A.cols or U.cols != V.cols:
+        raise ValueError("factor dimensions do not conform with A")
 
 
 def _trace_residual(fro2: float, H, X: DenseMatrix, M) -> tuple[float, np.ndarray]:
@@ -585,43 +589,24 @@ def transposed(A: MatrixRef) -> MatrixRef:
     return SparseView(A.sp.T)
 
 
-RowEntries = dict[int, tuple[Union[np.ndarray, slice], np.ndarray]]
-
-
-def read_rows(A: MatrixRef, rows) -> RowEntries:
-    """Rows ``rows`` of ``A``, each as a pair (column slots, values).
+def read_rows(A: MatrixRef, rows) -> np.ndarray:
+    """Rows ``rows`` of ``A``, in the order given, repeats kept, as the
+    columns of a new Fortran-ordered ``A.cols x len(rows)`` array.
 
     On a transposed view row ``i`` is column ``i`` of the original matrix.
-    This is the one read of ``A`` by rows; a repair writes a row into a
-    zeroed cache column as ``out[slots] = values``.  Dense input gives each
-    row as a view with slots ``slice(None)``.  Sparse input gives compact
-    pairs read straight from the compressed arrays, with a stored -0.0
-    read as 0.0, as scipy's ``toarray`` does.  A CSR matrix slices each
-    row, O(nnz of the row).  The CSC transposed view stores its rows
-    scattered over every column, so all wanted rows are found in one pass
-    over the ``nnz`` row indices through a boolean table of the wanted
-    rows: the pass allocates one byte per stored entry, and reading many
-    rows costs about as much as reading one.  No copy of ``A`` is kept.
+    This is the one read of ``A`` by rows: the start's rows and the rows a
+    repair writes into a rebuilt product column.  Dense input is read with
+    numpy's indexing, ``A.data[rows]``, and sparse input, the CSR matrix
+    and its CSC transposed view alike, with scipy's,
+    ``A.sp[rows].toarray()``, which reads a stored -0.0 as 0.0; either
+    result is row-major, so its transpose holds each row contiguously.  A row
+    outside ``[0, A.rows)`` raises :class:`IndexError`; neither library's
+    wrap-around of negative indices applies.
     """
-    wanted = np.unique(np.asarray(rows, dtype=np.int64))
-    if wanted.size and (wanted[0] < 0 or wanted[-1] >= A.rows):
-        bad = wanted[0] if wanted[0] < 0 else wanted[-1]
-        raise IndexError(f"row {bad} out of range for {A.rows}-row matrix")
+    rows = np.asarray(rows, dtype=np.int64)
+    bad = rows[(rows < 0) | (rows >= A.rows)]
+    if bad.size:
+        raise IndexError(f"row {bad[0]} out of range for {A.rows}-row matrix")
     if isinstance(A, DenseMatrix):
-        return {int(i): (slice(None), A.data[i, :]) for i in wanted}
-    sp = A.sp
-    if sp.format == "csr":
-        out = {}
-        for i in wanted:
-            span = slice(sp.indptr[i], sp.indptr[i + 1])
-            # Adding 0.0 turns -0.0 into 0.0 and copies the values.
-            out[int(i)] = (sp.indices[span], sp.data[span] + 0.0)
-        return out
-    table = np.zeros(A.rows, dtype=bool)
-    table[wanted] = True
-    hits = np.flatnonzero(table[sp.indices])
-    owner = sp.indices[hits]
-    slots = np.searchsorted(sp.indptr, hits, side="right") - 1
-    values = sp.data[hits] + 0.0
-    return {int(i): (slots[owner == i], values[owner == i]) for i in wanted}
-
+        return A.data[rows].T
+    return A.sp[rows].toarray(order="C").T

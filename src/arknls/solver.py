@@ -34,6 +34,7 @@ import numpy as np
 from .matrix import (
     DenseMatrix,
     MatrixRef,
+    _check_conform,
     _check_integers,
     _check_seed,
     _finite_fro2,
@@ -276,8 +277,9 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
 
     The stream is PCG64 seeded with ``seed``.  U is drawn first, filled
     column-major, then the r distinct rows ``rng.choice(m, r,
-    replace=False)``, read by :func:`read_rows`: the "random Acol" start
-    of Langville, Meyer, Albright & Cooper (2014).  So a seed pins the
+    replace=False)``; V is the array :func:`read_rows` returns for them,
+    no copy: the "random Acol" start of Langville, Meyer, Albright &
+    Cooper (2014).  So a seed pins the
     factors bit for bit, V carries the data's scale (``2^e A`` starts from
     the same U and ``2^e V``), and the dense and sparse forms of one
     matrix start alike.  An all-zero sampled row gives an all-zero column.
@@ -294,20 +296,16 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
     if np.any(norms == 0.0):
         raise RuntimeError("drew an all-zero column, seed unusable")
     u /= norms
-    rows = rng.choice(m, r, replace=False).tolist()
-    entries = read_rows(A, rows)
-    v = np.zeros((n, r), order="F")
-    for j, i in enumerate(rows):
-        slots, values = entries[i]
-        v[slots, j] = values
+    v = read_rows(A, rng.choice(m, r, replace=False))
     return FactorPair(DenseMatrix._wrap(u), DenseMatrix._wrap(v), r, k)
 
 
 def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
     """Zero ``target[:, col]``, make ``coef[:, col]`` the vector
     ``s e_{unit_row}`` and patch ``H``'s column and ``M``'s row and column
-    to match, with the row of ``A`` from the gather ``rows`` or, if it
-    lacks it, read alone.
+    to match: ``H[:, col]`` is ``s`` times row ``unit_row`` of ``A``, taken
+    from ``rows``, a dict from row index to row, or, if it lacks it, read
+    alone by :func:`read_rows`.
 
     ``s`` is the power of two ``2**frexp(sqrt(max_i m_ii))[1]`` over the
     coefficient Gram ``M``, at the scale of the coefficient columns rather
@@ -318,9 +316,8 @@ def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
     target[:, col] = 0.0
     coef[:, col] = 0.0
     coef[unit_row, col] = s
-    slots, values = rows.get(unit_row) or read_rows(A, [unit_row])[unit_row]
-    H[:, col] = 0.0
-    H[slots, col] = s * values
+    a_row = rows[unit_row] if unit_row in rows else read_rows(A, [unit_row])[:, 0]
+    np.multiply(s, a_row, out=H[:, col])
     row = s * coef[unit_row, :]
     M[:, col] = row
     M[col, :] = row
@@ -364,7 +361,7 @@ def _repair(A, coef, target, H, M, cols, Mb, rows) -> RepairPlan:
     which the kept columns' targets absorb its target, :func:`_rebuild`
     makes it the scaled unit vector :func:`_unit_row` picks, and ``Mb`` is
     gathered again in place from the ``M`` that rebuild patched.  ``rows``
-    holds rows of ``A`` gathered in advance by :func:`read_rows`.
+    maps row indices to rows of ``A`` read in advance by :func:`read_rows`.
     """
     plan = RepairPlan()
     for j in range(len(cols)):
@@ -482,7 +479,8 @@ def _half_sweep(
     full product, dead columns included: a repair rewrites a dead
     column's ``H`` column anyway.  All-zero (dead) coefficient columns
     are read off ``M``'s diagonal, and the rows of ``A`` their repairs
-    read are gathered in one pass by :func:`read_rows`.  Returns the
+    read are gathered by one call of :func:`read_rows`, into a dict from
+    row index to row.  Returns the
     objective from the trace identity on the caches
     (:func:`_trace_residual`), or ``None`` unless ``objective``, the
     number of repairs and the updated factor's Gram, the next half's
@@ -501,7 +499,7 @@ def _half_sweep(
     dead = _dead_columns(coef_arr, M)
     H = at_times(data, coef).data
     # A dead column is rebuilt as e_c, so its repair reads row c.
-    rows = read_rows(data, dead) if dead else {}
+    rows = dict(zip(dead, read_rows(data, dead).T)) if dead else {}
     R, work = _block_scratch(target.rows, factors.k)
     repairs = 0
     for idx, cols in enumerate(blocks):
@@ -532,12 +530,14 @@ def sweep(
     pass.  Any other ``direction`` raises :class:`ValueError` before ``A``
     is read.  Dense or sparse input with a NaN, infinite or negative entry
     raises :class:`ValueError`, checked on every call; so do ``factors`` whose
-    ``r`` or ``k`` does not fit its own factors.  An ``|A|^2`` that
+    ``r`` or ``k`` does not fit its own factors, and, before ``A`` is read,
+    factors whose row counts are not ``A``'s.  An ``|A|^2`` that
     overflows and a non-finite objective raise :class:`FloatingPointError`.
     """
     if direction not in ("V", "U"):
         raise ValueError('direction must be "V" or "U"')
     _check_pair(factors)
+    _check_conform(A, factors.U, factors.V)
     fro2 = _finite_fro2(A, nonnegative=True)
     return _half_sweep(A, factors, direction, fro2, observer)[0]
 

@@ -46,12 +46,9 @@ def triple_loop_atb(a, b):
 
 
 def dense_row(A, i):
-    """Row ``i`` of ``A`` from :func:`read_rows`, written into zeros as a
-    repair writes it."""
-    out = np.zeros(A.cols)
-    slots, values = read_rows(A, [i])[i]
-    out[slots] = values
-    return out
+    """Row ``i`` of ``A`` from :func:`read_rows`, read on its own, as a
+    repair reads a row its gather lacks."""
+    return read_rows(A, [i])[:, 0]
 
 
 def random_sparse(rng, m, n, density):
@@ -78,11 +75,19 @@ class TestGram:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_exactly_symmetric(self):
+        # numpy's matmul gives U^T U exactly symmetric, so gram equals the
+        # product's upper triangle mirrored, bit for bit, on either memory
+        # order of U and on one column.
         rng = np.random.default_rng(3)
         for _ in range(20):
-            u = rng.standard_normal((17, 9))
-            g = gram(DenseMatrix(u)).data
-            assert np.array_equal(g, g.T)
+            for r in (9, 1):
+                for order in "CF":
+                    u = np.asarray(rng.standard_normal((17, r)), order=order)
+                    g = gram(DenseMatrix(u)).data
+                    prod = u.T @ u
+                    mirrored = np.triu(prod) + np.triu(prod, 1).T
+                    assert g.tobytes() == np.asfortranarray(mirrored).tobytes()
+                    assert np.array_equal(g, g.T)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -941,53 +946,60 @@ class TestContainers:
         s = SparseMatrixCSR.from_coo(6, 7, rows, cols, d[rows, cols])
         for A, ref in ((s, d), (transposed(s), d.T)):
             for i in range(A.rows):
-                _, values = read_rows(A, [i])[i]
+                row = dense_row(A, i)
                 # Fresh values, never the matrix's own storage.
-                assert values.dtype == np.float64 and values.flags.owndata
-                assert not np.signbit(values).any()
-                np.testing.assert_array_equal(dense_row(A, i), ref[i])
+                assert row.dtype == np.float64
+                assert not np.shares_memory(row, A.sp.data)
+                np.testing.assert_array_equal(row, ref[i])
             for bad in (-1, A.rows):
                 with pytest.raises(IndexError):
                     read_rows(A, [bad])
 
     def test_read_rows_negative_zero_reads_as_zero(self):
-        # scipy's densification turns a stored -0.0 into 0.0; so does
-        # read_rows, on both views.
+        # scipy's densification turns a stored -0.0 into 0.0, on both
+        # views, whether the row is read alone or with others.
         s = SparseMatrixCSR(2, 3, [0, 2, 2], [0, 2], [-0.0, 1.0])
         for A in (s, transposed(s)):
+            assert not np.signbit(read_rows(A, range(A.rows))).any()
             for i in range(A.rows):
-                assert not np.signbit(read_rows(A, [i])[i][1]).any()
                 assert not np.signbit(dense_row(A, i)).any()
 
     def test_read_rows(self):
-        # One call returns every wanted row (repeats and any order allowed)
-        # as distinct increasing slots with their values, on both views.
+        # One call returns the wanted rows, in the order given and repeats
+        # kept, as the columns of one new Fortran-ordered array: on dense
+        # C, F and transposed input, the CSR matrix and its CSC view.
         rng = np.random.default_rng(9)
         s = random_sparse(rng, 14, 11, 0.25)
         d = s.to_dense().data
-        for A, ref in ((s, d), (transposed(s), d.T), (s.to_dense(), d)):
+        views = (
+            (s, d),
+            (transposed(s), d.T),
+            (DenseMatrix(np.ascontiguousarray(d)), d),
+            (DenseMatrix(np.asfortranarray(d)), d),
+            (transposed(DenseMatrix(d)), d.T),
+        )
+        for A, ref in views:
             wanted = [A.rows - 1, 0, 3, 3, 7]
             got = read_rows(A, wanted)
-            assert sorted(got) == [0, 3, 7, A.rows - 1]
-            for i, (slots, values) in got.items():
-                row = np.zeros(A.cols)
-                row[slots] = values
-                np.testing.assert_array_equal(row, ref[i])
+            assert got.shape == (A.cols, len(wanted))
+            assert got.dtype == np.float64 and got.flags.f_contiguous
+            np.testing.assert_array_equal(got, ref[wanted].T)
+            for j, i in enumerate(wanted):
                 # The gather equals reading the row on its own.
-                np.testing.assert_array_equal(row, dense_row(A, i))
-                if isinstance(slots, np.ndarray):
-                    assert np.all(np.diff(slots) > 0)
-                    assert values.size == np.count_nonzero(ref[i])
-            assert read_rows(A, []) == {}
+                np.testing.assert_array_equal(got[:, j], dense_row(A, i))
+            stored = A.data if isinstance(A, DenseMatrix) else A.sp.data
+            assert not np.shares_memory(got, stored)
+            empty = read_rows(A, [])
+            assert empty.shape == (A.cols, 0) and empty.dtype == np.float64
             for bad in ([-1], [0, A.rows]):
                 with pytest.raises(IndexError):
                     read_rows(A, bad)
 
     def test_read_rows_transposed_allocates_no_index_copy(self):
         # The U-side gather on a sparse-mtx-shaped input (10000 x 5000,
-        # 1% dense) finds 17 columns in one pass over the nnz row indices
-        # of the CSC view.  Its boolean table costs one byte per stored
-        # entry; an nnz-length int64 array (8 bytes each) must not appear.
+        # 1% dense) reads 17 columns through scipy's row selection on the
+        # CSC view.  An nnz-length int64 array (8 bytes per stored entry)
+        # must not appear.
         rng = np.random.default_rng(10)
         m, n, nnz = 10000, 5000, 500_000
         s = SparseMatrixCSR.from_coo(
@@ -1003,11 +1015,8 @@ class TestContainers:
         finally:
             tracemalloc.stop()
         assert peak < 8 * s.nnz
-        for j in wanted:
-            slots, values = got[j]
-            col = s.sp[:, [j]].tocoo()
-            np.testing.assert_array_equal(slots, col.row)
-            np.testing.assert_array_equal(values, col.data)
+        for j, col in enumerate(wanted):
+            np.testing.assert_array_equal(got[:, j], s.sp[:, [col]].toarray()[:, 0])
 
     def test_frobenius_norm(self):
         rng = np.random.default_rng(8)
