@@ -15,7 +15,9 @@ column-major array, and both so as to hand a large product's blocks out
 to whichever CPU the process may run on is free.  Each output entry gets
 the same operations in the same order as in scipy's own operator, so the
 results do not depend on the worker count; the tests pin both kernels
-bit for bit to that operator.
+bit for bit to that operator.  The same workers screen a large matrix's
+values before a fit or sweep: its sum of squares and its minimum run as
+two concurrent shares, each computed as on one thread.
 """
 
 from __future__ import annotations
@@ -313,15 +315,21 @@ _BLOCK_FLOOR = 1 << 16
 # than one thread, with 4 or more mostly faster.
 _SHARE_COLUMNS = 4
 
+# Least stored values for which _finite_fro2 runs |A|^2 and the sign
+# check's minimum as two concurrent shares.  The two passes on one thread
+# took 0.16 ms on 2^18 values, 0.38 on 2^19, 0.75 on 2^20 and 4.9 on
+# 2^22; split in two they took 1.35, 0.99, 0.80 and 0.54 times that.
+_SCREEN_FLOOR = 1 << 20
+
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
 
 
 def _worker_count() -> int:
-    """Workers a sparse product, or mmio's guard of plain text, is split
-    between: the CPUs this process may run on (its affinity mask, as
-    ``taskset`` or a cgroup sets it), or the machine's count where the
-    platform reports no mask."""
+    """Workers a sparse product, the screen of a large ``A``'s values, or
+    mmio's guard of plain text, is split between: the CPUs this process
+    may run on (its affinity mask, as ``taskset`` or a cgroup sets it), or
+    the machine's count where the platform reports no mask."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -519,18 +527,31 @@ def _finite_fro2(A: MatrixRef, nonnegative: bool = False) -> float:
     squares is finite only if every value is, so ``|A|^2`` screens them
     without the mask ``np.isfinite`` builds.  The exact scan runs only when
     the screen fails: on a NaN, an infinity, or squares that overflow,
-    which it accepts.  The sign check is one pass over the stored values:
+    which it accepts.  The sign check is the minimum of the stored values:
     every entry of a dense ``A``, the nnz stored ones of a sparse one.
     Valid values whose squares overflow then raise
     :class:`FloatingPointError`: an infinite ``|A|^2`` makes every
     objective non-finite, and the products would overflow first.
+
+    With ``nonnegative`` and at least :data:`_SCREEN_FLOOR` stored values,
+    ``|A|^2`` and the minimum are two shares of :func:`_run_shares` over
+    :func:`_worker_count` workers, so on two or more CPUs the BLAS ``ddot``
+    and numpy's reduction read ``A`` at once; each is computed as on one
+    thread, so ``|A|^2`` keeps its bits, and the checks run in the same
+    order.  Smaller inputs, and one CPU, run both passes on the calling
+    thread.
     """
     values = _stored(A)
-    fro2 = _fro_squared(A)
+    if nonnegative and values.size >= _SCREEN_FLOOR:
+        fro2, low = _run_shares(
+            lambda run: run(), [lambda: _fro_squared(A), values.min], _worker_count()
+        )
+    else:
+        fro2, low = _fro_squared(A), None
     kind = "dense" if isinstance(A, DenseMatrix) else "sparse"
     if not math.isfinite(fro2) and not np.isfinite(values).all():
         raise ValueError(f"{kind} matrix entries must be finite")
-    if nonnegative and values.size and values.min() < 0.0:
+    if nonnegative and values.size and (values.min() if low is None else low) < 0.0:
         raise ValueError(f"{kind} matrix entries must be nonnegative")
     if fro2 == math.inf:
         raise FloatingPointError("numerical breakdown: |A|^2 overflows")

@@ -169,8 +169,9 @@ def csr_of(values: np.ndarray) -> SparseMatrixCSR:
 
 
 def no_floors(monkeypatch):
-    """Split every sparse product as far as the worker count allows."""
-    for name in ("_SHARE_FLOOR", "_BLOCK_FLOOR", "_SHARE_COLUMNS"):
+    """Split every sparse product, and the screen of every A's values, as
+    far as the worker count allows."""
+    for name in ("_SHARE_FLOOR", "_BLOCK_FLOOR", "_SHARE_COLUMNS", "_SCREEN_FLOOR"):
         monkeypatch.setattr(matrix, name, 1)
 
 
@@ -558,6 +559,85 @@ class TestRunShares:
             assert matrix._worker_count() == len(os.sched_getaffinity(0))
         else:
             assert matrix._worker_count() == (os.cpu_count() or 1)
+
+
+class TestSplitScreen:
+    """With ``nonnegative`` set and at least :data:`matrix._SCREEN_FLOOR`
+    stored values, :func:`matrix._finite_fro2` runs ``|A|^2`` and the
+    minimum as two shares, each computing what the unsplit screen does:
+    the same bits and the same errors, finite first, then sign, then
+    overflow."""
+
+    @staticmethod
+    def held(kind, arr):
+        # A matrix over ``arr``'s values that reads them as they are at
+        # the call: a CSR matrix of every entry has them in row order.
+        if kind == "csr":
+            A = csr_of(np.ones_like(arr))
+            A.values[:] = arr.ravel()
+            return A
+        if kind == "converted":
+            return DenseMatrix(arr.tolist())
+        return DenseMatrix(np.require(arr, requirements=kind))
+
+    @pytest.mark.parametrize("kind", ["C", "F", "converted", "csr"])
+    def test_same_bits_as_fro_squared(self, kind, workers, monkeypatch):
+        no_floors(monkeypatch)
+        shares = record_shares(monkeypatch)
+        arr = np.random.default_rng(14).random((37, 23))
+        arr[5, 6] = -0.0
+        A = self.held(kind, arr)
+        if kind == "converted":
+            assert A.data.flags.f_contiguous
+        got = matrix._finite_fro2(A, nonnegative=True)
+        assert got.hex() == matrix._fro_squared(A).hex()
+        assert shares == [min(workers, 2)]
+
+    @pytest.mark.parametrize(
+        "entries, error, message",
+        [
+            ({(2, 1): np.nan, (4, 3): -1.0}, ValueError, "must be finite"),
+            ({(2, 1): -np.inf}, ValueError, "must be finite"),
+            ({(2, 1): -1.0}, ValueError, "must be nonnegative"),
+            ({(2, 1): -1e200, (4, 3): 1e200}, ValueError, "must be nonnegative"),
+            ({(2, 1): 1e200}, FloatingPointError, r"\|A\|\^2 overflows"),
+        ],
+        ids=["nan_and_negative", "minus_inf", "negative", "negative_overflow", "overflow"],
+    )
+    @pytest.mark.parametrize("kind", ["C", "F", "csr"])
+    def test_same_errors(self, kind, entries, error, message, workers, monkeypatch):
+        no_floors(monkeypatch)
+        arr = np.random.default_rng(15).random((7, 5))
+        for at, value in entries.items():
+            arr[at] = value
+        A = self.held(kind, arr)
+        if error is ValueError:
+            name = "sparse" if kind == "csr" else "dense"
+            message = f"^{name} matrix entries {message}$"
+        with pytest.raises(error, match=message):
+            matrix._finite_fro2(A, nonnegative=True)
+
+    def test_large_dense_fit_and_sweep_split(self, monkeypatch):
+        # With the module's floor: fit and sweep screen in two shares,
+        # relative_residual, which checks no sign, in one pass.
+        monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
+        shares = record_shares(monkeypatch)
+        a = DenseMatrix(np.random.default_rng(16).random((1100, 1000)))
+        assert a.data.size >= matrix._SCREEN_FLOOR
+        factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
+        assert shares == [2]
+        sweep(a, factors, "V")
+        assert shares == [2, 2]
+        relative_residual(a, factors.U, factors.V)
+        assert shares == [2, 2]
+
+    def test_small_input_runs_unsplit(self, workers, monkeypatch):
+        # Below the module's floor both passes run on the calling thread.
+        shares = record_shares(monkeypatch)
+        a = DenseMatrix(np.random.default_rng(17).random((60, 40)))
+        factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
+        sweep(a, factors, "U")
+        assert shares == []
 
 
 class TestRelativeResidual:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import arknls.matrix as matrix_module
 import arknls.solver as solver_module
 from arknls.matrix import (
     _ROW_BLOCK,
@@ -968,6 +969,38 @@ class TestFit:
         a.data[3, 2] = -1e-3
         with pytest.raises(ValueError, match="nonnegative"):
             fit(a, SolverConfig(rank=2, k=2))
+
+    def test_split_screen_fits_alike(self, monkeypatch):
+        # 1.8e6 values, above the screen's floor: at two workers |A|^2 and
+        # the sign check run as two shares, at one on the calling thread.
+        # The fit must not tell them apart.
+        a = gen_dense(SynthSpec(m=1500, n=1200, true_rank=10, noise_std=0.01, seed=4))
+        assert a.data.size >= matrix_module._SCREEN_FLOOR
+        for k in (1, 2, 3):
+            cfg = SolverConfig(rank=10, k=k, max_sweeps=4, seed=1)
+            runs = []
+            for count in (1, 2):
+                monkeypatch.setattr(matrix_module, "_worker_count", lambda c=count: c)
+                runs.append(fit(a, cfg))
+            (f1, t1), (f2, t2) = runs
+            assert f1.U.data.tobytes() == f2.U.data.tobytes()
+            assert f1.V.data.tobytes() == f2.V.data.tobytes()
+            assert t1.rel_residual == t2.rel_residual
+            assert t1.repair_events == t2.repair_events
+
+    def test_split_screen_reads_entries_written_after_wrapping(self, monkeypatch):
+        # The screen's shares read the caller's array as it is at the call.
+        monkeypatch.setattr(matrix_module, "_worker_count", lambda: 2)
+        arr = np.random.default_rng(5).random((1100, 1000))
+        a = DenseMatrix(arr)
+        assert arr.size >= matrix_module._SCREEN_FLOOR
+        factors = initialize(a, 2, 0, k=1)
+        arr[1099, 999] = -1e-300
+        with pytest.raises(ValueError, match="^dense matrix entries must be nonnegative$"):
+            fit(a, SolverConfig(rank=2, k=1, max_sweeps=1))
+        for direction in ("V", "U"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                sweep(a, factors, direction)
 
     def test_repairs_fire_in_overparameterized_runs(self):
         # Asking for far more rank than the data has drives columns to
