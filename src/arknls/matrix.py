@@ -15,9 +15,9 @@ column-major array, and both so as to hand a large product's blocks out
 to whichever CPU the process may run on is free.  Each output entry gets
 the same operations in the same order as in scipy's own operator, so the
 results do not depend on the worker count; the tests pin both kernels
-bit for bit to that operator.  The same workers screen a large matrix's
-values before a fit or sweep: its sum of squares and its minimum run as
-two concurrent shares, each computed as on one thread.
+bit for bit to that operator.  The same workers run the one screen of a
+matrix's values, wherever they are read: on a large matrix its sum of
+squares and its minimum are two concurrent shares.
 """
 
 from __future__ import annotations
@@ -148,10 +148,10 @@ class SparseMatrixCSR(SparseView):
     validate the structure: contiguous int64 index arrays and float64
     values uncopied, index arrays of any other integer dtype as int64
     copies, and values of other dtypes as float64 copies.  The values are
-    checked here, and again on every call of :func:`arknls.fit` and
-    :func:`arknls.sweep` (finite and nonnegative) and of
-    :func:`relative_residual` (finite), which read them as they are then:
-    a value written into held ``values`` later is caught too.
+    checked here, and by the same screen again on every call of
+    :func:`arknls.fit` and :func:`arknls.sweep` (finite and nonnegative)
+    and of :func:`relative_residual` (finite), which read them as they are
+    then: a value written into held ``values`` later is caught too.
     """
 
     __slots__ = ()
@@ -171,7 +171,7 @@ class SparseMatrixCSR(SparseView):
         sp.check_format(full_check=True)
         if not sp.has_canonical_format:
             raise ValueError("column indices must be strictly increasing per row")
-        if vals.size and not (np.isfinite(vals).all() and vals.min() >= 0.0):
+        if _screen(vals, nonnegative=True)[1]:
             raise ValueError("sparse values must be finite and nonnegative")
         super().__init__(sp)
 
@@ -315,10 +315,10 @@ _BLOCK_FLOOR = 1 << 16
 # than one thread, with 4 or more mostly faster.
 _SHARE_COLUMNS = 4
 
-# Least stored values for which _finite_fro2 runs |A|^2 and the sign
-# check's minimum as two concurrent shares.  The two passes on one thread
-# took 0.16 ms on 2^18 values, 0.38 on 2^19, 0.75 on 2^20 and 4.9 on
-# 2^22; split in two they took 1.35, 0.99, 0.80 and 0.54 times that.
+# Least values for which _screen runs |A|^2 and the sign check's minimum
+# as two concurrent shares.  The two passes on one thread took 0.16 ms on
+# 2^18 values, 0.38 on 2^19, 0.75 on 2^20 and 4.9 on 2^22; split in two
+# they took 1.35, 0.99, 0.80 and 0.54 times that.
 _SCREEN_FLOOR = 1 << 20
 
 _pool: Optional[ThreadPoolExecutor] = None
@@ -499,13 +499,12 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(A: MatrixRef) -> float:
-    return math.sqrt(_fro_squared(A))
+    return math.sqrt(_fro_squared(_stored(A)))
 
 
-def _fro_squared(A: MatrixRef) -> float:
+def _fro_squared(values: np.ndarray) -> float:
     # Squares that overflow give inf, which callers read as a failed
     # screen or a breakdown, not a RuntimeWarning.
-    values = _stored(A)
     with np.errstate(over="ignore"):
         return float(np.dot(values, values))
 
@@ -518,41 +517,43 @@ def _stored(A: MatrixRef) -> np.ndarray:
     return A.sp.data
 
 
-def _finite_fro2(A: MatrixRef, nonnegative: bool = False) -> float:
-    """``|A|^2``, after checking that ``A`` holds only finite values and,
-    with ``nonnegative``, no negative one.
+def _screen(values: np.ndarray, nonnegative: bool) -> tuple[float, Optional[str]]:
+    """``(|values|^2, failed)`` for a flat array: ``failed`` is ``"finite"``
+    on a NaN or an infinity, else, with ``nonnegative``, ``"nonnegative"``
+    on a value below zero (-0.0 is not), else None.
 
-    The checks read the values as they are at the call, so an entry the
-    caller writes into a held array after wrapping is caught too.  A sum of
-    squares is finite only if every value is, so ``|A|^2`` screens them
-    without the mask ``np.isfinite`` builds.  The exact scan runs only when
-    the screen fails: on a NaN, an infinity, or squares that overflow,
-    which it accepts.  The sign check is the minimum of the stored values:
-    every entry of a dense ``A``, the nnz stored ones of a sparse one.
-    Valid values whose squares overflow then raise
-    :class:`FloatingPointError`: an infinite ``|A|^2`` makes every
-    objective non-finite, and the products would overflow first.
-
-    With ``nonnegative`` and at least :data:`_SCREEN_FLOOR` stored values,
-    ``|A|^2`` and the minimum are two shares of :func:`_run_shares` over
-    :func:`_worker_count` workers, so on two or more CPUs the BLAS ``ddot``
-    and numpy's reduction read ``A`` at once; each is computed as on one
-    thread, so ``|A|^2`` keeps its bits, and the checks run in the same
-    order.  Smaller inputs, and one CPU, run both passes on the calling
-    thread.
+    The one check of a matrix's values, by the CSR constructor, the Matrix
+    Market reader's compiled tier and :func:`_finite_fro2`.  A sum of
+    squares is finite only if every value is, so the exact ``np.isfinite``
+    scan runs only when ``|values|^2`` is not: on a NaN, an infinity, or
+    squares that overflow, which it accepts.  The sign check is the
+    minimum.  The two passes are the shares of one :func:`_run_shares`
+    call over :func:`_worker_count` workers from :data:`_SCREEN_FLOOR`
+    values on, one below, each computed as on one thread.
     """
-    values = _stored(A)
-    if nonnegative and values.size >= _SCREEN_FLOOR:
-        fro2, low = _run_shares(
-            lambda run: run(), [lambda: _fro_squared(A), values.min], _worker_count()
-        )
-    else:
-        fro2, low = _fro_squared(A), None
-    kind = "dense" if isinstance(A, DenseMatrix) else "sparse"
+    passes = [lambda: _fro_squared(values)]
+    if nonnegative and values.size:
+        passes.append(values.min)
+    workers = _worker_count() if values.size >= _SCREEN_FLOOR else 1
+    fro2, *low = _run_shares(lambda run: run(), passes, workers)
     if not math.isfinite(fro2) and not np.isfinite(values).all():
-        raise ValueError(f"{kind} matrix entries must be finite")
-    if nonnegative and values.size and (values.min() if low is None else low) < 0.0:
-        raise ValueError(f"{kind} matrix entries must be nonnegative")
+        return fro2, "finite"
+    return fro2, "nonnegative" if low and low[0] < 0.0 else None
+
+
+def _finite_fro2(A: MatrixRef, nonnegative: bool = False) -> float:
+    """``|A|^2`` once :func:`_screen` has found every value of ``A`` at the
+    call finite and, with ``nonnegative``, none negative: every entry of a
+    dense ``A`` (an entry written into a held array after wrapping too),
+    the nnz stored ones of a sparse one.  Valid values whose squares
+    overflow raise :class:`FloatingPointError`: an infinite ``|A|^2``
+    makes every objective non-finite, and the products would overflow
+    first.
+    """
+    fro2, failed = _screen(_stored(A), nonnegative)
+    if failed:
+        kind = "dense" if isinstance(A, DenseMatrix) else "sparse"
+        raise ValueError(f"{kind} matrix entries must be {failed}")
     if fro2 == math.inf:
         raise FloatingPointError("numerical breakdown: |A|^2 overflows")
     return fro2

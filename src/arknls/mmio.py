@@ -23,8 +23,9 @@ the same bytes, the second only when the first declined:
    guard checks blocks of whole lines in numpy passes, which release the
    GIL, so each block is a share that whichever of the CPUs the process
    may use is free takes next (all on the calling thread on one CPU).  The
-   result is checked as a whole (shape, entry count, finite and
-   nonnegative values; scipy's reader checks the index range itself).
+   result's shape and entry count are checked here, its values by the
+   screen the CSR constructor and fits use (``matrix._screen``: finite,
+   nonnegative); scipy's reader checks the index range itself.
    Coordinate entries in row-major order with no cell repeated, as
    :func:`write_matrix_market` writes them, become CSR without a sort;
    other entries are sorted and summed.
@@ -104,11 +105,12 @@ def read_matrix_market(path) -> MatrixRef:
     digit-only indices, and values of digits with at most one dot and a
     lower-case ``e`` exponent, unsigned) is parsed by scipy's compiled
     Matrix Market reader, and its result is checked as whole arrays:
-    shape, entry count, finite and nonnegative values.  Any other file,
-    or one that fails a check, is read one line at a time.  That pass
-    raises a :class:`MatrixMarketError` naming the offending line, or
-    returns the matrix for text only it accepts, such as comment lines
-    between entries.  Both give the same bits for the same file.
+    shape and entry count, and values finite and nonnegative by the one
+    screen that the CSR constructor and :func:`arknls.fit` use too.  Any
+    other file, or one that fails a check, is read one line at a time.
+    That pass raises a :class:`MatrixMarketError` naming the offending
+    line, or returns the matrix for text only it accepts, such as comment
+    lines between entries.  Both give the same bits for the same file.
     """
     with open(path, "rb") as handle:
         text = handle.read()
@@ -265,7 +267,7 @@ def _read_plain(text, header):
     if parsed.shape != (m, n):
         return None
     if array_layout:
-        if not _admissible(parsed):
+        if matrix._screen(parsed.ravel(order="K"), nonnegative=True)[1]:
             return None
         # mmread returns C order.  Fortran order, as the line reader gives,
         # keeps fits bitwise: they differ in the last bits on C order.
@@ -378,10 +380,6 @@ def _plain_lines(block, spaces_per_line, legal) -> int:
         and not (spaces[:-2] & spaces[1:-1] & spaces[2:]).any()
     )
     return lines if plain else 0
-
-
-def _admissible(values) -> bool:
-    return bool(np.isfinite(values).all() and (values >= 0.0).all())
 
 
 def _read_by_lines(text) -> MatrixRef:
@@ -523,19 +521,18 @@ def write_trace_csv(trace, path) -> None:
     """Serialize a solve trace (or any iterable of rows) to CSV.
 
     Header is exactly ``sweep,elapsed_s,rel_residual``; floats carry 10
-    significant digits.  The elapsed column must be non-decreasing.
+    significant digits.  The elapsed column must be non-decreasing.  Every
+    row is checked and formatted before ``path`` is opened, so a rejected
+    trace leaves an existing file as it was.
     """
     rows = trace.records() if hasattr(trace, "records") else list(trace)
     if not rows:
         raise ValueError("refusing to write an empty trace")
-    previous = None
+    if any(now[1] < before[1] for before, now in zip(rows, rows[1:])):
+        raise ValueError("elapsed_s must be non-decreasing")
+    text = "".join(f"{int(sweep)},{t:.10g},{res:.10g}\n" for sweep, t, res in rows)
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(TRACE_HEADER + "\n")
-        for sweep, elapsed, residual in rows:
-            if previous is not None and elapsed < previous:
-                raise ValueError("elapsed_s must be non-decreasing")
-            previous = elapsed
-            handle.write(f"{int(sweep)},{elapsed:.10g},{residual:.10g}\n")
+        handle.write(TRACE_HEADER + "\n" + text)
 
 
 def read_trace_csv(path) -> list[TraceRow]:

@@ -279,14 +279,15 @@ class TestSparseProduct:
         # of u is all zero in the second case, as dead columns are in the
         # solver.  The skewed view is the transposed view of a matrix whose
         # row i holds about 70 / (i + 1) entries, so the first block of the
-        # CSR operand's rows holds most of them.
+        # CSR operand's rows holds most of them.  The shares are recorded
+        # from the product on, after the constructor's value screen.
         no_floors(monkeypatch)
-        shares = record_shares(monkeypatch)
         m = self.ROWS[0]
         density = 1.0 / np.arange(1, m + 1)[:, None] if view == "skewed" else 0.1
         A = self.matrix(m, density=density)
         if view != "csr":
             A = transposed(A)
+        shares = record_shares(monkeypatch)
         u = np.asfortranarray(np.random.default_rng(r).random((A.rows, r)))
         if live == "every_other":
             u[:, 1::2] = 0.0
@@ -308,8 +309,8 @@ class TestSparseProduct:
         no_floors(monkeypatch)
         monkeypatch.setattr(matrix, "_ROW_BLOCK", 2)
         monkeypatch.setattr(matrix, "_worker_count", lambda: 3)
-        shares = record_shares(monkeypatch)
         A = transposed(self.matrix(self.ROWS[1]))
+        shares = record_shares(monkeypatch)
         self.check(A, np.random.default_rng(9).random((A.rows, 5)))
         assert shares == [3]
 
@@ -317,10 +318,10 @@ class TestSparseProduct:
     def test_small_product_runs_unsplit(self, view, workers, monkeypatch):
         # Below the floors a product runs as one share, which takes the
         # calling thread alone.
-        shares = record_shares(monkeypatch)
         A = self.matrix(self.ROWS[0])
         if view == "transposed":
             A = transposed(A)
+        shares = record_shares(monkeypatch)
         assert A.nnz * 20 < 2 * matrix._SHARE_FLOOR
         self.check(A, np.random.default_rng(7).random((A.rows, 20)))
         assert shares == [1]
@@ -582,15 +583,16 @@ class TestSplitScreen:
 
     @pytest.mark.parametrize("kind", ["C", "F", "converted", "csr"])
     def test_same_bits_as_fro_squared(self, kind, workers, monkeypatch):
+        # The shares are recorded after the CSR constructor's screen.
         no_floors(monkeypatch)
-        shares = record_shares(monkeypatch)
         arr = np.random.default_rng(14).random((37, 23))
         arr[5, 6] = -0.0
         A = self.held(kind, arr)
         if kind == "converted":
             assert A.data.flags.f_contiguous
+        shares = record_shares(monkeypatch)
         got = matrix._finite_fro2(A, nonnegative=True)
-        assert got.hex() == matrix._fro_squared(A).hex()
+        assert got.hex() == matrix._fro_squared(matrix._stored(A)).hex()
         assert shares == [min(workers, 2)]
 
     @pytest.mark.parametrize(
@@ -619,7 +621,8 @@ class TestSplitScreen:
 
     def test_large_dense_fit_and_sweep_split(self, monkeypatch):
         # With the module's floor: fit and sweep screen in two shares,
-        # relative_residual, which checks no sign, in one pass.
+        # relative_residual, which checks no sign, in one pass, which
+        # takes the calling thread alone.
         monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
         shares = record_shares(monkeypatch)
         a = DenseMatrix(np.random.default_rng(16).random((1100, 1000)))
@@ -629,15 +632,80 @@ class TestSplitScreen:
         sweep(a, factors, "V")
         assert shares == [2, 2]
         relative_residual(a, factors.U, factors.V)
-        assert shares == [2, 2]
+        assert shares == [2, 2, 1]
 
     def test_small_input_runs_unsplit(self, workers, monkeypatch):
-        # Below the module's floor both passes run on the calling thread.
+        # Below the module's floor both passes of each screen, fit's and
+        # sweep's, run on the calling thread.
         shares = record_shares(monkeypatch)
         a = DenseMatrix(np.random.default_rng(17).random((60, 40)))
         factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
         sweep(a, factors, "U")
-        assert shares == []
+        assert shares == [1, 1]
+
+
+class TestSharedScreen:
+    """The CSR constructor checks its values with the screen that fit,
+    sweep and the Matrix Market reader use, :func:`matrix._screen`: a
+    value whose square overflows and -0.0 pass, and NaN, either infinity
+    and a negative value fail, finite first, then sign."""
+
+    @staticmethod
+    def row(values):
+        n = len(values)
+        return SparseMatrixCSR(1, n, [0, n], np.arange(n), np.array(values, float))
+
+    def test_accepts_overflowing_square_and_minus_zero(self, workers, monkeypatch):
+        no_floors(monkeypatch)
+        values = np.array([0.5, 1e200, -0.0, 2.0])
+        assert self.row(values).values.tobytes() == values.tobytes()
+        fro2, failed = matrix._screen(values, nonnegative=True)
+        assert fro2 == math.inf and failed is None
+
+    @pytest.mark.parametrize(
+        "bad, failed",
+        [
+            (np.nan, "finite"),
+            (np.inf, "finite"),
+            (-np.inf, "finite"),
+            (-1.0, "nonnegative"),
+        ],
+        ids=["nan", "inf", "minus_inf", "negative"],
+    )
+    @pytest.mark.parametrize("big", [1.0, 1e200], ids=["unit", "overflowing"])
+    def test_rejects(self, bad, failed, big, workers, monkeypatch):
+        no_floors(monkeypatch)
+        values = [0.5, big, bad, -2.0]
+        message = "^sparse values must be finite and nonnegative$"
+        with pytest.raises(ValueError, match=message):
+            self.row(values)
+        assert matrix._screen(np.array(values), nonnegative=True)[1] == failed
+        assert matrix._screen(np.array(values), nonnegative=False)[1] == (
+            "finite" if failed == "finite" else None
+        )
+
+    def test_large_construction_alike_at_every_worker_count(self, monkeypatch):
+        # Above the module's floor the constructor's screen is two shares,
+        # split between 2 or 3 workers, on one thread at 1: the matrix holds
+        # the same arrays at each count, and a negative value fails at each.
+        m, n = 1024, 1030
+        offsets = np.arange(0, m * n + 1, n)
+        indices = np.tile(np.arange(n), m)
+        values = np.random.default_rng(18).random(m * n)
+        assert values.size >= matrix._SCREEN_FLOOR
+        shares = record_shares(monkeypatch)
+        for count in (1, 2, 3):
+            monkeypatch.setattr(matrix, "_worker_count", lambda c=count: c)
+            shares.clear()
+            A = SparseMatrixCSR(m, n, offsets, indices, values.copy())
+            assert shares == [min(count, 2)]
+            assert A.row_offsets.tobytes() == offsets.tobytes()
+            assert A.col_indices.tobytes() == indices.tobytes()
+            assert A.values.tobytes() == values.tobytes()
+            bad = values.copy()
+            bad[-1] = -1.0
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                SparseMatrixCSR(m, n, offsets, indices, bad)
 
 
 class TestRelativeResidual:

@@ -673,8 +673,9 @@ class TestFastParse:
                 assert tiers == ["mmread"]
                 assert got == want
                 # The guard's blocks, hundreds at 64 bytes and one at the
-                # default size, are taken by every worker, or by one.
-                assert shares == [workers if block == 64 else 1]
+                # default size, are taken by every worker, or by one; the
+                # screen of the values read, below its floor, by one.
+                assert shares == [workers if block == 64 else 1, 1]
 
     @pytest.mark.parametrize("grammar", list(_LINE_PATTERNS), ids="-".join)
     def test_guard_equals_grammar(self, grammar):
@@ -827,6 +828,50 @@ class TestFastParse:
         with pytest.raises(MatrixMarketError, match="^line 4: non-finite value$"):
             read_matrix_market(path)
         assert tiers == ["mmread", "_read_by_lines"]
+
+    @pytest.mark.parametrize(
+        "value", [-0.0, 1e200, np.nan, np.inf, -np.inf, -1.0],
+        ids=["minus_zero", "overflowing", "nan", "inf", "minus_inf", "negative"],
+    )
+    def test_array_tier_shares_the_screen(self, tmp_path, monkeypatch, tiers, value):
+        # The compiled tier checks an array file's values with the screen
+        # the CSR constructor and fit use, split between 1, 2 and 3
+        # workers.  Plain text holds no sign, NaN or infinity, so the
+        # value is put into the compiled reader's result: -0.0 and 1e200,
+        # whose square overflows, are kept; any other declines the file to
+        # the line reader, which reads the file's own 0.
+        monkeypatch.setattr(matrix, "_SCREEN_FLOOR", 1)
+        read = mmio.mmread
+
+        def poked(source):
+            parsed = read(source)
+            parsed[1, 0] = value
+            return parsed
+
+        monkeypatch.setattr(mmio, "mmread", poked)
+        path = tmp_path / "a.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix array real general\n3 1\n0.5\n0\n.25\n")
+        kept = value == 0.0 or value == 1e200
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(matrix, "_worker_count", lambda w=workers: w)
+            tiers.clear()
+            got = read_matrix_market(path).data
+            assert tiers == (["mmread"] if kept else ["mmread", "_read_by_lines"])
+            want = np.array([[0.5], [value if kept else 0.0], [0.25]])
+            assert got.tobytes() == want.tobytes()
+
+    def test_overflow_named_at_every_worker_count(self, tmp_path, monkeypatch, tiers):
+        # An array file's 1e999 reads as inf in the compiled tier, whose
+        # screen, split or not, hands the file to the line reader.
+        monkeypatch.setattr(matrix, "_SCREEN_FLOOR", 1)
+        path = tmp_path / "o.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix array real general\n3 1\n1\n2\n1e999\n")
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(matrix, "_worker_count", lambda w=workers: w)
+            tiers.clear()
+            with pytest.raises(MatrixMarketError, match="^line 5: non-finite value$"):
+                read_matrix_market(path)
+            assert tiers == ["mmread", "_read_by_lines"]
 
     def test_read_peak_rss(self, tmp_path):
         # tracemalloc cannot see the compiled reader's own buffers, so the
@@ -1080,6 +1125,14 @@ class TestTraceCsv:
             write_trace_csv(
                 [(1, 1.0, 0.5), (2, 0.5, 0.4)], tmp_path / "t.csv"
             )
+        # Every row is checked before the file is opened, so a rejected
+        # trace leaves an existing file's bytes as they were.
+        path = tmp_path / "kept.csv"
+        write_trace_csv([(1, 0.5, 0.9), (2, 0.7, 0.8)], path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="non-decreasing"):
+            write_trace_csv([(1, 1.0, 0.5), (2, 0.5, 0.4)], path)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize(
         "rows, message",
