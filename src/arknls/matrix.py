@@ -9,20 +9,22 @@ restricted to nonnegative values since it only ever holds the data matrix
 of a nonnegative factorization; its products run in scipy's compiled
 sparse kernels on that storage, and scipy's format checks validate its
 structure.  Every sparse product calls those kernels directly, the
-private ``scipy.sparse._sparsetools.csr_matvecs`` and ``csc_matvecs``:
-the CSR one so as to write its result block by block into a
-column-major array, and both so as to hand a large product's blocks out
-to whichever CPU the process may run on is free.  Each output entry gets
-the same operations in the same order as in scipy's own operator, so the
-results do not depend on the worker count; the tests pin both kernels
-bit for bit to that operator.  The same workers run the one screen of a
-matrix's values, wherever they are read: on a large matrix its sum of
-squares and its minimum are two concurrent shares.
+private ``scipy.sparse._sparsetools.csr_matvecs`` and ``csc_matvecs``,
+from one helper, ``_matvecs``: the CSR one so as to write its result
+block by block into a column-major array, and both so as to hand a large
+product's blocks out to whichever CPU the process may run on is free.
+Each output entry gets the same operations in the same order as in
+scipy's own operator, so the results do not depend on the worker count;
+the tests pin both kernels bit for bit to that operator.  The same
+workers run the one screen of a matrix's values, wherever they are read:
+on a large matrix its sum of squares and its minimum are two concurrent
+shares.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +59,10 @@ class DenseMatrix:
     :func:`relative_residual` check them on every call, from the sum of
     squares they compute anyway, so an entry written after wrapping is
     checked too.  The other functions propagate a NaN as numpy does.
+    Every matrix the package computes (a product, a Gram matrix, a
+    transposed view, a start's factors, a generated matrix) is built by
+    this constructor too, from a contiguous ``float64`` array that it
+    holds as it is.
     """
 
     __slots__ = ("data",)
@@ -73,18 +79,6 @@ class DenseMatrix:
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got ndim={arr.ndim}")
         self.data = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "DenseMatrix":
-        # Fast path for freshly computed float64 results; skips validation.
-        return cls._view(np.asfortranarray(arr))
-
-    @classmethod
-    def _view(cls, arr: np.ndarray) -> "DenseMatrix":
-        # Holds ``arr`` itself, whatever its memory order.
-        out = object.__new__(cls)
-        out.data = arr
-        return out
 
     @property
     def rows(self) -> int:
@@ -205,7 +199,7 @@ class SparseMatrixCSR(SparseView):
         return cls(rows, cols, csr.indptr, csr.indices, csr.data)
 
     def to_dense(self) -> DenseMatrix:
-        return DenseMatrix._wrap(self.sp.toarray(order="F"))
+        return DenseMatrix(self.sp.toarray(order="F"))
 
 
 def _index_array(name, value) -> np.ndarray:
@@ -224,6 +218,17 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_reals(optional: bool = False, **values) -> None:
+    # True would pass as 1.0, and None or a string fails a comparison or
+    # math.isfinite with a TypeError that names no field.  With
+    # ``optional``, None passes.
+    for name, value in values.items():
+        if not (optional and value is None) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
+        ):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_seed(seed) -> None:
     # numpy's errors for a negative or float seed name no field.
     _check_integers(seed=seed)
@@ -236,16 +241,19 @@ MatrixRef = Union[DenseMatrix, SparseView]
 
 
 def gram(U: DenseMatrix) -> DenseMatrix:
-    """Gram matrix of the columns of ``U``.
+    """Gram matrix of the columns of ``U``, a Fortran-ordered r x r array.
 
     The result is symmetric exactly, not just up to rounding: numpy's
     matmul runs a matrix times its own transpose as BLAS ``syrk``, which
     computes one triangle, and copies it into the other, and its loop
     without BLAS forms the two products of each pair of entries alike.
+    So the transpose of the row-major product holds the same values, and
+    it is what is returned: a column-major view of the product, not a
+    copy, whose columns the solver reads and patches in place.
     """
     if U.cols < 1:
         raise ValueError("gram requires at least one column")
-    return DenseMatrix._wrap(U.data.T @ U.data)
+    return DenseMatrix((U.data.T @ U.data).T)
 
 
 def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
@@ -276,8 +284,8 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     u = U.data
     if isinstance(A, DenseMatrix):
         _check_rows(A, u)
-        return DenseMatrix._wrap((u.T @ A.data).T)
-    return DenseMatrix._view(_sparse_at_times(A, u))
+        return DenseMatrix((u.T @ A.data).T)
+    return DenseMatrix(_sparse_at_times(A, u))
 
 
 def _check_rows(A: MatrixRef, u: np.ndarray) -> None:
@@ -399,17 +407,18 @@ def _run_shares(task, shares, workers: int) -> list:
     return results
 
 
-def _csc_columns(sp, u: np.ndarray, part: slice) -> np.ndarray:
-    # The CSC ``sp`` times columns ``part`` of ``u``, as scipy's operator
-    # computes it: the kernel on a row-major copy into a zeroed row-major
-    # result.
-    x = np.ascontiguousarray(u[:, part])
-    y = np.zeros((sp.shape[0], x.shape[1]))
-    _sparsetools.csc_matvecs(
-        sp.shape[0],
+def _matvecs(sp, indptr, x: np.ndarray) -> np.ndarray:
+    # ``sp @ x`` for the CSR or CSC ``sp`` and a row-major ``x``, as
+    # scipy's operator computes it: the compiled kernel of ``sp.format``,
+    # csr_matvecs or csc_matvecs, into a new zeroed row-major result.  For
+    # CSR, ``indptr`` may be a slice ``sp.indptr[lo : hi + 1]`` of the
+    # offsets, giving rows lo:hi.  The one call of scipy's private kernels.
+    y = np.zeros((len(indptr) - 1 if sp.format == "csr" else sp.shape[0], x.shape[1]))
+    getattr(_sparsetools, f"{sp.format}_matvecs")(
+        y.shape[0],
         sp.shape[1],
         x.shape[1],
-        sp.indptr,
+        indptr,
         sp.indices,
         sp.data,
         x.ravel(),
@@ -424,6 +433,8 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
     Both compiled kernels scipy's operator calls accumulate each output
     entry on its own, over the stored entries in storage order, so a split
     of the work by output rows or by columns of ``u`` gives scipy's bits.
+    Every share is one call of :func:`_matvecs`, the kernel of the view's
+    format into a zeroed row-major array of the share's own.
 
     A product's shares are taken by at most :func:`_worker_count` workers,
     the calling thread and a pool (:func:`_run_shares`), and by no more
@@ -438,9 +449,9 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
     one shared row-major copy of ``u``.  Each share is a block of
     :data:`_ROW_BLOCK` / workers rows (at least one), taken by whichever
     worker is free, so rows of uneven length are balanced as the product
-    runs.  A block starts from zeros in its own row-major buffer, as the
-    operator's whole result does, and is copied into its rows of the
-    result.  So no m x r row-major result or Fortran copy of it is made,
+    runs.  A block's buffer starts from zeros, as the operator's whole
+    result does, and is copied into its rows of the result as it
+    finishes.  So no m x r row-major result or Fortran copy of it is made,
     and the buffers live at once, one per worker, add up to one block of
     :data:`_ROW_BLOCK` rows.  The public form of the same loop,
     ``sp[start:stop] @ x``, gives the same bits, but each slice copies its
@@ -450,9 +461,10 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
     When ``A.sp.T`` is CSC (the V half's ``A^T U``), whose kernel scatters
     each stored entry anywhere in the output, each share is a range of the
     columns of ``u``: one row-major copy of them and ``csc_matvecs`` into
-    the share's own zeroed row-major result, as the operator computes it.
-    The result is allocated once those copies are freed, so the product
-    holds no more than scipy's operator, which is this path with one share.
+    the share's buffer, as the operator computes it.  The result is
+    allocated, and the buffers copied into it, once those copies are
+    freed, so the product holds no more than scipy's operator, which is
+    this path with one share.
 
     A ``u`` whose row count is not ``A.rows`` raises :class:`ValueError`
     first: the kernels check no sizes and would read past the end of a
@@ -474,24 +486,17 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
 
         def rows(lo):
             hi = min(lo + step, m)
-            block = np.zeros((hi - lo, r))
-            _sparsetools.csr_matvecs(
-                hi - lo,
-                sp.shape[1],
-                r,
-                sp.indptr[lo : hi + 1],
-                sp.indices,
-                sp.data,
-                x.ravel(),
-                block.ravel(),
-            )
-            out[lo:hi] = block
+            out[lo:hi] = _matvecs(sp, sp.indptr[lo : hi + 1], x)
 
         _run_shares(rows, range(0, m, step), workers)
         return out
     ends = [r * s // workers for s in range(workers + 1)]
     parts = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    products = _run_shares(lambda part: _csc_columns(sp, u, part), parts, workers)
+    products = _run_shares(
+        lambda part: _matvecs(sp, sp.indptr, np.ascontiguousarray(u[:, part])),
+        parts,
+        workers,
+    )
     out = np.empty((m, r), order="F")
     for part, y in zip(parts, products):
         out[:, part] = y
@@ -607,7 +612,7 @@ def transposed(A: MatrixRef) -> MatrixRef:
     """The transpose of ``A`` as an O(1) view sharing ``A``'s storage,
     used to run the mirrored half-sweep."""
     if isinstance(A, DenseMatrix):
-        return DenseMatrix._view(A.data.T)
+        return DenseMatrix(A.data.T)
     return SparseView(A.sp.T)
 
 

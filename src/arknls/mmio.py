@@ -29,9 +29,11 @@ the same bytes, the second only when the first declined:
    Coordinate entries in row-major order with no cell repeated, as
    :func:`write_matrix_market` writes them, become CSR without a sort;
    other entries are sorted and summed.
-2. A line-at-a-time reader takes every other file; it names the line at
-   fault, and it alone accepts comment lines between entries, tabs, CRLF
-   line ends and other lenient text.
+2. A line-at-a-time reader takes every other file, a file whose header
+   does not parse among them; it names the line at fault, a non-ASCII
+   byte first, for which it alone scans the whole file, and it alone
+   accepts comment lines between entries, tabs, CRLF line ends and other
+   lenient text.
 
 Both tiers return the same bits for the same file.
 """
@@ -98,8 +100,14 @@ def read_matrix_market(path) -> MatrixRef:
     The file is opened once and its bytes read once, so a pipe or FIFO
     (``/dev/stdin``, ``<(zcat a.mtx.gz)``) reads as the file would, and
     every tier and error below works from the same bytes.  A non-ASCII
-    byte is reported first, by its line, before the banner is read.  The
-    banner and the size line are parsed line by line.  A file with at
+    byte is reported first, by its line, before the banner is read: the
+    line reader scans the whole file for one before it parses a line, and
+    it takes every file whose header does not parse or decode as ASCII.
+    The compiled tier needs no scan, since its guard admits no byte above
+    0x7F.  The banner and the size line are parsed line by line; a row or
+    column count that no int64 index holds, or a coordinate file's row
+    offsets that numpy refuses to allocate, raises a
+    :class:`MatrixMarketError` naming the size line.  A file with at
     least one entry whose entry lines are all plain text (``v``, ``i j v``
     or ``i j`` by layout and field: single spaces, LF line ends,
     digit-only indices, and values of digits with at most one dot and a
@@ -114,28 +122,30 @@ def read_matrix_market(path) -> MatrixRef:
     """
     with open(path, "rb") as handle:
         text = handle.read()
-    header, _ = _read_header(_lines(text))
-    plain = _read_plain(text, header)
+    try:
+        plain = _read_plain(text, _read_header(_lines(text))[0])
+    except (MatrixMarketError, UnicodeDecodeError):
+        # The line reader names a non-ASCII byte first, then the fault.
+        plain = None
     return _read_by_lines(text) if plain is None else plain
 
 
 def _lines(text):
     # (1-based number, line) pairs of the bytes ``text``, split as a file
-    # opened in text mode splits them, at a lone CR too.  Both readers
-    # start here, so a non-ASCII byte is named before any line is parsed,
-    # wherever it sits.
-    if not text.isascii():
-        raise _non_ascii(text)
+    # opened in text mode splits them, at a lone CR too.  A non-ASCII byte
+    # raises UnicodeDecodeError once a line in its chunk is read.
     return enumerate(io.TextIOWrapper(io.BytesIO(text), encoding="ascii"), start=1)
 
 
-def _non_ascii(text) -> MatrixMarketError:
-    # Latin-1 maps each byte to one character and splits lines as the
-    # ASCII reader does, so the line numbers agree.
-    lines = io.TextIOWrapper(io.BytesIO(text), encoding="latin-1")
-    no, line = next((no, ln) for no, ln in enumerate(lines, 1) if not ln.isascii())
-    byte = next(ord(c) for c in line if ord(c) > 0x7F)
-    return _fail(no, f"non-ASCII byte 0x{byte:02x}")
+def _check_ascii(text) -> None:
+    # Names the first non-ASCII byte of ``text`` by its line.  Latin-1
+    # maps each byte to one character and splits lines as the ASCII reader
+    # does, so the line numbers agree.
+    if not text.isascii():
+        lines = io.TextIOWrapper(io.BytesIO(text), encoding="latin-1")
+        no, line = next((no, ln) for no, ln in enumerate(lines, 1) if not ln.isascii())
+        byte = next(ord(c) for c in line if ord(c) > 0x7F)
+        raise _fail(no, f"non-ASCII byte 0x{byte:02x}")
 
 
 def _read_header(numbered):
@@ -173,6 +183,15 @@ def _read_header(numbered):
         raise _fail(size_no, "size line entries must be integers") from None
     if min(dims) < 0:
         raise _fail(size_no, "size line entries must be nonnegative")
+    if max(dims[:2]) > np.iinfo(np.int64).max:
+        raise _fail(size_no, "dimensions must fit a 64-bit index")
+    if layout == "coordinate":
+        # The m + 1 row offsets of the CSR matrix, which either tier
+        # allocates once the entries are read; refused here, before that.
+        try:
+            np.empty(dims[0] + 1, dtype=np.int64)
+        except (MemoryError, ValueError):
+            raise _fail(size_no, f"cannot allocate {dims[0]} rows") from None
     if symmetry == "symmetric" and dims[0] != dims[1]:
         raise _fail(size_no, "symmetric matrix must be square")
     return _Header(layout, field, symmetry, size_no, dims), entries
@@ -385,7 +404,8 @@ def _plain_lines(block, spaces_per_line, legal) -> int:
 def _read_by_lines(text) -> MatrixRef:
     # The line-at-a-time reader of the file's bytes ``text``: the reference
     # for the compiled tier and the path that reports a malformed line by
-    # its number.
+    # its number, a non-ASCII byte first, wherever it sits.
+    _check_ascii(text)
     header, entries = _read_header(_lines(text))
     if header.layout == "coordinate":
         return _read_coordinate(entries, header)

@@ -264,7 +264,8 @@ def nnls_block(G, b) -> NnlsSolution:
         G = G[:, None]
     if G.ndim != 2 or G.shape[1] not in BLOCK_WIDTHS or b.shape != (G.shape[0],):
         raise ValueError(f"G must be m x k with k {_WIDTHS_TEXT}, and b of length m")
-    Mb = gram(DenseMatrix._wrap(G)).data
+    # A Fortran copy keeps the Gram's bits whatever G's memory order.
+    Mb = gram(DenseMatrix(np.asfortranarray(G))).data
     t = G.T @ b
     y = np.zeros((1, G.shape[1]))
     solve_block(Mb, t[None, :], y)

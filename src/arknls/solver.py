@@ -24,7 +24,6 @@ with the factor roles swapped.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import InitVar, dataclass, field, fields
 from typing import Callable, ClassVar, Literal, Optional
@@ -36,6 +35,7 @@ from .matrix import (
     MatrixRef,
     _check_conform,
     _check_integers,
+    _check_reals,
     _check_seed,
     _finite_fro2,
     _reject_zero,
@@ -101,7 +101,9 @@ class SolverConfig:
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         _check_reals(
-            time_limit=self.time_limit, tol_residual_change=self.tol_residual_change
+            optional=True,
+            time_limit=self.time_limit,
+            tol_residual_change=self.tol_residual_change,
         )
         # NaN fails no comparison, so finiteness is checked explicitly.
         if self.time_limit is not None and not (
@@ -113,16 +115,6 @@ class SolverConfig:
         ):
             raise ValueError("tol_residual_change must be finite and nonnegative")
         _check_block_width(self.rank, self.k)
-
-
-def _check_reals(**values) -> None:
-    # True would pass as 1.0, and a string fails math.isfinite with a
-    # TypeError that names no field.
-    for name, value in values.items():
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, numbers.Real)
-        ):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_block_width(rank: int, k: int) -> None:
@@ -297,7 +289,7 @@ def initialize(A: MatrixRef, r: int, seed: int, k: int = 3) -> FactorPair:
         raise RuntimeError("drew an all-zero column, seed unusable")
     u /= norms
     v = read_rows(A, rng.choice(m, r, replace=False))
-    return FactorPair(DenseMatrix._wrap(u), DenseMatrix._wrap(v), r, k)
+    return FactorPair(DenseMatrix(u), DenseMatrix(v), r, k)
 
 
 def _rebuild(A, coef, target, H, M, rows, col: int, unit_row: int) -> None:
@@ -344,9 +336,9 @@ def _det(rows) -> float:
 
 def _gather(M, cols) -> np.ndarray:
     # The Gram block of the columns cols, a copy.  take on M's transpose,
-    # C-ordered where M is Fortran-ordered, copies nothing else: M.take
-    # would copy all of M to C order first, and an index array or np.ix_
-    # allocates index buffers; both also ran slower.
+    # C-ordered as M is Fortran-ordered (gram returns it so), copies
+    # nothing else: M.take would copy all of M to C order first, and an
+    # index array or np.ix_ allocates index buffers; both also ran slower.
     return M.T.take(cols, 1).take(cols, 0).T
 
 

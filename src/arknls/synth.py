@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import DenseMatrix, SparseMatrixCSR, _check_integers, _check_seed
+from .matrix import (
+    DenseMatrix,
+    SparseMatrixCSR,
+    _check_integers,
+    _check_reals,
+    _check_seed,
+)
 from .rng import gaussian_matrix, make_rng, uniform_matrix
 
 __all__ = ["SynthSpec", "gen_dense", "gen_sparse"]
@@ -25,7 +31,10 @@ class SynthSpec:
     """Recipe for one synthetic matrix.
 
     ``sparsity`` is the expected fraction of kept (nonzero) entries;
-    zero means dense.
+    zero means dense.  :meth:`validate` accepts only Python or numpy
+    integers for ``m``, ``n``, ``true_rank`` and ``seed``, and only real
+    numbers for ``noise_std`` and ``sparsity``: ``True``, a string or
+    ``None`` raises :class:`ValueError` naming the field.
     """
 
     m: int
@@ -38,6 +47,7 @@ class SynthSpec:
     def validate(self) -> None:
         _check_integers(m=self.m, n=self.n, true_rank=self.true_rank)
         _check_seed(self.seed)
+        _check_reals(noise_std=self.noise_std, sparsity=self.sparsity)
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
         if not 1 <= self.true_rank <= min(self.m, self.n):
@@ -71,9 +81,9 @@ def gen_dense(spec: SynthSpec, return_factors: bool = False):
     if spec.sparsity != 0.0:
         raise ValueError("gen_dense requires sparsity == 0")
     a, w, h = _planted_dense(spec, make_rng(spec.seed))
-    dense = DenseMatrix._wrap(a)
+    dense = DenseMatrix(a)
     if return_factors:
-        return dense, DenseMatrix._wrap(w), DenseMatrix._wrap(h)
+        return dense, DenseMatrix(w), DenseMatrix(h)
     return dense
 
 

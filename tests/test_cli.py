@@ -214,3 +214,16 @@ def test_tol_flag_stops_early(tmp_path):
                 "--max-sweeps", "500", "--tol", "1e-9", "--out", str(out)])
     assert code == 0
     assert len(read_trace_csv(out)) < 500
+
+
+def test_oversized_size_line_exits_1(tmp_path, capsys):
+    # A size line declaring 10^19 columns is a MatrixMarketError naming
+    # the line, reported as an error without a traceback.
+    path = tmp_path / "big.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "3 10000000000000000000 1\n1 1 1\n"
+    )
+    assert run(["--input", str(path), "--rank", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and "Traceback" not in err

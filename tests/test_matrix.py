@@ -93,6 +93,29 @@ class TestGram:
         with pytest.raises(ValueError):
             gram(DenseMatrix(np.zeros((3, 0))))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fortran_view_of_the_product(self, order):
+        # The row-major product U^T U is exactly symmetric, so gram returns
+        # its transpose: Fortran-ordered, the same values, and the
+        # product's own memory, with no r x r copy at any point.
+        r = 120
+        u = np.asarray(np.random.default_rng(5).random((40, r)), order=order)
+        U = DenseMatrix(u)
+        g = gram(U).data
+        assert g.flags.f_contiguous and not g.flags.owndata
+        product = g.base
+        assert product.shape == (r, r) and product.flags.c_contiguous
+        assert product.flags.owndata
+        assert np.array_equal(g, g.T)
+        assert g.tobytes(order="F") == (u.T @ u).tobytes(order="C")
+        tracemalloc.start()
+        try:
+            gram(U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r * r * 8 <= peak < 1.5 * r * r * 8
+
 
 class TestAtTimes:
     def test_zero_matrix(self):
@@ -266,7 +289,7 @@ class TestSparseProduct:
         assert np.array_equal(got[:, live], A.sp.T @ u[:, live])
         assert not got[:, dead].any()
         if live.size:
-            subset = at_times(A, DenseMatrix._view(u[:, live])).data
+            subset = at_times(A, DenseMatrix(u[:, live])).data
             assert np.array_equal(subset, got[:, live])
 
     @pytest.mark.parametrize("live", ["all", "every_other"])
@@ -1174,3 +1197,88 @@ class TestContainers:
         assert frobenius_norm(s) == pytest.approx(
             np.linalg.norm(s.to_dense().data)
         )
+
+
+class TestComputedResults:
+    """Every matrix the package computes is built by the public
+    DenseMatrix constructor, over a 2-d contiguous float64 array."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # The matrices DenseMatrix.__init__ builds while a test runs.
+        seen = []
+        init = DenseMatrix.__init__
+
+        def recorded(self, data):
+            init(self, data)
+            seen.append(self)
+
+        monkeypatch.setattr(DenseMatrix, "__init__", recorded)
+        return seen
+
+    def results(self):
+        # A maker of (name, matrix) pairs for each kind of computed result;
+        # the inputs are built before any maker runs.
+        rng = np.random.default_rng(9)
+        arr = rng.random((30, 20))
+        inputs = {
+            "dense_c": DenseMatrix(np.ascontiguousarray(arr)),
+            "dense_f": DenseMatrix(np.asfortranarray(arr)),
+            "sparse": random_sparse(rng, 30, 20, 0.2),
+        }
+        u_c = DenseMatrix(np.ascontiguousarray(rng.random((30, 4))))
+        u_f = DenseMatrix(np.asfortranarray(rng.random((30, 4))))
+        v = DenseMatrix(rng.random((20, 4)))
+        spec = SynthSpec(m=12, n=10, true_rank=3, seed=2)
+        return [
+            lambda: [("gram_c", gram(u_c)), ("gram_f", gram(u_f))],
+            lambda: [
+                (f"at_times_{name}_{order}", at_times(A, U))
+                for name, A in inputs.items()
+                for order, U in (("c", u_c), ("f", u_f))
+            ],
+            lambda: [
+                (f"at_times_transposed_{name}", at_times(transposed(A), v))
+                for name, A in inputs.items()
+            ],
+            lambda: [
+                ("transposed_c", transposed(inputs["dense_c"])),
+                ("transposed_f", transposed(inputs["dense_f"])),
+            ],
+            lambda: [("to_dense", inputs["sparse"].to_dense())],
+            lambda: [
+                (f"initialize_{name}_{side}", getattr(pair, side))
+                for name, A in inputs.items()
+                for pair in [initialize(A, 4, 3, k=2)]
+                for side in "UV"
+            ],
+            lambda: list(zip(["gen_dense", "W", "H"], gen_dense(spec, True))),
+        ]
+
+    def test_every_result_built_by_the_constructor(self, built):
+        for make in self.results():
+            built.clear()
+            for name, result in make():
+                assert isinstance(result, DenseMatrix), name
+                assert any(result is b for b in built), name
+                data = result.data
+                assert data.ndim == 2 and data.dtype == np.float64, name
+                assert data.flags.c_contiguous or data.flags.f_contiguous, name
+
+    def test_nnls_block_gram_of_a_fortran_copy(self, built, monkeypatch):
+        # nnls_block takes its Gram of a Fortran copy of a C-ordered G,
+        # built by the constructor, as it did before the constructor held
+        # C-ordered arrays uncopied: the Gram's bits depend on the order.
+        from arknls import nnls
+
+        grams, inner = [], nnls.gram
+        monkeypatch.setattr(nnls, "gram", lambda U: grams.append(U) or inner(U))
+        rng = np.random.default_rng(4)
+        for k in (1, 2, 3):
+            g, b = rng.random((25, k)), rng.random(25)
+            grams.clear()
+            nnls.nnls_block(np.ascontiguousarray(g), b)
+            (U,) = grams
+            assert any(U is x for x in built)
+            assert U.data.flags.f_contiguous
+            assert U.data.tobytes(order="F") == g.tobytes(order="F")

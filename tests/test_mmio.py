@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import re
@@ -232,6 +233,68 @@ class TestReadErrors:
             with pytest.raises(MatrixMarketError) as caught:
                 reader(source)
             assert str(caught.value) == message
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "%%MatrixMarket matrix coordinate real general\n"
+                "3 10000000000000000000 1\n1 1 1\n",
+                "line 2: dimensions must fit a 64-bit index",
+                id="columns-1e19",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix array real general\n0 10000000000000000000\n",
+                "line 2: dimensions must fit a 64-bit index",
+                id="array-columns-1e19",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix coordinate real general\n"
+                "4611686018427387904 3 1\n1 1 1\n",
+                "line 2: cannot allocate 4611686018427387904 rows",
+                id="rows-2^62",
+            ),
+        ],
+    )
+    def test_oversized_size_line_named(self, tmp_path, text, message, crlf):
+        # No int64 index holds 10^19, and numpy refuses 2^62 + 1 row
+        # offsets outright (2^65 bytes), so neither requests memory.  The
+        # CRLF copy takes the line reader only.
+        path = tmp_path / "s.mtx"
+        path.write_bytes(text.replace("\n", "\r\n" if crlf else "\n").encode())
+        for reader, source in (
+            (read_matrix_market, path),
+            (mmio._read_by_lines, path.read_bytes()),
+        ):
+            with pytest.raises(MatrixMarketError) as caught:
+                reader(source)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    def test_refused_row_offsets_named(self, tmp_path, monkeypatch, crlf):
+        # 10^11 rows need 800 GB of offsets, which a machine might grant,
+        # so every numpy allocation of more than 2^32 elements is refused
+        # here, as a smaller machine refuses it.
+        for name in ("empty", "zeros"):
+
+            def refusing(shape, *args, _inner=getattr(np, name), **kwargs):
+                size = math.prod(shape) if isinstance(shape, tuple) else shape
+                if size > 1 << 32:
+                    raise MemoryError(f"refused {size} elements")
+                return _inner(shape, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, refusing)
+        text = _GENERAL + b"100000000000 3 1\n1 1 1\n"
+        path = tmp_path / "r.mtx"
+        path.write_bytes(text.replace(b"\n", b"\r\n") if crlf else text)
+        for reader, source in (
+            (read_matrix_market, path),
+            (mmio._read_by_lines, path.read_bytes()),
+        ):
+            with pytest.raises(MatrixMarketError) as caught:
+                reader(source)
+            assert str(caught.value) == "line 2: cannot allocate 100000000000 rows"
 
     @pytest.mark.parametrize("pad", [0, 9000], ids=["first-chunk", "past-first-chunk"])
     def test_non_ascii_named_before_the_banner(self, tmp_path, pad):
@@ -859,6 +922,58 @@ class TestFastParse:
             assert tiers == (["mmread"] if kept else ["mmread", "_read_by_lines"])
             want = np.array([[0.5], [value if kept else 0.0], [0.25]])
             assert got.tobytes() == want.tobytes()
+
+    def test_compiled_tier_skips_the_ascii_scan(self, tmp_path, monkeypatch, tiers):
+        # A file the compiled tier accepts is ASCII: its header lines were
+        # decoded as ASCII and the guard admits no byte above 0x7F.  Only
+        # the line reader scans the whole file, before it parses a line.
+        scans, scan = [], mmio._check_ascii
+        monkeypatch.setattr(
+            mmio, "_check_ascii", lambda text: scans.append(len(text)) or scan(text)
+        )
+        path = tmp_path / "p.mtx"
+        for text, route in (
+            (_PLAIN_COORDINATE, ["mmread"]),
+            (_PLAIN_COORDINATE.replace(b"\n", b"\r\n"), ["_read_by_lines"]),
+        ):
+            path.write_bytes(text)
+            tiers.clear()
+            scans.clear()
+            read_matrix_market(path)
+            assert tiers == route
+            assert scans == ([] if route == ["mmread"] else [len(text)])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                _GENERAL + b"4611686018427387904 3 1\n1 1 \xe9\n",
+                "line 3: non-ASCII byte 0xe9",
+                id="oversized",
+            ),
+            pytest.param(
+                _GENERAL.replace(b"general", b"generax") + b"2 2 1\n1 1 \xe9\n",
+                "line 3: non-ASCII byte 0xe9",
+                id="bad-banner",
+            ),
+            pytest.param(
+                _GENERAL + b"% caf\xc3\xa9\n2 2 1\n1 1 \xe9\n",
+                "line 2: non-ASCII byte 0xc3",
+                id="undecodable-header",
+            ),
+        ],
+    )
+    def test_non_ascii_named_before_a_header_fault(
+        self, tmp_path, tiers, text, message
+    ):
+        # A header that fails to parse, or to decode, hands the file to the
+        # line reader, which names the first non-ASCII byte first.
+        path = tmp_path / "n.mtx"
+        path.write_bytes(text)
+        with pytest.raises(MatrixMarketError) as caught:
+            read_matrix_market(path)
+        assert str(caught.value) == message
+        assert tiers == ["_read_by_lines"]
 
     def test_overflow_named_at_every_worker_count(self, tmp_path, monkeypatch, tiers):
         # An array file's 1e999 reads as inf in the compiled tier, whose

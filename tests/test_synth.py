@@ -98,3 +98,22 @@ def test_spec_accepts_numpy_integers():
     spec = SynthSpec(m=np.int64(30), n=np.int32(20), true_rank=np.int64(2), seed=np.int64(4))
     want = gen_dense(SynthSpec(m=30, n=20, true_rank=2, seed=4))
     assert np.array_equal(gen_dense(spec).data, want.data)
+
+
+@pytest.mark.parametrize("field", ["noise_std", "sparsity"])
+@pytest.mark.parametrize("value", [True, "0.1", None], ids=["bool", "str", "none"])
+def test_spec_rejects_non_real_values(field, value):
+    # True would read as 1.0, and a string or None failed with a
+    # TypeError that named no field.
+    spec = SynthSpec(m=30, n=20, true_rank=2, **{field: value})
+    with pytest.raises(ValueError) as caught:
+        spec.validate()
+    assert str(caught.value) == f"{field} must be a real number, got {value!r}"
+
+
+def test_spec_accepts_integer_and_numpy_reals():
+    spec = SynthSpec(
+        m=30, n=20, true_rank=2, noise_std=np.float32(0.5), sparsity=0, seed=4
+    )
+    want = gen_dense(SynthSpec(m=30, n=20, true_rank=2, noise_std=0.5, seed=4))
+    assert np.array_equal(gen_dense(spec).data, want.data)
