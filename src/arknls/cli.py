@@ -149,6 +149,10 @@ def run(argv=None) -> int:
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # A file can declare a shape whose rows or products no memory holds.
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

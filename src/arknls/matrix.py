@@ -18,16 +18,22 @@ scipy's own operator, so the results do not depend on the worker count;
 the tests pin both kernels bit for bit to that operator.  The same
 workers run the one screen of a matrix's values, wherever they are read:
 on a large matrix its sum of squares and its minimum are two concurrent
-shares.
+shares.  A large dense product is BLAS calls on fixed-width ranges of
+columns, the same shares at any worker count, taken by those workers
+while numpy's OpenBLAS is held at one thread (``_one_blas_thread``), as
+it is for the whole of a fit, a sweep or a residual: the package, not
+BLAS, owns the threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Optional, Union
 
 import numpy as np
@@ -259,15 +265,13 @@ def gram(U: DenseMatrix) -> DenseMatrix:
 def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     """Product of the transpose of ``A`` (m x n) with ``U`` (m x r).
 
-    Both paths read ``A``'s own storage.  Dense input runs as
-    ``(U^T A)^T``, the thin factor on the left: BLAS then takes ``A`` as
-    the wide operand of an r-row product, which OpenBLAS ran faster than
-    ``A^T U`` on either memory order of ``A`` (a held array or the view
-    :func:`transposed` returns), and the product's transpose is already
-    column-major.  Sparse input runs scipy's compiled kernels on the
-    transpose view of ``A.sp``, which accumulate each scaled row of ``U``
-    into the output row given by the column index, rows in increasing
-    order.  The result is bitwise ``A.sp.T @ U``, Fortran-ordered, for any
+    Both paths read ``A``'s own storage and return a Fortran-ordered
+    result.  Dense input runs as ``(U^T A)^T`` (:func:`_dense_at_times`),
+    in shares of :data:`_DENSE_COLUMNS` columns of ``A`` once the product
+    reaches :data:`_DENSE_FLOOR`.  Sparse input runs scipy's compiled
+    kernels on the transpose view of ``A.sp``, which accumulate each
+    scaled row of ``U`` into the output row given by the column index,
+    rows in increasing order.  The result is bitwise ``A.sp.T @ U`` for any
     number of workers (:func:`_sparse_at_times`).  When that view is CSR
     (the U half's ``A V``) it is computed block by block of rows with
     ``scipy.sparse._sparsetools.csr_matvecs`` straight into the result, so
@@ -278,14 +282,11 @@ def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
     its own row-major result, which is copied into the result once the
     copies of ``U`` are freed; the product then holds what scipy's
     operator does.  Every column of ``U`` is multiplied, all-zero ones
-    too.  The dense BLAS product's last bits differed between the two
-    memory orders of ``A`` on products under about 1e6 multiply-adds.
+    too.
     """
-    u = U.data
     if isinstance(A, DenseMatrix):
-        _check_rows(A, u)
-        return DenseMatrix((u.T @ A.data).T)
-    return DenseMatrix(_sparse_at_times(A, u))
+        return DenseMatrix(_dense_at_times(A, U.data))
+    return DenseMatrix(_sparse_at_times(A, U.data))
 
 
 def _check_rows(A: MatrixRef, u: np.ndarray) -> None:
@@ -329,13 +330,31 @@ _SHARE_COLUMNS = 4
 # they took 1.35, 0.99, 0.80 and 0.54 times that.
 _SCREEN_FLOOR = 1 << 20
 
+# Columns of A in each share of a dense product, the last share taking
+# what is left.  A constant, so that the shares, and with them the
+# product's bits, are the same however many workers take them.  Each
+# share repacks u for BLAS: at one worker a dense-2k sweep (2000 x 2000,
+# r = 30) took 5-6% longer than with one call per product at this width
+# and 7-8% at 256; at two workers a dense-2k product took 0.56 times one
+# call's time at this width and 0.62 at 256.  Products of 513 to 1023
+# columns balance worse: 4000 x 600 at r = 20 took 0.86 times, against
+# 0.67 at 256.
+_DENSE_COLUMNS = 512
+
+# Least work, in multiply-adds (m * n * r), for which a dense product runs
+# as shares of _DENSE_COLUMNS columns; a smaller one is one BLAS call.  In
+# two workers against one call, both at one BLAS thread, products of
+# 2e6 took 0.98 to 1.25 times as long, of 3e6 0.80 to 1.00 times and of
+# 4e6 to 6e6 0.79 to 0.98 times.
+_DENSE_FLOOR = 1 << 22
+
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
 
 
 def _worker_count() -> int:
-    """Workers a sparse product, the screen of a large ``A``'s values, or
-    mmio's guard of plain text, is split between: the CPUs this process
+    """Workers a product, the screen of a large ``A``'s values, or mmio's
+    guard of plain text, is split between: the CPUs this process
     may run on (its affinity mask, as ``taskset`` or a cgroup sets it), or
     the machine's count where the platform reports no mask."""
     try:
@@ -344,14 +363,85 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _forget_pool() -> None:
-    # A forked child has none of its parent's threads; it starts its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _after_fork() -> None:
+    # A forked child has none of its parent's threads; it starts its own,
+    # and a lock another thread held at the fork would never be released.
+    global _pool, _pool_lock, _hold_lock
+    _pool, _pool_lock, _hold_lock = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_after_fork)
+
+
+def _openblas_threads():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
+    calls, or None where numpy calls another BLAS.
+
+    numpy's wheels bundle OpenBLAS with the symbols suffixed ``64_``:
+    ``scipy_openblas_*`` since numpy 2.0, ``openblas_*`` before.  They are
+    looked up through numpy's own extension module, whose dependencies
+    include the library, so the search finds the copy numpy calls.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+        put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+# Looked up at import, so that no fit pays for it, or allocates for it.
+_BLAS_THREADS = _openblas_threads()
+_hold_lock = threading.Lock()
+_holds = 0
+_callers_threads = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for the ``with`` block, which
+    gets True, or, where there is no OpenBLAS to hold, run it as it is
+    and give it False.
+
+    :func:`arknls.fit`, :func:`arknls.sweep`, :func:`relative_residual`
+    and a dense :func:`at_times` run in a hold: their BLAS calls are
+    the shares of this package's workers, which would otherwise compete
+    with OpenBLAS's own threads for the same cores, and their bits then
+    do not depend on the caller's thread count, nor do those of
+    :func:`arknls.gen_dense`'s planted product, which holds it too.  The thread count is
+    process-wide, so another thread's BLAS calls run at one thread too
+    while any hold lasts.  Holds nest and may overlap between threads: the
+    first to start saves the count found, and the last to end, on return
+    or on an exception, restores it.
+    """
+    global _holds, _callers_threads
+    if _BLAS_THREADS is None:
+        yield False
+        return
+    get, put = _BLAS_THREADS
+    with _hold_lock:
+        if not _holds:
+            _callers_threads = get()
+            put(1)
+        _holds += 1
+    try:
+        yield True
+    finally:
+        with _hold_lock:
+            _holds -= 1
+            if not _holds:
+                put(_callers_threads)
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -402,9 +492,54 @@ def _run_shares(task, shares, workers: int) -> list:
     for helper in helpers:
         if not helper.cancel():
             helper.result()
+    # A helper's work item outlives this call, in the pool's queue or in a
+    # thread waiting for the GIL to drop it; emptied, its closure keeps
+    # neither the task, with the arrays it writes, nor the results alive.
+    done = results
+    task = results = None
     if errors:
         raise errors[0]
-    return results
+    return done
+
+
+def _dense_at_times(A: DenseMatrix, u: np.ndarray) -> np.ndarray:
+    """``A^T u`` for dense ``A``, as a new Fortran-ordered array.
+
+    It is computed as ``(u^T A)^T``, the thin factor on the left: BLAS
+    then takes ``A`` as the wide operand of an r-row product, which
+    OpenBLAS ran faster than ``A^T u`` on either memory order of ``A`` (a
+    held array or the view :func:`transposed` returns), and the result is
+    the row-major ``r x n`` product's transpose.  A product of
+    :data:`_DENSE_FLOOR` multiply-adds or more is computed in shares of
+    :data:`_DENSE_COLUMNS` columns of ``A``, each one BLAS call into its
+    rows of the result, taken by :func:`_worker_count` workers in a
+    hold of BLAS at one thread (:func:`_one_blas_thread`), or by the
+    calling thread alone where there is no hold, so that BLAS's own
+    threads are not run on top of the workers.  A smaller product is one
+    call, in a hold too.  The shares depend on the shape alone, so the bits do not
+    depend on the worker count.  They may differ from one call's in the
+    last bits, where BLAS runs a narrow call through other kernels: with
+    OpenBLAS 0.3.31's SkylakeX kernels at one thread they were the same on
+    ``dense-2k``'s 2000 x 2000 shape at r = 30 and on most shapes whose
+    last share has at least 1e6 multiply-adds, and differed in some rows
+    of the last share on others (400 x 600 at r = 20, a last share of 88
+    columns; 1037 x 1501 at r = 8).  The last bits also differed between
+    the two memory orders of ``A`` on products under about 1e6
+    multiply-adds.
+    """
+    _check_rows(A, u)
+    a = A.data
+    (m, n), r = a.shape, u.shape[1]
+    out = np.empty((n, r), order="F")
+    width = _DENSE_COLUMNS if m * n * r >= _DENSE_FLOOR else max(n, 1)
+
+    def columns(lo):
+        hi = lo + width
+        np.matmul(u.T, a[:, lo:hi], out=out.T[:, lo:hi])
+
+    with _one_blas_thread() as held:
+        _run_shares(columns, range(0, n, width), _worker_count() if held else 1)
+    return out
 
 
 def _matvecs(sp, indptr, x: np.ndarray) -> np.ndarray:
@@ -578,13 +713,17 @@ def relative_residual(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> float:
     :func:`_trace_residual`, so the low-rank product is never materialized.
     An ``A`` with a NaN or an infinite entry raises :class:`ValueError`,
     as does an all-zero one; an ``|A|^2`` that over- or underflows and a
-    non-finite residual raise :class:`FloatingPointError`.
+    non-finite residual raise :class:`FloatingPointError`.  It runs with
+    numpy's OpenBLAS held at one thread (:func:`_one_blas_thread`).
     """
     _check_conform(A, U, V)
-    a2 = _finite_fro2(A)
-    if a2 == 0.0:
-        _reject_zero(A, "relative residual undefined for an all-zero matrix")
-    return math.sqrt(_trace_residual(a2, at_times(A, U).data, V, gram(U).data)[0] / a2)
+    with _one_blas_thread():
+        a2 = _finite_fro2(A)
+        if a2 == 0.0:
+            _reject_zero(A, "relative residual undefined for an all-zero matrix")
+        return math.sqrt(
+            _trace_residual(a2, at_times(A, U).data, V, gram(U).data)[0] / a2
+        )
 
 
 def _check_conform(A: MatrixRef, U: DenseMatrix, V: DenseMatrix) -> None:

@@ -38,6 +38,7 @@ from .matrix import (
     _check_reals,
     _check_seed,
     _finite_fro2,
+    _one_blas_thread,
     _reject_zero,
     _trace_residual,
     at_times,
@@ -525,13 +526,15 @@ def sweep(
     ``r`` or ``k`` does not fit its own factors, and, before ``A`` is read,
     factors whose row counts are not ``A``'s.  An ``|A|^2`` that
     overflows and a non-finite objective raise :class:`FloatingPointError`.
+    It runs with numpy's OpenBLAS held at one thread, as :func:`fit` does.
     """
     if direction not in ("V", "U"):
         raise ValueError('direction must be "V" or "U"')
     _check_pair(factors)
     _check_conform(A, factors.U, factors.V)
-    fro2 = _finite_fro2(A, nonnegative=True)
-    return _half_sweep(A, factors, direction, fro2, observer)[0]
+    with _one_blas_thread():
+        fro2 = _finite_fro2(A, nonnegative=True)
+        return _half_sweep(A, factors, direction, fro2, observer)[0]
 
 
 def fit(
@@ -552,36 +555,42 @@ def fit(
     ``fit`` is called, once per call, not per half; so does an all-zero
     matrix.  A numerical breakdown (an ``|A|^2`` that over- or underflows,
     or a non-finite objective) raises :class:`FloatingPointError`.
+
+    The fit runs with numpy's OpenBLAS held at one thread, and the
+    caller's thread count is restored when it returns or raises
+    (:func:`arknls.matrix._one_blas_thread`): the package's own workers
+    run the large products, and the bits do not depend on the count.
     """
     config.validate()
-    fro2 = _finite_fro2(A, nonnegative=True)
-    if fro2 == 0.0:
-        _reject_zero(A, "cannot factorize an all-zero matrix")
-    fro = math.sqrt(fro2)
-    factors = initialize(A, config.rank, config.seed, k=config.k)
-    tick = clock if clock is not None else time.perf_counter
-    trace = SolveTrace()
-    started = tick()
-    previous = None
-    gram_next = None
-    for sweep_index in range(1, config.max_sweeps + 1):
-        for side in "VU":
-            objective, repairs, gram_next = _half_sweep(
-                A, factors, side, fro2, None, gram_next, side == "U"
-            )
-            trace.repair_events += repairs
-        residual = math.sqrt(objective) / fro
-        trace.append(sweep_index, tick() - started, residual)
-        if (
-            config.tol_residual_change is not None
-            and previous is not None
-            and abs(previous - residual) < config.tol_residual_change
-        ):
-            break
-        previous = residual
-        if config.time_limit is not None and tick() - started >= config.time_limit:
-            break
-    return factors, trace
+    with _one_blas_thread():
+        fro2 = _finite_fro2(A, nonnegative=True)
+        if fro2 == 0.0:
+            _reject_zero(A, "cannot factorize an all-zero matrix")
+        fro = math.sqrt(fro2)
+        factors = initialize(A, config.rank, config.seed, k=config.k)
+        tick = clock if clock is not None else time.perf_counter
+        trace = SolveTrace()
+        started = tick()
+        previous = None
+        gram_next = None
+        for sweep_index in range(1, config.max_sweeps + 1):
+            for side in "VU":
+                objective, repairs, gram_next = _half_sweep(
+                    A, factors, side, fro2, None, gram_next, side == "U"
+                )
+                trace.repair_events += repairs
+            residual = math.sqrt(objective) / fro
+            trace.append(sweep_index, tick() - started, residual)
+            if (
+                config.tol_residual_change is not None
+                and previous is not None
+                and abs(previous - residual) < config.tol_residual_change
+            ):
+                break
+            previous = residual
+            if config.time_limit is not None and tick() - started >= config.time_limit:
+                break
+        return factors, trace
 
 
 def _half_sweep_flops(m: int, n: int, r: int) -> float:

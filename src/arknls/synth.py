@@ -20,6 +20,7 @@ from .matrix import (
     _check_integers,
     _check_reals,
     _check_seed,
+    _one_blas_thread,
 )
 from .rng import gaussian_matrix, make_rng, uniform_matrix
 
@@ -64,7 +65,11 @@ def _planted_dense(spec: SynthSpec, rng) -> tuple[np.ndarray, np.ndarray, np.nda
     w = uniform_matrix(rng, spec.m, spec.true_rank)
     w /= np.sqrt(np.sum(w * w, axis=0))
     h = uniform_matrix(rng, spec.n, spec.true_rank)
-    a = w @ h.T
+    # At one BLAS thread, so that the matrix does not depend on the
+    # caller's thread count: at two threads OpenBLAS summed the 2000 x
+    # 1500 product of rank 3 in another order.
+    with _one_blas_thread():
+        a = w @ h.T
     if spec.noise_std > 0.0:
         a += gaussian_matrix(rng, spec.m, spec.n, spec.noise_std)
         np.maximum(a, 0.0, out=a)

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -227,3 +228,27 @@ def test_oversized_size_line_exits_1(tmp_path, capsys):
     assert run(["--input", str(path), "--rank", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and "Traceback" not in err
+
+
+def test_refused_row_allocation_exits_1(tmp_path, capsys, monkeypatch):
+    # 3 rows of 10^11 columns read fine, but the start reads a row of A as
+    # a dense array of 10^11 floats.  A machine might grant those 745 GiB,
+    # so every numpy allocation of more than 2^32 elements is refused
+    # here, as a smaller machine refuses it.
+    for name in ("empty", "zeros"):
+
+        def refusing(shape, *args, _inner=getattr(np, name), **kwargs):
+            size = math.prod(shape) if isinstance(shape, tuple) else shape
+            if size > 1 << 32:
+                raise MemoryError(f"refused {size} elements")
+            return _inner(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, refusing)
+    path = tmp_path / "wide.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "3 100000000000 2\n1 1 1\n3 7 2\n"
+    )
+    assert run(["--input", str(path), "--rank", "1", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: refused 100000000000 elements\n"

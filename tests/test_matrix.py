@@ -192,19 +192,27 @@ def csr_of(values: np.ndarray) -> SparseMatrixCSR:
 
 
 def no_floors(monkeypatch):
-    """Split every sparse product, and the screen of every A's values, as
-    far as the worker count allows."""
-    for name in ("_SHARE_FLOOR", "_BLOCK_FLOOR", "_SHARE_COLUMNS", "_SCREEN_FLOOR"):
+    """Split every product, and the screen of every A's values, as far as
+    the worker count allows."""
+    for name in (
+        "_SHARE_FLOOR",
+        "_BLOCK_FLOOR",
+        "_SHARE_COLUMNS",
+        "_SCREEN_FLOOR",
+        "_DENSE_FLOOR",
+    ):
         monkeypatch.setattr(matrix, name, 1)
 
 
-def record_shares(monkeypatch) -> list:
+def record_shares(monkeypatch, caller=None) -> list:
     """The number of threads that take the shares of every split
-    :func:`_run_shares` runs."""
+    :func:`_run_shares` runs, or, given ``caller``, of those whose task
+    is defined in the function of that name."""
     counts, run = [], matrix._run_shares
 
     def recorded(task, shares, workers):
-        counts.append(min(workers, len(shares)))
+        if caller is None or task.__qualname__.startswith(f"{caller}."):
+            counts.append(min(workers, len(shares)))
         return run(task, shares, workers)
 
     monkeypatch.setattr(matrix, "_run_shares", recorded)
@@ -451,6 +459,196 @@ class TestSparseProduct:
         assert np.array_equal(got, sp.T @ u)
 
 
+class TestDenseProduct:
+    """From :data:`matrix._DENSE_FLOOR` multiply-adds on, the dense product
+    runs in shares of :data:`matrix._DENSE_COLUMNS` columns of ``A``, the
+    same shares at any worker count, so it has the same bits at each."""
+
+    # Work 5.7e6, above the floor; 1300 columns make two full shares and
+    # a ragged one of 276, the transposed view's 1100 two and one of 76.
+    M, N, R = 1100, 1300, 4
+
+    def operands(self, layout):
+        rng = np.random.default_rng(21)
+        arr = rng.random((self.M, self.N))
+        a = DenseMatrix(np.asfortranarray(arr) if layout == "column_major" else arr)
+        if layout == "transposed_view":
+            a = transposed(a)
+        return a, DenseMatrix(np.asfortranarray(rng.random((a.rows, self.R))))
+
+    @pytest.mark.parametrize("layout", ["column_major", "row_major", "transposed_view"])
+    def test_same_bits_at_every_worker_count(self, layout, monkeypatch):
+        # The shares, the first columns of each, are the same at every
+        # worker count, and so are the bits.
+        a, u = self.operands(layout)
+        assert a.rows * a.cols * self.R >= matrix._DENSE_FLOOR
+        assert a.cols % matrix._DENSE_COLUMNS
+        handed, run = [], matrix._run_shares
+
+        def recorded(task, shares, workers):
+            handed.append((list(shares), min(workers, len(shares))))
+            return run(task, shares, workers)
+
+        monkeypatch.setattr(matrix, "_run_shares", recorded)
+        products = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(matrix, "_worker_count", lambda c=count: c)
+            got = at_times(a, u).data
+            assert got.flags.f_contiguous and got.shape == (a.cols, self.R)
+            products.append(got.tobytes(order="F"))
+        assert products[1] == products[0] and products[2] == products[0]
+        want = triple_loop_atb(a.data, u.data)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        starts = list(range(0, a.cols, matrix._DENSE_COLUMNS))
+        threads = [1, 2, 3] if matrix._BLAS_THREADS is not None else [1, 1, 1]
+        assert handed == [(starts, count) for count in threads]
+
+    def test_runs_on_one_worker_without_openblas(self, monkeypatch):
+        # With no OpenBLAS to hold at one thread, BLAS runs at its own
+        # thread count and the same shares take the calling thread alone.
+        a, u = self.operands("row_major")
+        monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
+        monkeypatch.setattr(matrix, "_BLAS_THREADS", None)
+        shares = record_shares(monkeypatch, "_dense_at_times")
+        got = at_times(a, u).data
+        assert shares == [1]
+        width = matrix._DENSE_COLUMNS
+        for lo in range(0, a.cols, width):
+            want = u.data.T @ a.data[:, lo : lo + width]
+            assert got[lo : lo + width].T.tobytes() == want.tobytes()
+
+    def test_small_product_is_one_call(self, monkeypatch):
+        # Below the floor (3.6e6) a product on more columns than a share
+        # holds is one share, one BLAS call, on the calling thread.
+        rng = np.random.default_rng(22)
+        a = DenseMatrix(rng.random((300, 600)))
+        u = DenseMatrix(np.asfortranarray(rng.random((300, 20))))
+        assert 300 * 600 * 20 < matrix._DENSE_FLOOR and 600 > matrix._DENSE_COLUMNS
+        monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
+        shares = record_shares(monkeypatch)
+        got = at_times(a, u).data
+        assert shares == [1]
+        with matrix._one_blas_thread():
+            want = (u.data.T @ a.data).T
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fit_and_sweeps_do_not_depend_on_workers(self, k, monkeypatch):
+        # Every dense product split into shares of 16 columns as far as
+        # 1, 2 and 3 workers allow: 5 shares of A's 80 columns and 8 of
+        # its 120 rows, the last of 8.  Fitted over rank, columns of the
+        # start die and the halves repair them.  Then a V and a U sweep
+        # from one start.
+        no_floors(monkeypatch)
+        monkeypatch.setattr(matrix, "_DENSE_COLUMNS", 16)
+        a = holed_sparse().to_dense()
+        cfg = SolverConfig(rank=30, k=k, max_sweeps=15, seed=1)
+        runs = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(matrix, "_worker_count", lambda c=count: c)
+            f, t = fit(a, cfg)
+            start = initialize(a, 30, 5, k=k)
+            pair = [sweep(a, start, side) for side in "VU"]
+            runs.append((f.U.data, f.V.data, t.rel_residual, t.repair_events,
+                         start.U.data, start.V.data, pair))
+        assert runs[0][3] > 0
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                if isinstance(got, np.ndarray):
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert got == want
+
+
+@pytest.mark.skipif(matrix._BLAS_THREADS is None, reason="numpy calls no OpenBLAS")
+class TestOneBlasThread:
+    """fit, sweep and relative_residual hold numpy's OpenBLAS at one thread
+    and restore the caller's count when they return or raise."""
+
+    @pytest.fixture
+    def caller_threads(self):
+        # The caller runs OpenBLAS at 3 threads, then gets its count back.
+        get, put = matrix._BLAS_THREADS
+        before = get()
+        put(3)
+        yield get
+        put(before)
+
+    def test_fit_and_relative_residual_restore(self, caller_threads):
+        a = gen_dense(SynthSpec(m=60, n=40, true_rank=3, seed=1))
+        f, _ = fit(a, SolverConfig(rank=3, k=3, max_sweeps=2, seed=0))
+        assert caller_threads() == 3
+        relative_residual(a, f.U, f.V)
+        assert caller_threads() == 3
+
+    def test_sweep_runs_at_one_thread_and_restores(self, caller_threads):
+        a = gen_dense(SynthSpec(m=60, n=40, true_rank=3, seed=1))
+        factors = initialize(a, 3, 0, k=3)
+        seen = []
+        for side in "VU":
+            sweep(a, factors, side, observer=lambda *_: seen.append(caller_threads()))
+            assert caller_threads() == 3
+        assert seen and set(seen) == {1}
+
+    def test_raising_fit_restores(self, caller_threads):
+        a = gen_dense(SynthSpec(m=60, n=40, true_rank=3, seed=1))
+        a.data[7, 3] = -1.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit(a, SolverConfig(rank=3, k=3, max_sweeps=2, seed=0))
+        assert caller_threads() == 3
+
+    def test_generated_matrix_does_not_depend_on_threads(self, caller_threads):
+        # The planted product, rank 3, is summed otherwise by OpenBLAS at
+        # several threads; gen_dense holds it at one.
+        spec = SynthSpec(m=2000, n=1500, true_rank=3, seed=6)
+        many = gen_dense(spec).data
+        assert caller_threads() == 3
+        get, put = matrix._BLAS_THREADS
+        put(1)
+        assert gen_dense(spec).data.tobytes() == many.tobytes()
+
+    def test_overlapping_holds_restore_once_all_end(self, caller_threads):
+        # Holds that end in another order than they started, as two
+        # threads' fits may: the count comes back when the last one ends.
+        first, second = matrix._one_blas_thread(), matrix._one_blas_thread()
+        assert first.__enter__() and second.__enter__()
+        assert caller_threads() == 1
+        first.__exit__(None, None, None)
+        assert caller_threads() == 1
+        second.__exit__(None, None, None)
+        assert caller_threads() == 3
+
+    def test_concurrent_calls_hold_and_restore(self, caller_threads):
+        # More threads than cores, switching often, each in a fit or a
+        # sweep pair: every block runs at one thread, the fits agree, and
+        # the count comes back once all have ended.
+        a = gen_dense(SynthSpec(m=200, n=150, true_rank=3, seed=2))
+        cfg = SolverConfig(rank=6, k=2, max_sweeps=10, seed=0)
+        seen = []
+
+        def sweeps():
+            factors = initialize(a, 6, 1, k=2)
+            for side in "VU":
+                sweep(a, factors, side, observer=lambda *_: seen.append(caller_threads()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                fits = [pool.submit(fit, a, cfg) for _ in range(4)]
+                pairs = [pool.submit(sweeps) for _ in range(4)]
+                results = [f.result(timeout=120) for f in fits]
+                for pair in pairs:
+                    pair.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert caller_threads() == 3
+        assert seen and set(seen) == {1}
+        for f, t in results[1:]:
+            assert f.U.data.tobytes() == results[0][0].U.data.tobytes()
+            assert t.rel_residual == results[0][1].rel_residual
+
+
 class TestRunShares:
     def test_results_in_order(self, workers):
         assert _run_shares(lambda s: s * s, list(range(7)), workers) == [
@@ -645,9 +843,10 @@ class TestSplitScreen:
     def test_large_dense_fit_and_sweep_split(self, monkeypatch):
         # With the module's floor: fit and sweep screen in two shares,
         # relative_residual, which checks no sign, in one pass, which
-        # takes the calling thread alone.
+        # takes the calling thread alone.  The products' shares are not
+        # recorded.
         monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
-        shares = record_shares(monkeypatch)
+        shares = record_shares(monkeypatch, "_screen")
         a = DenseMatrix(np.random.default_rng(16).random((1100, 1000)))
         assert a.data.size >= matrix._SCREEN_FLOOR
         factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
@@ -660,7 +859,7 @@ class TestSplitScreen:
     def test_small_input_runs_unsplit(self, workers, monkeypatch):
         # Below the module's floor both passes of each screen, fit's and
         # sweep's, run on the calling thread.
-        shares = record_shares(monkeypatch)
+        shares = record_shares(monkeypatch, "_screen")
         a = DenseMatrix(np.random.default_rng(17).random((60, 40)))
         factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
         sweep(a, factors, "U")
