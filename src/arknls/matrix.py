@@ -191,15 +191,32 @@ class SparseMatrixCSR(SparseView):
     def from_coo(cls, rows, cols, row_idx, col_idx, values) -> "SparseMatrixCSR":
         """Build from coordinate triples in any order; duplicates are summed.
 
-        scipy's COO to CSR conversion sorts and sums.  The result depends
-        only on the input arrays, and it equals an in-order sum whenever no
-        (row, column) pair occurs more than twice.  With three or more
-        copies the last bit may depend on scipy's per-row sort, which is
-        not stable.  The matrix never shares the caller's arrays.
+        Triples whose rows are nondecreasing and within ``[0, rows)``, as
+        ``np.nonzero`` and :func:`arknls.write_matrix_market` give them,
+        need no sort: the offsets are each row's running count, for the
+        constructor to check with copies of the columns and values.  Where
+        it refuses them (a repeated cell, columns out of order in a row, a
+        bad value) or ``np.bincount`` refuses the indices, they go, as all
+        others do, to scipy's COO to CSR conversion, which sorts and sums;
+        both give the same arrays.  The result depends only on the input
+        arrays, and it equals an in-order sum whenever no (row, column)
+        pair occurs more than twice.  With three or more copies the last
+        bit may depend on scipy's per-row sort, which is not stable.  The
+        matrix never shares the caller's arrays.
         """
         _check_integers(rows=rows, cols=cols)
         ri = _index_array("row_idx", row_idx)
         ci = _index_array("col_idx", col_idx)
+        # Both ends in range: scipy, not np.bincount, meets a stray index.
+        sorted_rows = ri.ndim == 1 and (ri[1:] >= ri[:-1]).all()
+        if sorted_rows and (ri[:1] >= 0).all() and (ri[-1:] < rows).all():
+            try:
+                offsets = np.zeros(rows + 1, dtype=np.int64)
+                np.cumsum(np.bincount(ri, minlength=rows), out=offsets[1:])
+                vals = np.array(values, dtype=np.float64)
+                return cls(rows, cols, offsets, ci.astype(np.int64), vals)
+            except (TypeError, ValueError):
+                pass
         coo = coo_array((values, (ri, ci)), shape=(rows, cols), dtype=np.float64)
         csr = coo.tocsr()
         return cls(rows, cols, csr.indptr, csr.indices, csr.data)
@@ -366,12 +383,14 @@ def _worker_count() -> int:
 def _after_fork() -> None:
     # A forked child has none of its parent's threads; it starts its own,
     # and a lock another thread held at the fork would never be released.
-    global _pool, _pool_lock, _hold_lock
+    # Of the BLAS holds it keeps the forking thread's, the only ones that
+    # can end there; with none, it gets back the count the first one saved.
+    global _pool, _pool_lock, _hold_lock, _holds
     _pool, _pool_lock, _hold_lock = None, threading.Lock(), threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_after_fork)
+    own = getattr(_depth, "holds", 0)
+    if _holds and not own:
+        _BLAS_THREADS[1](_callers_threads)
+    _holds = own
 
 
 def _openblas_threads():
@@ -405,7 +424,11 @@ def _openblas_threads():
 _BLAS_THREADS = _openblas_threads()
 _hold_lock = threading.Lock()
 _holds = 0
+_depth = threading.local()  # .holds: those the calling thread has open
 _callers_threads = 1
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork)
 
 
 @contextmanager
@@ -414,16 +437,18 @@ def _one_blas_thread():
     gets True, or, where there is no OpenBLAS to hold, run it as it is
     and give it False.
 
-    :func:`arknls.fit`, :func:`arknls.sweep`, :func:`relative_residual`
-    and a dense :func:`at_times` run in a hold: their BLAS calls are
-    the shares of this package's workers, which would otherwise compete
-    with OpenBLAS's own threads for the same cores, and their bits then
-    do not depend on the caller's thread count, nor do those of
-    :func:`arknls.gen_dense`'s planted product, which holds it too.  The thread count is
-    process-wide, so another thread's BLAS calls run at one thread too
-    while any hold lasts.  Holds nest and may overlap between threads: the
-    first to start saves the count found, and the last to end, on return
-    or on an exception, restores it.
+    :func:`arknls.fit`, :func:`arknls.sweep`, :func:`relative_residual`,
+    a dense :func:`at_times`, the screen of a matrix's values
+    (:func:`_screen`) and :func:`frobenius_norm` run in a hold: their BLAS
+    calls are the shares of this package's workers, which would otherwise
+    compete with OpenBLAS's own threads for the same cores, and their bits
+    then do not depend on the caller's thread count, nor do those of
+    :func:`arknls.gen_dense`'s planted product, which holds it too.  The
+    thread count is process-wide, so another thread's BLAS calls run at
+    one thread too while any hold lasts.  Holds nest and may overlap
+    between threads: the first to start saves the count found, and the
+    last to end, on return or on an exception, restores it.  A child
+    forked during a hold keeps the forking thread's holds alone.
     """
     global _holds, _callers_threads
     if _BLAS_THREADS is None:
@@ -435,11 +460,13 @@ def _one_blas_thread():
             _callers_threads = get()
             put(1)
         _holds += 1
+        _depth.holds = getattr(_depth, "holds", 0) + 1
     try:
         yield True
     finally:
         with _hold_lock:
             _holds -= 1
+            _depth.holds -= 1
             if not _holds:
                 put(_callers_threads)
 
@@ -639,7 +666,8 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(A: MatrixRef) -> float:
-    return math.sqrt(_fro_squared(_stored(A)))
+    with _one_blas_thread():  # the bits of fit's |A|^2
+        return math.sqrt(_fro_squared(_stored(A)))
 
 
 def _fro_squared(values: np.ndarray) -> float:
@@ -669,13 +697,16 @@ def _screen(values: np.ndarray, nonnegative: bool) -> tuple[float, Optional[str]
     squares that overflow, which it accepts.  The sign check is the
     minimum.  The two passes are the shares of one :func:`_run_shares`
     call over :func:`_worker_count` workers from :data:`_SCREEN_FLOOR`
-    values on, one below, each computed as on one thread.
+    values on, one below, each computed as on one thread, BLAS's ``ddot``
+    too (:func:`_one_blas_thread`): a screen's ``|values|^2`` has the bits
+    of a fit's.
     """
     passes = [lambda: _fro_squared(values)]
     if nonnegative and values.size:
         passes.append(values.min)
     workers = _worker_count() if values.size >= _SCREEN_FLOOR else 1
-    fro2, *low = _run_shares(lambda run: run(), passes, workers)
+    with _one_blas_thread():
+        fro2, *low = _run_shares(lambda run: run(), passes, workers)
     if not math.isfinite(fro2) and not np.isfinite(values).all():
         return fro2, "finite"
     return fro2, "nonnegative" if low and low[0] < 0.0 else None

@@ -26,9 +26,8 @@ the same bytes, the second only when the first declined:
    result's shape and entry count are checked here, its values by the
    screen the CSR constructor and fits use (``matrix._screen``: finite,
    nonnegative); scipy's reader checks the index range itself.
-   Coordinate entries in row-major order with no cell repeated, as
-   :func:`write_matrix_market` writes them, become CSR without a sort;
-   other entries are sorted and summed.
+   Coordinate entries become CSR by ``SparseMatrixCSR.from_coo``, as the
+   line reader's do, without a sort when they are in row-major order.
 2. A line-at-a-time reader takes every other file, a file whose header
    does not parse among them; it names the line at fault, a non-ASCII
    byte first, for which it alone scans the whole file, and it alone
@@ -298,30 +297,12 @@ def _read_plain(text, header):
         entries += np.count_nonzero(parsed.row[:count] != parsed.col[:count])
     if parsed.nnz != entries:
         return None
+    # from_coo sorts a symmetric file's entries, as mmread lists the mirrors
+    # last.  The guard admits no sign: a summed duplicate hides no negative.
     try:
-        return _coordinate_matrix(m, n, parsed.row, parsed.col, parsed.data)
+        return SparseMatrixCSR.from_coo(m, n, parsed.row, parsed.col, parsed.data)
     except ValueError:
         return None
-
-
-def _coordinate_matrix(m, n, rows, cols, values) -> SparseMatrixCSR:
-    # The CSR matrix of mmread's coordinate entries.  Entries in row-major
-    # order with no cell repeated, as write_matrix_market writes them, need
-    # no sort: the offsets are the running count of each row's entries, and
-    # the CSR constructor checks that the columns rise within each row.
-    # Where it raises ValueError, the entries go to from_coo, which sorts
-    # and sums them, as do those with rows out of order: a symmetric file's
-    # among them, as mmread lists the mirrors last.  The constructor checks
-    # the values on both paths, so a bad value still raises.  The guard
-    # admits no sign, so a summed duplicate cannot hide a negative entry.
-    if (rows[1:] >= rows[:-1]).all():
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=m), out=offsets[1:])
-        try:
-            return SparseMatrixCSR(m, n, offsets, cols, values)
-        except ValueError:
-            pass
-    return SparseMatrixCSR.from_coo(m, n, rows, cols, values)
 
 
 def _entry_offset(text, size_no):

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
 
 from arknls import matrix
 from arknls.matrix import (
@@ -27,6 +28,7 @@ from arknls.matrix import (
     relative_residual,
     transposed,
 )
+from arknls.mmio import read_matrix_market, write_matrix_market
 from arknls.solver import SolverConfig, fit, initialize, sweep
 from arknls.synth import SynthSpec, gen_dense, gen_sparse
 
@@ -647,6 +649,91 @@ class TestOneBlasThread:
         for f, t in results[1:]:
             assert f.U.data.tobytes() == results[0][0].U.data.tobytes()
             assert t.rel_residual == results[0][1].rel_residual
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="no fork start method",
+    )
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_keeps_only_its_own_holds(self, caller_threads):
+        # A child has none of its parent's threads but the forking one.  A
+        # hold another thread had at the fork can never end there, so the
+        # child runs at the caller's count, before a fit and after it.  A
+        # hold of the forking thread is the child's too: one thread until
+        # it ends there, the caller's count after.
+        a = gen_dense(SynthSpec(m=60, n=40, true_rank=3, seed=1))
+        cfg = SolverConfig(rank=3, k=2, max_sweeps=2, seed=0)
+        context = multiprocessing.get_context("fork")
+
+        def in_child(work):
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=lambda: send.send(work()))
+            process.start()
+            try:
+                assert receive.poll(60), "the forked child did not answer"
+                answer = receive.recv()
+            finally:
+                process.join(10)
+                if process.is_alive():
+                    process.kill()
+            assert process.exitcode == 0
+            return answer
+
+        def fit_in_child():
+            before = caller_threads()
+            fit(a, cfg)
+            return before, caller_threads()
+
+        held, release = threading.Event(), threading.Event()
+
+        def helper():
+            with matrix._one_blas_thread():
+                held.set()
+                release.wait(60)
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            assert held.wait(60) and caller_threads() == 1
+            assert in_child(fit_in_child) == (3, 3)
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive() and caller_threads() == 3
+
+        hold = matrix._one_blas_thread()
+        hold.__enter__()
+
+        def end_hold_in_child():
+            during = caller_threads()
+            hold.__exit__(None, None, None)
+            return during, caller_threads()
+
+        try:
+            assert in_child(end_hold_in_child) == (1, 3)
+        finally:
+            hold.__exit__(None, None, None)
+        assert caller_threads() == 3
+
+    def test_screens_run_at_one_thread(self, caller_threads, tmp_path, monkeypatch):
+        # |A|^2 in the CSR constructor's screen, in the reader's screen of
+        # an array file and in frobenius_norm runs at one thread, as in a
+        # fit, so that it has a fit's bits.
+        seen, fro_squared = [], matrix._fro_squared
+        monkeypatch.setattr(
+            matrix,
+            "_fro_squared",
+            lambda values: seen.append(caller_threads()) or fro_squared(values),
+        )
+        rng = np.random.default_rng(24)
+        s = csr_of(rng.random((30, 20)))
+        assert seen == [1] and caller_threads() == 3
+        path = tmp_path / "a.mtx"
+        write_matrix_market(DenseMatrix(rng.random((30, 20))), path)
+        read_matrix_market(path)
+        assert seen == [1, 1] and caller_threads() == 3
+        frobenius_norm(s)
+        assert seen == [1, 1, 1] and caller_threads() == 3
 
 
 class TestRunShares:
@@ -1269,6 +1356,91 @@ class TestContainers:
         for array in got:
             for given in (rows, cols, vals):
                 assert not np.shares_memory(array, given)
+
+    @staticmethod
+    def scipy_sorts(monkeypatch) -> list:
+        """The calls of scipy's COO conversion, which sorts and sums, by
+        :meth:`SparseMatrixCSR.from_coo`."""
+        calls, to_coo = [], matrix.coo_array
+        monkeypatch.setattr(
+            matrix, "coo_array", lambda *a, **kw: calls.append(1) or to_coo(*a, **kw)
+        )
+        return calls
+
+    @staticmethod
+    def assert_scipy_arrays(s, rows, cols, vals):
+        # The arrays of scipy's conversion, in the constructor's dtypes.
+        want = coo_array((vals, (rows, cols)), shape=s.shape, dtype=np.float64)
+        want = want.tocsr()
+        for got, held in zip(
+            (s.row_offsets, s.col_indices, s.values),
+            (want.indptr, want.indices, want.data),
+        ):
+            assert got.dtype == (np.float64 if got is s.values else np.int64)
+            assert got.tobytes() == held.astype(got.dtype).tobytes()
+
+    def test_from_coo_sorted_triples_need_no_sort(self, monkeypatch):
+        # Row-major triples, with empty rows first, between and last.
+        rng = np.random.default_rng(23)
+        d = rng.random((30, 20)) * (rng.random((30, 20)) < 0.2)
+        d[[0, 7, 29]] = 0.0
+        rows, cols = np.nonzero(d)
+        calls = self.scipy_sorts(monkeypatch)
+        s = SparseMatrixCSR.from_coo(30, 20, rows, cols, d[rows, cols])
+        assert calls == []
+        self.assert_scipy_arrays(s, rows, cols, d[rows, cols])
+
+    @pytest.mark.parametrize(
+        "rows, cols, want",
+        [
+            ([0, 0, 0, 1], [0, 2, 2, 1], [1.0, 0.75, 4.0]),
+            ([0, 0, 1, 1], [2, 0, 1, 1], [0.5, 1.0, 4.25]),
+        ],
+        ids=["repeated_cell", "falling_columns"],
+    )
+    def test_from_coo_rows_in_order_fall_back(self, rows, cols, want, monkeypatch):
+        # Rows in order, but a cell repeated or columns falling in row 0:
+        # the constructor refuses them and scipy sorts and sums.
+        vals = [1.0, 0.5, 0.25, 4.0]
+        calls = self.scipy_sorts(monkeypatch)
+        s = SparseMatrixCSR.from_coo(2, 3, rows, cols, vals)
+        assert calls == [1]
+        assert s.values.tolist() == want
+        self.assert_scipy_arrays(s, rows, cols, vals)
+
+    @pytest.mark.parametrize("rows", [[0, 10**15], [-3, 0]], ids=["beyond", "negative"])
+    def test_from_coo_rows_out_of_range(self, rows):
+        # Sorted rows outside [0, 2) reach scipy's error, not a count of
+        # each row up to 10^15.
+        with pytest.raises(ValueError) as scipy_error:
+            coo_array(([1.0, 2.0], (rows, [0, 1])), shape=(2, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as error:
+                SparseMatrixCSR.from_coo(2, 2, rows, [0, 1], [1.0, 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(error.value) == str(scipy_error.value)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int32, np.uint64, None], ids=["int32", "uint64", "empty_list"]
+    )
+    def test_from_coo_index_dtypes(self, dtype, monkeypatch):
+        # int32 indices take the sorted path.  uint64 ones and an empty
+        # list's float64 take whichever path np.bincount lets them (numpy
+        # 2.4 counts uint64 and refuses the float64) and build alike.
+        if dtype is None:
+            rows, cols, vals = [], [], []
+        else:
+            rows, cols = np.array([0, 0, 2], dtype), np.array([1, 3, 0], dtype)
+            vals = [1.5, 2.0, 3.0]
+        calls = self.scipy_sorts(monkeypatch)
+        s = SparseMatrixCSR.from_coo(3, 4, rows, cols, vals)
+        if dtype is np.int32:
+            assert calls == []
+        self.assert_scipy_arrays(s, rows, cols, vals)
 
     def test_transposed_dense(self):
         rng = np.random.default_rng(4)

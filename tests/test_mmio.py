@@ -842,8 +842,8 @@ class TestFastParse:
     @pytest.mark.parametrize("order", ["sorted", "shuffled", "repeated"])
     def test_sorted_entries_need_no_sort(self, tmp_path, monkeypatch, tiers, order):
         # Row-major entries with no cell repeated are built into CSR
-        # without from_coo's sort; any other order, or a repeated cell,
-        # takes from_coo.  The bits are from_coo's on the same triples.
+        # without scipy's COO sort; any other order, or a repeated cell,
+        # takes it.  The bits are scipy's conversion's of the same triples.
         rng = np.random.default_rng(8)
         rows, cols = np.nonzero(rng.random((40, 30)) < 0.2)
         vals = rng.random(rows.size)
@@ -860,19 +860,23 @@ class TestFastParse:
             + f"40 30 {rows.size}\n".encode()
             + "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in entries).encode()
         )
-        sorts, from_coo = [], SparseMatrixCSR.from_coo
+        sorts, to_coo = [], matrix.coo_array
         monkeypatch.setattr(
-            SparseMatrixCSR,
-            "from_coo",
-            staticmethod(lambda *args: sorts.append(order) or from_coo(*args)),
+            matrix,
+            "coo_array",
+            lambda *args, **kw: sorts.append(order) or to_coo(*args, **kw),
         )
         got = read_matrix_market(path)
         assert tiers == ["mmread"]
         assert sorts == ([] if order == "sorted" else [order])
-        want = from_coo(40, 30, rows, cols, vals)
-        for name in ("row_offsets", "col_indices", "values"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        want = to_coo((vals, (rows, cols)), shape=(40, 30)).tocsr()
+        for name, held, dtype in (
+            ("row_offsets", "indptr", np.int64),
+            ("col_indices", "indices", np.int64),
+            ("values", "data", np.float64),
+        ):
+            a, b = getattr(got, name), getattr(want, held).astype(dtype)
+            assert a.dtype == dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
         "text",
