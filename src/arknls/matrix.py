@@ -17,12 +17,13 @@ Each output entry gets the same operations in the same order as in
 scipy's own operator, so the results do not depend on the worker count;
 the tests pin both kernels bit for bit to that operator.  The same
 workers run the one screen of a matrix's values, wherever they are read:
-on a large matrix its sum of squares and its minimum are two concurrent
-shares.  A large dense product is BLAS calls on fixed-width ranges of
-columns, the same shares at any worker count, taken by those workers
-while numpy's OpenBLAS is held at one thread (``_one_blas_thread``), as
-it is for the whole of a fit, a sweep or a residual: the package, not
-BLAS, owns the threads.
+fixed-width chunks of the values, each a sum of squares and a minimum
+taken while the chunk is in cache, with the sums added in order.  A large
+dense product is BLAS calls on fixed-width ranges of columns, the same
+shares at any worker count, taken by those workers while numpy's
+OpenBLAS is held at one thread (``_one_blas_thread``), as it is for the
+whole of a fit, a sweep or a residual: the package, not BLAS, owns the
+threads.
 """
 
 from __future__ import annotations
@@ -341,11 +342,17 @@ _BLOCK_FLOOR = 1 << 16
 # than one thread, with 4 or more mostly faster.
 _SHARE_COLUMNS = 4
 
-# Least values for which _screen runs |A|^2 and the sign check's minimum
-# as two concurrent shares.  The two passes on one thread took 0.16 ms on
-# 2^18 values, 0.38 on 2^19, 0.75 on 2^20 and 4.9 on 2^22; split in two
-# they took 1.35, 0.99, 0.80 and 0.54 times that.
-_SCREEN_FLOOR = 1 << 20
+# Values in each share of _screen, the last share taking what is left.  A
+# constant, so that the shares, and with them |A|^2's bits, are the same
+# however many workers take them.  A share's minimum reads the values its
+# ddot has just brought into cache: 2^17 values are 1 MiB, half of a
+# core's L2 on the machine measured.  There a dense-2k fit's set-up took a
+# median 3.27, 3.01, 3.12 and 3.45 ms with shares of 2^16 to 2^19 values,
+# against 3.91 ms with two whole-array passes (10 alternating benchmark
+# pairs).  An array of just over one share is split too: on two workers
+# 2^17 + 1000 values took 0.10 ms against 0.07 ms on one, 2^18 as long,
+# and from 2^19 on less.
+_SCREEN_CHUNK = 1 << 17
 
 # Columns of A in each share of a dense product, the last share taking
 # what is left.  A constant, so that the shares, and with them the
@@ -370,7 +377,7 @@ _pool_lock = threading.Lock()
 
 
 def _worker_count() -> int:
-    """Workers a product, the screen of a large ``A``'s values, or mmio's
+    """Workers a product, the screen of a matrix's values, or mmio's
     guard of plain text, is split between: the CPUs this process
     may run on (its affinity mask, as ``taskset`` or a cgroup sets it), or
     the machine's count where the platform reports no mask."""
@@ -666,8 +673,15 @@ def _sparse_at_times(A: SparseView, u: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(A: MatrixRef) -> float:
-    with _one_blas_thread():  # the bits of fit's |A|^2
-        return math.sqrt(_fro_squared(_stored(A)))
+    """The Frobenius norm of ``A``, the square root of its sum of squares:
+    of every entry of a dense ``A``, of the stored values of a sparse one.
+
+    The sum is :func:`_screen`'s, so it has the bits of the ``|A|^2`` that
+    :func:`arknls.fit` and :func:`relative_residual` use, at any worker or
+    BLAS thread count.  Values are not checked: a NaN gives NaN, and
+    squares that overflow give infinity.
+    """
+    return math.sqrt(_screen(_stored(A), nonnegative=False)[0])
 
 
 def _fro_squared(values: np.ndarray) -> float:
@@ -691,25 +705,37 @@ def _screen(values: np.ndarray, nonnegative: bool) -> tuple[float, Optional[str]
     on a value below zero (-0.0 is not), else None.
 
     The one check of a matrix's values, by the CSR constructor, the Matrix
-    Market reader's compiled tier and :func:`_finite_fro2`.  A sum of
-    squares is finite only if every value is, so the exact ``np.isfinite``
-    scan runs only when ``|values|^2`` is not: on a NaN, an infinity, or
-    squares that overflow, which it accepts.  The sign check is the
-    minimum.  The two passes are the shares of one :func:`_run_shares`
-    call over :func:`_worker_count` workers from :data:`_SCREEN_FLOOR`
-    values on, one below, each computed as on one thread, BLAS's ``ddot``
-    too (:func:`_one_blas_thread`): a screen's ``|values|^2`` has the bits
-    of a fit's.
+    Market reader's compiled tier, :func:`_finite_fro2` and
+    :func:`frobenius_norm`.  It reads each value once, in shares of
+    :data:`_SCREEN_CHUNK` values taken by :func:`_worker_count` workers
+    (:func:`_run_shares`) while BLAS is held at one thread
+    (:func:`_one_blas_thread`).  A share computes its values' sum of
+    squares, BLAS's ``ddot``, and then, with ``nonnegative``, their minimum
+    while they are still in cache.  A sum of squares is finite only if
+    every value is, so a share runs the exact ``np.isfinite`` scan only
+    when its sum is not: on a NaN, an infinity, or squares that overflow,
+    which it accepts.  ``|values|^2`` is the sum of the shares' sums from
+    left to right, and ``failed`` the first check any share failed, in the
+    order above.  The shares depend on the size alone, so the bits do not
+    depend on the worker or BLAS thread count; an array of at most one
+    share has one ``ddot``'s bits.
     """
-    passes = [lambda: _fro_squared(values)]
-    if nonnegative and values.size:
-        passes.append(values.min)
-    workers = _worker_count() if values.size >= _SCREEN_FLOOR else 1
+    width = _SCREEN_CHUNK
+
+    def share(lo):
+        chunk = values[lo : lo + width]
+        fro2 = _fro_squared(chunk)
+        if not math.isfinite(fro2) and not np.isfinite(chunk).all():
+            return fro2, "finite"
+        return fro2, "nonnegative" if nonnegative and chunk.min() < 0.0 else None
+
     with _one_blas_thread():
-        fro2, *low = _run_shares(lambda run: run(), passes, workers)
-    if not math.isfinite(fro2) and not np.isfinite(values).all():
-        return fro2, "finite"
-    return fro2, "nonnegative" if low and low[0] < 0.0 else None
+        shares = _run_shares(share, range(0, values.size, width), _worker_count())
+    fro2 = 0.0  # summed left to right: sum() compensates from Python 3.12
+    for part, _ in shares:
+        fro2 += part
+    failed = {fail for _, fail in shares}
+    return fro2, next((f for f in ("finite", "nonnegative") if f in failed), None)
 
 
 def _finite_fro2(A: MatrixRef, nonnegative: bool = False) -> float:

@@ -194,13 +194,11 @@ def csr_of(values: np.ndarray) -> SparseMatrixCSR:
 
 
 def no_floors(monkeypatch):
-    """Split every product, and the screen of every A's values, as far as
-    the worker count allows."""
+    """Split every product as far as the worker count allows."""
     for name in (
         "_SHARE_FLOOR",
         "_BLOCK_FLOOR",
         "_SHARE_COLUMNS",
-        "_SCREEN_FLOOR",
         "_DENSE_FLOOR",
     ):
         monkeypatch.setattr(matrix, name, 1)
@@ -870,12 +868,38 @@ class TestRunShares:
             assert matrix._worker_count() == (os.cpu_count() or 1)
 
 
+def record_screens(monkeypatch) -> list:
+    """``(shares, threads)`` of every screen :func:`_run_shares` runs: the
+    number of chunks handed out and of threads that take them."""
+    counts, run = [], matrix._run_shares
+
+    def recorded(task, shares, workers):
+        if task.__qualname__.startswith("_screen."):
+            counts.append((len(shares), min(workers, len(shares))))
+        return run(task, shares, workers)
+
+    monkeypatch.setattr(matrix, "_run_shares", recorded)
+    return counts
+
+
+def chunk_sums(values: np.ndarray) -> float:
+    """The screen's reference ``|values|^2``: each chunk of
+    :data:`matrix._SCREEN_CHUNK` values as one ``ddot`` at one BLAS thread,
+    summed in order."""
+    total, width = 0.0, matrix._SCREEN_CHUNK
+    with matrix._one_blas_thread():
+        for lo in range(0, values.size, width):
+            total += matrix._fro_squared(values[lo : lo + width])
+    return total
+
+
 class TestSplitScreen:
-    """With ``nonnegative`` set and at least :data:`matrix._SCREEN_FLOOR`
-    stored values, :func:`matrix._finite_fro2` runs ``|A|^2`` and the
-    minimum as two shares, each computing what the unsplit screen does:
-    the same bits and the same errors, finite first, then sign, then
-    overflow."""
+    """:func:`matrix._screen` runs in chunks of :data:`matrix._SCREEN_CHUNK`
+    values, each a ``ddot`` and a minimum, split between the workers:
+    ``|A|^2`` is the in-order sum of the chunks' ``ddot``s at any worker
+    count, one chunk keeps one ``ddot``'s bits, and the errors are the
+    unsplit screen's, finite first, then sign, then overflow, wherever in
+    the chunks the values lie."""
 
     @staticmethod
     def held(kind, arr):
@@ -891,17 +915,29 @@ class TestSplitScreen:
 
     @pytest.mark.parametrize("kind", ["C", "F", "converted", "csr"])
     def test_same_bits_as_fro_squared(self, kind, workers, monkeypatch):
-        # The shares are recorded after the CSR constructor's screen.
-        no_floors(monkeypatch)
+        # 851 values in chunks of 100: 9 shares, the last of 51.  The
+        # shares are recorded after the CSR constructor's screen.
+        monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 100)
         arr = np.random.default_rng(14).random((37, 23))
         arr[5, 6] = -0.0
         A = self.held(kind, arr)
         if kind == "converted":
             assert A.data.flags.f_contiguous
-        shares = record_shares(monkeypatch)
+        shares = record_screens(monkeypatch)
+        values = matrix._stored(A)
+        got = matrix._finite_fro2(A, nonnegative=True)
+        assert got.hex() == chunk_sums(values).hex()
+        assert frobenius_norm(A).hex() == math.sqrt(got).hex()
+        assert shares == [(9, min(workers, 9))] * 2
+
+    @pytest.mark.parametrize("kind", ["C", "F", "converted", "csr"])
+    def test_one_chunk_keeps_one_ddot(self, kind, workers, monkeypatch):
+        arr = np.random.default_rng(14).random((37, 23))
+        A = self.held(kind, arr)
+        shares = record_screens(monkeypatch)
         got = matrix._finite_fro2(A, nonnegative=True)
         assert got.hex() == matrix._fro_squared(matrix._stored(A)).hex()
-        assert shares == [min(workers, 2)]
+        assert shares == [(1, 1)]
 
     @pytest.mark.parametrize(
         "entries, error, message",
@@ -911,12 +947,28 @@ class TestSplitScreen:
             ({(2, 1): -1.0}, ValueError, "must be nonnegative"),
             ({(2, 1): -1e200, (4, 3): 1e200}, ValueError, "must be nonnegative"),
             ({(2, 1): 1e200}, FloatingPointError, r"\|A\|\^2 overflows"),
+            ({(6, 4): np.nan}, ValueError, "must be finite"),
+            ({(6, 4): -1.0}, ValueError, "must be nonnegative"),
+            ({(0, 0): -1.0, (6, 4): np.nan}, ValueError, "must be finite"),
+            ({(0, 0): 1e154, (6, 4): 1.3e154}, FloatingPointError, r"\|A\|\^2 overflows"),
         ],
-        ids=["nan_and_negative", "minus_inf", "negative", "negative_overflow", "overflow"],
+        ids=[
+            "nan_and_negative",
+            "minus_inf",
+            "negative",
+            "negative_overflow",
+            "overflow",
+            "nan_in_last_chunk",
+            "negative_in_last_chunk",
+            "negative_before_nan",
+            "chunk_sums_overflow",
+        ],
     )
     @pytest.mark.parametrize("kind", ["C", "F", "csr"])
     def test_same_errors(self, kind, entries, error, message, workers, monkeypatch):
-        no_floors(monkeypatch)
+        # 35 values in chunks of 8: entry (0, 0) is in the first chunk and
+        # (6, 4) in the ragged last one, of 3 values, in either order.
+        monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 8)
         arr = np.random.default_rng(15).random((7, 5))
         for at, value in entries.items():
             arr[at] = value
@@ -927,25 +979,39 @@ class TestSplitScreen:
         with pytest.raises(error, match=message):
             matrix._finite_fro2(A, nonnegative=True)
 
+    @pytest.mark.parametrize("kind", ["C", "F", "csr", "empty"])
+    def test_minus_zero_and_no_values_pass(self, kind, workers, monkeypatch):
+        monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 8)
+        if kind == "empty":
+            A = SparseMatrixCSR(7, 5, np.zeros(8, int), [], [])
+        else:
+            arr = np.random.default_rng(15).random((7, 5))
+            arr[0, 0] = arr[6, 4] = -0.0
+            A = self.held(kind, arr)
+        values = matrix._stored(A)
+        got = matrix._finite_fro2(A, nonnegative=True)
+        assert got.hex() == chunk_sums(values).hex()
+        assert matrix._screen(values, nonnegative=True) == (got, None)
+
     def test_large_dense_fit_and_sweep_split(self, monkeypatch):
-        # With the module's floor: fit and sweep screen in two shares,
-        # relative_residual, which checks no sign, in one pass, which
-        # takes the calling thread alone.  The products' shares are not
-        # recorded.
+        # With the module's chunk: fit, sweep and relative_residual each
+        # screen A in the same chunks, split between the two workers.  The
+        # products' shares are not recorded.
         monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
-        shares = record_shares(monkeypatch, "_screen")
+        shares = record_screens(monkeypatch)
         a = DenseMatrix(np.random.default_rng(16).random((1100, 1000)))
-        assert a.data.size >= matrix._SCREEN_FLOOR
+        chunks = -(-a.data.size // matrix._SCREEN_CHUNK)
+        assert chunks > 2 and a.data.size % matrix._SCREEN_CHUNK
         factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
-        assert shares == [2]
+        assert shares == [(chunks, 2)]
         sweep(a, factors, "V")
-        assert shares == [2, 2]
+        assert shares == [(chunks, 2)] * 2
         relative_residual(a, factors.U, factors.V)
-        assert shares == [2, 2, 1]
+        assert shares == [(chunks, 2)] * 3
 
     def test_small_input_runs_unsplit(self, workers, monkeypatch):
-        # Below the module's floor both passes of each screen, fit's and
-        # sweep's, run on the calling thread.
+        # An A of one chunk is screened on the calling thread, by fit and
+        # by sweep alike.
         shares = record_shares(monkeypatch, "_screen")
         a = DenseMatrix(np.random.default_rng(17).random((60, 40)))
         factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
@@ -965,7 +1031,7 @@ class TestSharedScreen:
         return SparseMatrixCSR(1, n, [0, n], np.arange(n), np.array(values, float))
 
     def test_accepts_overflowing_square_and_minus_zero(self, workers, monkeypatch):
-        no_floors(monkeypatch)
+        monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 1)
         values = np.array([0.5, 1e200, -0.0, 2.0])
         assert self.row(values).values.tobytes() == values.tobytes()
         fro2, failed = matrix._screen(values, nonnegative=True)
@@ -983,7 +1049,7 @@ class TestSharedScreen:
     )
     @pytest.mark.parametrize("big", [1.0, 1e200], ids=["unit", "overflowing"])
     def test_rejects(self, bad, failed, big, workers, monkeypatch):
-        no_floors(monkeypatch)
+        monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 1)
         values = [0.5, big, bad, -2.0]
         message = "^sparse values must be finite and nonnegative$"
         with pytest.raises(ValueError, match=message):
@@ -994,23 +1060,27 @@ class TestSharedScreen:
         )
 
     def test_large_construction_alike_at_every_worker_count(self, monkeypatch):
-        # Above the module's floor the constructor's screen is two shares,
-        # split between 2 or 3 workers, on one thread at 1: the matrix holds
-        # the same arrays at each count, and a negative value fails at each.
+        # With the module's chunk the constructor's screen hands out the
+        # same chunks at 1, 2 and 3 workers: the matrix holds the same
+        # arrays at each count, |A|^2 has the same bits, and a negative
+        # value in the ragged last chunk fails at each.
         m, n = 1024, 1030
         offsets = np.arange(0, m * n + 1, n)
         indices = np.tile(np.arange(n), m)
         values = np.random.default_rng(18).random(m * n)
-        assert values.size >= matrix._SCREEN_FLOOR
-        shares = record_shares(monkeypatch)
+        chunks = -(-values.size // matrix._SCREEN_CHUNK)
+        assert chunks > 2 and values.size % matrix._SCREEN_CHUNK
+        shares = record_screens(monkeypatch)
         for count in (1, 2, 3):
             monkeypatch.setattr(matrix, "_worker_count", lambda c=count: c)
             shares.clear()
             A = SparseMatrixCSR(m, n, offsets, indices, values.copy())
-            assert shares == [min(count, 2)]
+            assert shares == [(chunks, count)]
             assert A.row_offsets.tobytes() == offsets.tobytes()
             assert A.col_indices.tobytes() == indices.tobytes()
             assert A.values.tobytes() == values.tobytes()
+            fro2 = matrix._finite_fro2(A, nonnegative=True)
+            assert fro2.hex() == chunk_sums(values).hex()
             bad = values.copy()
             bad[-1] = -1.0
             with pytest.raises(ValueError, match="finite and nonnegative"):

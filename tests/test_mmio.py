@@ -737,7 +737,7 @@ class TestFastParse:
                 assert got == want
                 # The guard's blocks, hundreds at 64 bytes and one at the
                 # default size, are taken by every worker, or by one; the
-                # screen of the values read, below its floor, by one.
+                # screen of the values read, one chunk, by one.
                 assert shares == [workers if block == 64 else 1, 1]
 
     @pytest.mark.parametrize("grammar", list(_LINE_PATTERNS), ids="-".join)
@@ -907,7 +907,7 @@ class TestFastParse:
         # value is put into the compiled reader's result: -0.0 and 1e200,
         # whose square overflows, are kept; any other declines the file to
         # the line reader, which reads the file's own 0.
-        monkeypatch.setattr(matrix, "_SCREEN_FLOOR", 1)
+        monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 1)
         read = mmio.mmread
 
         def poked(source):
@@ -982,7 +982,7 @@ class TestFastParse:
     def test_overflow_named_at_every_worker_count(self, tmp_path, monkeypatch, tiers):
         # An array file's 1e999 reads as inf in the compiled tier, whose
         # screen, split or not, hands the file to the line reader.
-        monkeypatch.setattr(matrix, "_SCREEN_FLOOR", 1)
+        monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 1)
         path = tmp_path / "o.mtx"
         path.write_bytes(b"%%MatrixMarket matrix array real general\n3 1\n1\n2\n1e999\n")
         for workers in (1, 2, 3):

@@ -971,11 +971,11 @@ class TestFit:
             fit(a, SolverConfig(rank=2, k=2))
 
     def test_split_screen_fits_alike(self, monkeypatch):
-        # 1.8e6 values, above the screen's floor: at two workers |A|^2 and
-        # the sign check run as two shares, at one on the calling thread.
-        # The fit must not tell them apart.
+        # 1.8e6 values, many of the screen's chunks: at two workers the
+        # chunks are split between two threads, at one they run on the
+        # calling thread.  The fit must not tell them apart.
         a = gen_dense(SynthSpec(m=1500, n=1200, true_rank=10, noise_std=0.01, seed=4))
-        assert a.data.size >= matrix_module._SCREEN_FLOOR
+        assert a.data.size > 2 * matrix_module._SCREEN_CHUNK
         for k in (1, 2, 3):
             cfg = SolverConfig(rank=10, k=k, max_sweeps=4, seed=1)
             runs = []
@@ -993,7 +993,7 @@ class TestFit:
         monkeypatch.setattr(matrix_module, "_worker_count", lambda: 2)
         arr = np.random.default_rng(5).random((1100, 1000))
         a = DenseMatrix(arr)
-        assert arr.size >= matrix_module._SCREEN_FLOOR
+        assert arr.size > 2 * matrix_module._SCREEN_CHUNK
         factors = initialize(a, 2, 0, k=1)
         arr[1099, 999] = -1e-300
         with pytest.raises(ValueError, match="^dense matrix entries must be nonnegative$"):
