@@ -14,8 +14,6 @@ from .nnls import (
     NnlsSolution,
     RankDeficiencyError,
     nnls_block,
-    nnls_oracle,
-    nnls_recursive,
 )
 from .solver import (
     BlockWorkspace,
@@ -53,8 +51,6 @@ __all__ = [
     "NnlsSolution",
     "RankDeficiencyError",
     "nnls_block",
-    "nnls_recursive",
-    "nnls_oracle",
     "FactorPair",
     "BlockWorkspace",
     "RepairPlan",

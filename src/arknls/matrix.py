@@ -194,26 +194,36 @@ class SparseMatrixCSR(SparseView):
 
         Triples whose rows are nondecreasing and within ``[0, rows)``, as
         ``np.nonzero`` and :func:`arknls.write_matrix_market` give them,
-        need no sort: the offsets are each row's running count, for the
-        constructor to check with copies of the columns and values.  Where
-        it refuses them (a repeated cell, columns out of order in a row, a
-        bad value) or ``np.bincount`` refuses the indices, they go, as all
-        others do, to scipy's COO to CSR conversion, which sorts and sums;
-        both give the same arrays.  The result depends only on the input
-        arrays, and it equals an in-order sum whenever no (row, column)
-        pair occurs more than twice.  With three or more copies the last
-        bit may depend on scipy's per-row sort, which is not stable.  The
-        matrix never shares the caller's arrays.
+        need no sort: row r's offset is the number of entries in the rows
+        before it, found by one ``np.searchsorted`` of every r in the
+        sorted rows, for the constructor to check with copies of the
+        columns and values.  Where it refuses them (a repeated cell,
+        columns out of order in a row, a bad value) or the rows' dtype
+        does not cast safely to ``np.intp`` (uint64, or an empty list's
+        float64), they go, as all others do, to scipy's COO to CSR
+        conversion, which sorts and sums; both give the same arrays.  The
+        result depends only on the input arrays, and it equals an in-order
+        sum whenever no (row, column) pair occurs more than twice.  With
+        three or more copies the last bit may depend on scipy's per-row
+        sort, which is not stable.  The matrix never shares the caller's
+        arrays.
         """
         _check_integers(rows=rows, cols=cols)
         ri = _index_array("row_idx", row_idx)
         ci = _index_array("col_idx", col_idx)
-        # Both ends in range: scipy, not np.bincount, meets a stray index.
+        # Both ends in range: scipy, not the search, meets a stray index.
+        # Rows that do not cast safely to intp go to scipy too: the search
+        # would compare uint64 rows with the int64 offsets as float64, and
+        # an empty list holds float64.
         sorted_rows = ri.ndim == 1 and (ri[1:] >= ri[:-1]).all()
-        if sorted_rows and (ri[:1] >= 0).all() and (ri[-1:] < rows).all():
+        if (
+            sorted_rows
+            and np.can_cast(ri.dtype, np.intp)
+            and (ri[:1] >= 0).all()
+            and (ri[-1:] < rows).all()
+        ):
             try:
-                offsets = np.zeros(rows + 1, dtype=np.int64)
-                np.cumsum(np.bincount(ri, minlength=rows), out=offsets[1:])
+                offsets = np.searchsorted(ri, np.arange(rows + 1))
                 vals = np.array(values, dtype=np.float64)
                 return cls(rows, cols, offsets, ci.astype(np.int64), vals)
             except (TypeError, ValueError):
@@ -349,9 +359,11 @@ _SHARE_COLUMNS = 4
 # core's L2 on the machine measured.  There a dense-2k fit's set-up took a
 # median 3.27, 3.01, 3.12 and 3.45 ms with shares of 2^16 to 2^19 values,
 # against 3.91 ms with two whole-array passes (10 alternating benchmark
-# pairs).  An array of just over one share is split too: on two workers
-# 2^17 + 1000 values took 0.10 ms against 0.07 ms on one, 2^18 as long,
-# and from 2^19 on less.
+# pairs).  _screen gives each worker at least two shares.  On two cores,
+# two workers against one took 0.10 against 0.07 ms on 2^17 + 1000
+# values, and less from 2^19 on.  Three shares were a draw: 0.17 against
+# 0.14 ms on 2^18 + 1310 values, 0.18 against 0.25 ms on 3 * 2^17
+# (medians of 400).
 _SCREEN_CHUNK = 1 << 17
 
 # Columns of A in each share of a dense product, the last share taking
@@ -707,8 +719,9 @@ def _screen(values: np.ndarray, nonnegative: bool) -> tuple[float, Optional[str]
     The one check of a matrix's values, by the CSR constructor, the Matrix
     Market reader's compiled tier, :func:`_finite_fro2` and
     :func:`frobenius_norm`.  It reads each value once, in shares of
-    :data:`_SCREEN_CHUNK` values taken by :func:`_worker_count` workers
-    (:func:`_run_shares`) while BLAS is held at one thread
+    :data:`_SCREEN_CHUNK` values taken by up to :func:`_worker_count`
+    workers, as many as get two shares each, or one
+    (:func:`_run_shares`), while BLAS is held at one thread
     (:func:`_one_blas_thread`).  A share computes its values' sum of
     squares, BLAS's ``ddot``, and then, with ``nonnegative``, their minimum
     while they are still in cache.  A sum of squares is finite only if
@@ -729,8 +742,10 @@ def _screen(values: np.ndarray, nonnegative: bool) -> tuple[float, Optional[str]
             return fro2, "finite"
         return fro2, "nonnegative" if nonnegative and chunk.min() < 0.0 else None
 
+    starts = range(0, values.size, width)
+    workers = max(1, min(_worker_count(), len(starts) // 2))
     with _one_blas_thread():
-        shares = _run_shares(share, range(0, values.size, width), _worker_count())
+        shares = _run_shares(share, starts, workers)
     fro2 = 0.0  # summed left to right: sum() compensates from Python 3.12
     for part, _ in shares:
         fro2 += part

@@ -1,10 +1,11 @@
 """Deterministic synthetic test matrices.
 
 Dense inputs are planted low-rank products ``W H^T`` with unit-norm W
-columns plus optional Gaussian noise, clamped at zero entrywise.  Sparse
-inputs take such a dense matrix and keep each entry with the requested
-probability, scaling survivors by fresh uniform weights; the result is no
-longer exactly low rank.
+columns plus optional Gaussian noise, clamped at zero entrywise; only the
+product is returned, not its planted factors.  Sparse inputs take such a
+dense matrix and keep each entry with the requested probability, scaling
+survivors by fresh uniform weights; the result is no longer exactly low
+rank.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class SynthSpec:
             raise ValueError("sparsity must lie in [0, 1)")
 
 
-def _planted_dense(spec: SynthSpec, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _planted_dense(spec: SynthSpec, rng) -> np.ndarray:
     # Draw order is part of the contract: W, then H, then the noise.
     w = uniform_matrix(rng, spec.m, spec.true_rank)
     w /= np.sqrt(np.sum(w * w, axis=0))
@@ -73,23 +74,16 @@ def _planted_dense(spec: SynthSpec, rng) -> tuple[np.ndarray, np.ndarray, np.nda
     if spec.noise_std > 0.0:
         a += gaussian_matrix(rng, spec.m, spec.n, spec.noise_std)
         np.maximum(a, 0.0, out=a)
-    return np.asfortranarray(a), w, h
+    return np.asfortranarray(a)
 
 
-def gen_dense(spec: SynthSpec, return_factors: bool = False):
+def gen_dense(spec: SynthSpec) -> DenseMatrix:
     """Dense planted low-rank matrix; deterministic in ``spec.seed``.
-
-    With ``return_factors=True`` also returns the planted factors
-    (W with unit-norm columns, H) as dense matrices.
-    """
+    Without noise its rank is ``spec.true_rank`` up to rounding."""
     spec.validate()
     if spec.sparsity != 0.0:
         raise ValueError("gen_dense requires sparsity == 0")
-    a, w, h = _planted_dense(spec, make_rng(spec.seed))
-    dense = DenseMatrix(a)
-    if return_factors:
-        return dense, DenseMatrix(w), DenseMatrix(h)
-    return dense
+    return DenseMatrix(_planted_dense(spec, make_rng(spec.seed)))
 
 
 def gen_sparse(spec: SynthSpec) -> SparseMatrixCSR:
@@ -101,7 +95,7 @@ def gen_sparse(spec: SynthSpec) -> SparseMatrixCSR:
     if not 0.0 < spec.sparsity < 1.0:
         raise ValueError("gen_sparse requires 0 < sparsity < 1")
     rng = make_rng(spec.seed)
-    base, _, _ = _planted_dense(spec, rng)
+    base = _planted_dense(spec, rng)
     mask = uniform_matrix(rng, spec.m, spec.n) < spec.sparsity
     weights = uniform_matrix(rng, spec.m, spec.n)
     rows, cols = np.nonzero(mask)

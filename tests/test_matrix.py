@@ -993,6 +993,26 @@ class TestSplitScreen:
         assert got.hex() == chunk_sums(values).hex()
         assert matrix._screen(values, nonnegative=True) == (got, None)
 
+    @pytest.mark.parametrize(
+        "size, chunks, most",
+        [
+            ((1 << 17) + 1000, 2, 1),
+            (3 << 17, 3, 1),
+            (1 << 19, 4, 2),
+            (6 << 17, 6, 3),
+        ],
+        ids=["two_chunks", "three_chunks", "four_chunks", "six_chunks"],
+    )
+    def test_each_worker_takes_two_chunks(self, size, chunks, most, workers, monkeypatch):
+        # With the module's chunk the screen runs on as many threads as
+        # get two chunks each, up to the worker count: a small array stays
+        # on the calling thread.  The bits are the chunk sums' at any count.
+        values = np.random.default_rng(19).random(size)
+        shares = record_screens(monkeypatch)
+        fro2, failed = matrix._screen(values, nonnegative=True)
+        assert shares == [(chunks, min(workers, most))]
+        assert failed is None and fro2.hex() == chunk_sums(values).hex()
+
     def test_large_dense_fit_and_sweep_split(self, monkeypatch):
         # With the module's chunk: fit, sweep and relative_residual each
         # screen A in the same chunks, split between the two workers.  The
@@ -1499,8 +1519,8 @@ class TestContainers:
     )
     def test_from_coo_index_dtypes(self, dtype, monkeypatch):
         # int32 indices take the sorted path.  uint64 ones and an empty
-        # list's float64 take whichever path np.bincount lets them (numpy
-        # 2.4 counts uint64 and refuses the float64) and build alike.
+        # list's float64, which do not cast safely to intp, reach scipy's
+        # conversion, and build alike.
         if dtype is None:
             rows, cols, vals = [], [], []
         else:
@@ -1508,8 +1528,35 @@ class TestContainers:
             vals = [1.5, 2.0, 3.0]
         calls = self.scipy_sorts(monkeypatch)
         s = SparseMatrixCSR.from_coo(3, 4, rows, cols, vals)
-        if dtype is np.int32:
-            assert calls == []
+        assert calls == ([] if dtype is np.int32 else [1])
+        self.assert_scipy_arrays(s, rows, cols, vals)
+
+    @pytest.mark.parametrize(
+        "shape, rows, cols",
+        [
+            ((3, 4), [], []),
+            ((0, 4), [], []),
+            ((5, 4), [1, 1, 2, 3, 3], [0, 3, 2, 1, 2]),
+            ((1, 4), [0, 0, 0], [0, 2, 3]),
+        ],
+        ids=["no_entries", "no_rows", "empty_first_and_last_rows", "one_row"],
+    )
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64],
+    )
+    def test_from_coo_offsets_count_rows(self, shape, rows, cols, dtype, monkeypatch):
+        # Sorted rows of every integer dtype give the offsets of a running
+        # count of each row; all but uint64 without scipy's conversion.
+        rows, cols = np.array(rows, dtype), np.array(cols, dtype)
+        vals = np.arange(1.0, rows.size + 1)
+        calls = self.scipy_sorts(monkeypatch)
+        s = SparseMatrixCSR.from_coo(*shape, rows, cols, vals)
+        counts = np.bincount(rows.astype(np.int64), minlength=shape[0])
+        want = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        assert s.row_offsets.dtype == np.int64
+        assert s.row_offsets.tobytes() == want.tobytes()
+        assert calls == ([1] if dtype is np.uint64 else [])
         self.assert_scipy_arrays(s, rows, cols, vals)
 
     def test_transposed_dense(self):
@@ -1693,7 +1740,7 @@ class TestComputedResults:
                 for pair in [initialize(A, 4, 3, k=2)]
                 for side in "UV"
             ],
-            lambda: list(zip(["gen_dense", "W", "H"], gen_dense(spec, True))),
+            lambda: [("gen_dense", gen_dense(spec))],
         ]
 
     def test_every_result_built_by_the_constructor(self, built):

@@ -903,10 +903,11 @@ class TestFastParse:
     def test_array_tier_shares_the_screen(self, tmp_path, monkeypatch, tiers, value):
         # The compiled tier checks an array file's values with the screen
         # the CSR constructor and fit use, split between 1, 2 and 3
-        # workers.  Plain text holds no sign, NaN or infinity, so the
-        # value is put into the compiled reader's result: -0.0 and 1e200,
-        # whose square overflows, are kept; any other declines the file to
-        # the line reader, which reads the file's own 0.
+        # workers: six chunks of one value give each of three two chunks.
+        # Plain text holds no sign, NaN or infinity, so the value is put
+        # into the compiled reader's result: -0.0 and 1e200, whose square
+        # overflows, are kept; any other declines the file to the line
+        # reader, which reads the file's own 0.
         monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 1)
         read = mmio.mmread
 
@@ -917,14 +918,16 @@ class TestFastParse:
 
         monkeypatch.setattr(mmio, "mmread", poked)
         path = tmp_path / "a.mtx"
-        path.write_bytes(b"%%MatrixMarket matrix array real general\n3 1\n0.5\n0\n.25\n")
+        path.write_bytes(
+            b"%%MatrixMarket matrix array real general\n6 1\n0.5\n0\n.25\n1\n2\n3\n"
+        )
         kept = value == 0.0 or value == 1e200
         for workers in (1, 2, 3):
             monkeypatch.setattr(matrix, "_worker_count", lambda w=workers: w)
             tiers.clear()
             got = read_matrix_market(path).data
             assert tiers == (["mmread"] if kept else ["mmread", "_read_by_lines"])
-            want = np.array([[0.5], [value if kept else 0.0], [0.25]])
+            want = np.array([[0.5], [value if kept else 0.0], [0.25], [1.0], [2.0], [3.0]])
             assert got.tobytes() == want.tobytes()
 
     def test_compiled_tier_skips_the_ascii_scan(self, tmp_path, monkeypatch, tiers):
@@ -981,10 +984,13 @@ class TestFastParse:
 
     def test_overflow_named_at_every_worker_count(self, tmp_path, monkeypatch, tiers):
         # An array file's 1e999 reads as inf in the compiled tier, whose
-        # screen, split or not, hands the file to the line reader.
+        # screen, split or not, hands the file to the line reader.  Six
+        # chunks of one value are split between every worker count.
         monkeypatch.setattr(matrix, "_SCREEN_CHUNK", 1)
         path = tmp_path / "o.mtx"
-        path.write_bytes(b"%%MatrixMarket matrix array real general\n3 1\n1\n2\n1e999\n")
+        path.write_bytes(
+            b"%%MatrixMarket matrix array real general\n6 1\n1\n2\n1e999\n3\n4\n5\n"
+        )
         for workers in (1, 2, 3):
             monkeypatch.setattr(matrix, "_worker_count", lambda w=workers: w)
             tiers.clear()

@@ -3,14 +3,12 @@ import pytest
 
 from arknls.nnls import (
     RankDeficiencyError,
-    _accepted_candidates,
     nnls_block,
-    nnls_oracle,
-    nnls_recursive,
     lift_work,
     rank_deficiency,
     solve_block,
 )
+from reference import _accepted_candidates, nnls_oracle, nnls_recursive
 
 
 def well_conditioned(rng, m, k, boost=0.1):
