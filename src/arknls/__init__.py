@@ -25,7 +25,6 @@ from .solver import (
     flops_per_sweep,
     initialize,
     repair_block,
-    sweep,
     update_block_V,
 )
 from .synth import SynthSpec, gen_dense, gen_sparse
@@ -59,7 +58,6 @@ __all__ = [
     "initialize",
     "update_block_V",
     "repair_block",
-    "sweep",
     "fit",
     "flops_per_sweep",
     "SynthSpec",

@@ -22,8 +22,7 @@ taken while the chunk is in cache, with the sums added in order.  A large
 dense product is BLAS calls on fixed-width ranges of columns, the same
 shares at any worker count, taken by those workers while numpy's
 OpenBLAS is held at one thread (``_one_blas_thread``), as it is for the
-whole of a fit, a sweep or a residual: the package, not BLAS, owns the
-threads.
+whole of a fit or a residual: the package, not BLAS, owns the threads.
 """
 
 from __future__ import annotations
@@ -62,14 +61,13 @@ class DenseMatrix:
     edits to the array show through, and :func:`arknls.fit` only reads
     it.  Any other input (another dtype, a strided view, a list) is
     converted to a new Fortran-ordered ``float64`` array.  Wrapping
-    reads no values: :func:`arknls.fit`, :func:`arknls.sweep` and
-    :func:`relative_residual` check them on every call, from the sum of
-    squares they compute anyway, so an entry written after wrapping is
-    checked too.  The other functions propagate a NaN as numpy does.
-    Every matrix the package computes (a product, a Gram matrix, a
-    transposed view, a start's factors, a generated matrix) is built by
-    this constructor too, from a contiguous ``float64`` array that it
-    holds as it is.
+    reads no values: :func:`arknls.fit` and :func:`relative_residual`
+    check them on every call, from the sum of squares they compute
+    anyway, so an entry written after wrapping is checked too.  The other
+    functions propagate a NaN as numpy does.  Every matrix the package
+    computes (a product, a Gram matrix, a transposed view, a start's
+    factors, a generated matrix) is built by this constructor too, from a
+    contiguous ``float64`` array that it holds as it is.
     """
 
     __slots__ = ("data",)
@@ -150,8 +148,8 @@ class SparseMatrixCSR(SparseView):
     values uncopied, index arrays of any other integer dtype as int64
     copies, and values of other dtypes as float64 copies.  The values are
     checked here, and by the same screen again on every call of
-    :func:`arknls.fit` and :func:`arknls.sweep` (finite and nonnegative)
-    and of :func:`relative_residual` (finite), which read them as they are
+    :func:`arknls.fit` (finite and nonnegative) and of
+    :func:`relative_residual` (finite), which read them as they are
     then: a value written into held ``values`` later is caught too.
     """
 
@@ -456,9 +454,9 @@ def _one_blas_thread():
     gets True, or, where there is no OpenBLAS to hold, run it as it is
     and give it False.
 
-    :func:`arknls.fit`, :func:`arknls.sweep`, :func:`relative_residual`,
-    a dense :func:`at_times`, the screen of a matrix's values
-    (:func:`_screen`) and :func:`frobenius_norm` run in a hold: their BLAS
+    :func:`arknls.fit`, :func:`relative_residual`, a dense
+    :func:`at_times`, the screen of a matrix's values (:func:`_screen`)
+    and :func:`frobenius_norm` run in a hold: their BLAS
     calls are the shares of this package's workers, which would otherwise
     compete with OpenBLAS's own threads for the same cores, and their bits
     then do not depend on the caller's thread count, nor do those of

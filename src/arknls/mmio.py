@@ -334,16 +334,24 @@ def _plain_entries(text, start, count, spaces, legal) -> bool:
         end = text.find(b"\n", bounds[-1] + _GUARD_BLOCK)
         bounds.append(len(text) if end < 0 else end + 1)
     blocks = list(zip(bounds, bounds[1:]))
-    if not blocks:
-        return False
 
     def block_lines(span):
         lo, hi = span
         block = np.frombuffer(text, dtype=np.uint8, count=hi - lo, offset=lo)
-        return _plain_lines(block, spaces, legal)
+        lines = _plain_lines(block, spaces, legal)
+        if not lines:
+            raise _Declined
+        return lines
 
-    lines = matrix._run_shares(block_lines, blocks, matrix._worker_count())
-    return all(lines) and sum(lines) == count
+    try:
+        lines = matrix._run_shares(block_lines, blocks, matrix._worker_count())
+    except _Declined:
+        return False
+    return sum(lines) == count
+
+
+class _Declined(Exception):
+    """A guard block that is not plain entry text: no share starts after it."""
 
 
 def _plain_lines(block, spaces_per_line, legal) -> int:

@@ -16,9 +16,9 @@ column at a power of two of the coefficient factor's scale, so the fit of
 ``2^e A`` is the fit of ``A`` with V scaled by ``2^e``, bit for bit,
 wherever nothing under- or overflows.
 
-One driver, ``_half_sweep``, runs both halves of a sweep for ``sweep`` and
-``fit``; the U half runs the same code on a transposed view of the data
-with the factor roles swapped.
+:func:`fit` is the one driver, from a start it is given or draws: each
+sweep runs ``_half_sweep`` for V, then for U, the same code on a
+transposed view of the data with the factor roles swapped.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import InitVar, dataclass, field, fields
-from typing import Callable, ClassVar, Literal, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .matrix import (
     _finite_fro2,
     _one_blas_thread,
     _reject_zero,
+    _screen,
+    _stored,
     _trace_residual,
     at_times,
     gram,
@@ -67,12 +69,9 @@ __all__ = [
     "initialize",
     "update_block_V",
     "repair_block",
-    "sweep",
     "fit",
     "flops_per_sweep",
 ]
-
-BlockObserver = Callable[[str, int], None]
 
 @dataclass(slots=True)
 class SolverConfig:
@@ -458,28 +457,28 @@ def _half_sweep(
     factors: FactorPair,
     side: str,
     fro2: float,
-    observer: Optional[BlockObserver],
+    observer: Optional[Callable[[str, int], None]],
     M: Optional[np.ndarray] = None,
     objective: bool = True,
 ) -> tuple[Optional[float], int, np.ndarray]:
-    """The driver behind :func:`sweep` and :func:`fit`: repair plus update
-    every block of the ``side`` factor once.
+    """One half of a :func:`fit` sweep: repair plus update every block of
+    the ``side`` factor once, calling ``observer(side, block)``, if given,
+    after each block's update.
 
     ``M`` is the coefficient factor's Gram matrix (Fortran-ordered, as
     :func:`gram` returns it) if the caller has it, else computed; it is
     updated in place.  The blocks are partitioned from it first, so that
     their r x r temporaries are gone before ``H`` is live.  ``H`` is the
-    full product, dead columns included: a repair rewrites a dead
-    column's ``H`` column anyway.  All-zero (dead) coefficient columns
-    are read off ``M``'s diagonal, and the rows of ``A`` their repairs
-    read are gathered by one call of :func:`read_rows`, into a dict from
-    row index to row.  Returns the
-    objective from the trace identity on the caches
-    (:func:`_trace_residual`), or ``None`` unless ``objective``, the
-    number of repairs and the updated factor's Gram, the next half's
-    ``M``.  Besides the factors, ``H`` and
-    r x r matrices, the pass holds only the residual buffer and kernel
-    scratch, allocated once and freed before the objective.
+    full product, dead columns included: a repair rewrites a dead column's
+    ``H`` column anyway.  All-zero (dead) coefficient columns are read off
+    ``M``'s diagonal, and the rows of ``A`` their repairs read are gathered
+    by one call of :func:`read_rows`, into a dict from row index to row.
+    Returns the objective from the trace identity on the caches
+    (:func:`_trace_residual`), or ``None`` unless ``objective``, the number
+    of repairs and the updated factor's Gram, the next half's ``M``.
+    Besides the factors, ``H`` and r x r matrices, the pass holds only the
+    residual buffer and kernel scratch, allocated once and freed before the
+    objective.
     """
     if side == "V":
         data, coef, target = A, factors.U, factors.V
@@ -509,52 +508,43 @@ def _half_sweep(
     return value, repairs, target_gram
 
 
-def sweep(
-    A: MatrixRef,
-    factors: FactorPair,
-    direction: Literal["V", "U"] = "V",
-    observer: Optional[BlockObserver] = None,
-) -> float:
-    """One half-sweep over every block of one factor.
-
-    ``direction="V"`` updates V with U as coefficients; ``direction="U"``
-    runs the identical code on the transposed view of the data matrix with
-    the roles swapped.  Returns the objective ``|A - U V^T|_F^2`` after the
-    pass.  Any other ``direction`` raises :class:`ValueError` before ``A``
-    is read.  Dense or sparse input with a NaN, infinite or negative entry
-    raises :class:`ValueError`, checked on every call; so do ``factors`` whose
-    ``r`` or ``k`` does not fit its own factors, and, before ``A`` is read,
-    factors whose row counts are not ``A``'s.  An ``|A|^2`` that
-    overflows and a non-finite objective raise :class:`FloatingPointError`.
-    It runs with numpy's OpenBLAS held at one thread, as :func:`fit` does.
-    """
-    if direction not in ("V", "U"):
-        raise ValueError('direction must be "V" or "U"')
-    _check_pair(factors)
-    _check_conform(A, factors.U, factors.V)
-    with _one_blas_thread():
-        fro2 = _finite_fro2(A, nonnegative=True)
-        return _half_sweep(A, factors, direction, fro2, observer)[0]
+def _check_start(A: MatrixRef, start: FactorPair, config: SolverConfig) -> None:
+    if not all(isinstance(f, DenseMatrix) for f in (start.U, start.V)):
+        raise ValueError("start factors must be DenseMatrix instances")
+    _check_integers(r=start.r, k=start.k)
+    _check_pair(start)
+    if (start.r, start.k) != (config.rank, config.k) or start.r > min(A.rows, A.cols):
+        raise ValueError("start's r and k must be config's, with r <= min(m, n)")
+    _check_conform(A, start.U, start.V)
+    for name, factor in (("U", start.U), ("V", start.V)):
+        if failed := _screen(_stored(factor), nonnegative=True)[1]:
+            raise ValueError(f"start factor {name} entries must be {failed}")
 
 
 def fit(
     A: MatrixRef,
     config: SolverConfig,
     clock: Optional[Callable[[], float]] = None,
+    start: Optional[FactorPair] = None,
 ) -> tuple[FactorPair, SolveTrace]:
-    """Run alternating V-then-U sweeps from the seeded start of
-    :func:`initialize`.
+    """Run alternating V-then-U sweeps from ``start``, updated in place and
+    returned, or else from :func:`initialize`'s seeded start.
+
+    A start whose factors are not :class:`DenseMatrix` of ``A``'s row
+    counts, whose ``r`` and ``k`` are not its factors' and ``config``'s,
+    with ``r`` at most min(m, n), or whose entries are not finite and
+    nonnegative raises :class:`ValueError` before ``A``'s values are read.
+    A fit depends on its start's factors alone, not on ``config.seed``.
 
     The trace records the relative residual once per full sweep, measured
-    after the U half from the caches that half maintained.  The U half runs
-    on ``transposed(A)``, a view of ``A``'s own storage.  Each half hands
+    after the U half from the caches that half maintained.  Each half hands
     the Gram matrix of the factor it updated to the next half as that
     half's coefficient Gram; the V half computes no objective.  Dense or
     sparse input with a NaN, infinite or negative entry raises
-    :class:`ValueError`: the check reads the values as they are when
-    ``fit`` is called, once per call, not per half; so does an all-zero
-    matrix.  A numerical breakdown (an ``|A|^2`` that over- or underflows,
-    or a non-finite objective) raises :class:`FloatingPointError`.
+    :class:`ValueError`, checked once per call on the values as they are
+    then; so does an all-zero matrix.  A numerical breakdown (an ``|A|^2``
+    that over- or underflows, or a non-finite objective) raises
+    :class:`FloatingPointError`.
 
     The fit runs with numpy's OpenBLAS held at one thread, and the
     caller's thread count is restored when it returns or raises
@@ -563,11 +553,14 @@ def fit(
     """
     config.validate()
     with _one_blas_thread():
+        if start is None:
+            start = initialize(A, config.rank, config.seed, k=config.k)
+        else:
+            _check_start(A, start, config)
         fro2 = _finite_fro2(A, nonnegative=True)
         if fro2 == 0.0:
             _reject_zero(A, "cannot factorize an all-zero matrix")
         fro = math.sqrt(fro2)
-        factors = initialize(A, config.rank, config.seed, k=config.k)
         tick = clock if clock is not None else time.perf_counter
         trace = SolveTrace()
         started = tick()
@@ -576,7 +569,7 @@ def fit(
         for sweep_index in range(1, config.max_sweeps + 1):
             for side in "VU":
                 objective, repairs, gram_next = _half_sweep(
-                    A, factors, side, fro2, None, gram_next, side == "U"
+                    A, start, side, fro2, None, gram_next, side == "U"
                 )
                 trace.repair_events += repairs
             residual = math.sqrt(objective) / fro
@@ -590,7 +583,7 @@ def fit(
             previous = residual
             if config.time_limit is not None and tick() - started >= config.time_limit:
                 break
-        return factors, trace
+        return start, trace
 
 
 def _half_sweep_flops(m: int, n: int, r: int) -> float:
@@ -602,8 +595,10 @@ def _half_sweep_flops(m: int, n: int, r: int) -> float:
 def flops_per_sweep(m: int, n: int, r: int) -> float:
     """Modeled flop count of one full sweep (V half plus mirrored U half).
 
-    This is a cost model for scaling analysis, not a measurement; the
-    leading term is ``4 m n r``.
+    This is a cost model for scaling analysis, not a measurement, and it
+    models dense input: the leading term is ``4 m n r``.  A sparse sweep's
+    products do about ``4 nnz r``.  The CLI's modeled ``elapsed_s`` column
+    in ``--out`` keeps this dense count, as its bytes are a contract.
     """
     if m < 0 or n < 0 or r < 0:
         raise ValueError("dimensions must be nonnegative")

@@ -14,7 +14,14 @@ import numpy as np
 
 import arknls
 from arknls.cli import run as cli_run
-from arknls.matrix import DenseMatrix, SparseMatrixCSR, at_times, gram
+from arknls.matrix import (
+    DenseMatrix,
+    SparseMatrixCSR,
+    _finite_fro2,
+    _one_blas_thread,
+    at_times,
+    gram,
+)
 from arknls.mmio import (
     read_matrix_market,
     read_trace_csv,
@@ -26,10 +33,10 @@ from arknls.solver import (
     BlockWorkspace,
     FactorPair,
     SolverConfig,
+    _half_sweep,
     fit,
     initialize,
     repair_block,
-    sweep,
     update_block_V,
 )
 from arknls.synth import SynthSpec, gen_dense
@@ -107,6 +114,9 @@ def test_c03_monotone_block_updates():
         np.subtract(a, buf, out=buf)
         return float(np.dot(flat, flat))
 
+    # Each block through fit's half-sweep driver, at one BLAS thread as
+    # in a fit, with the coefficient Gram computed afresh per half.
+    fro2 = _finite_fro2(A, nonnegative=True)
     violations = 0
     checks = 0
     for r in (7, 15):
@@ -123,9 +133,10 @@ def test_c03_monotone_block_updates():
                         violations += 1
                     state["obj"] = new
 
-                for _ in range(200):
-                    sweep(A, factors, "V", observer=observe)
-                    sweep(A, factors, "U", observer=observe)
+                with _one_blas_thread():
+                    for _ in range(200):
+                        _half_sweep(A, factors, "V", fro2, observe)
+                        _half_sweep(A, factors, "U", fro2, observe)
     report(
         3,
         "monotone block updates",
@@ -207,7 +218,7 @@ def test_c05_hals_equivalence():
                 h[:, j] - v_ref @ gram_u[:, j] + v_ref[:, j] * gram_u[j, j]
             ) / gram_u[j, j]
             v_ref[:, j] = np.maximum(col, 0.0)
-        sweep(a, factors, "V")
+        _half_sweep(a, factors, "V", _finite_fro2(a, nonnegative=True), None)
         worst = max(worst, float(np.max(np.abs(factors.V.data - v_ref))))
     report(5, "k=1 equals HALS", worst <= 1e-12, f"max entry diff = {worst:.2e}")
 

@@ -29,7 +29,8 @@ from arknls.matrix import (
     transposed,
 )
 from arknls.mmio import read_matrix_market, write_matrix_market
-from arknls.solver import SolverConfig, fit, initialize, sweep
+from arknls import solver
+from arknls.solver import SolverConfig, fit, initialize
 from arknls.synth import SynthSpec, gen_dense, gen_sparse
 
 
@@ -537,8 +538,8 @@ class TestDenseProduct:
         # Every dense product split into shares of 16 columns as far as
         # 1, 2 and 3 workers allow: 5 shares of A's 80 columns and 8 of
         # its 120 rows, the last of 8.  Fitted over rank, columns of the
-        # start die and the halves repair them.  Then a V and a U sweep
-        # from one start.
+        # start die and the halves repair them.  Then one sweep from a
+        # given start.
         no_floors(monkeypatch)
         monkeypatch.setattr(matrix, "_DENSE_COLUMNS", 16)
         a = holed_sparse().to_dense()
@@ -548,9 +549,9 @@ class TestDenseProduct:
             monkeypatch.setattr(matrix, "_worker_count", lambda c=count: c)
             f, t = fit(a, cfg)
             start = initialize(a, 30, 5, k=k)
-            pair = [sweep(a, start, side) for side in "VU"]
+            _, step = fit(a, SolverConfig(rank=30, k=k, max_sweeps=1), start=start)
             runs.append((f.U.data, f.V.data, t.rel_residual, t.repair_events,
-                         start.U.data, start.V.data, pair))
+                         start.U.data, start.V.data, step.rel_residual))
         assert runs[0][3] > 0
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
@@ -562,7 +563,7 @@ class TestDenseProduct:
 
 @pytest.mark.skipif(matrix._BLAS_THREADS is None, reason="numpy calls no OpenBLAS")
 class TestOneBlasThread:
-    """fit, sweep and relative_residual hold numpy's OpenBLAS at one thread
+    """fit and relative_residual hold numpy's OpenBLAS at one thread
     and restore the caller's count when they return or raise."""
 
     @pytest.fixture
@@ -574,6 +575,18 @@ class TestOneBlasThread:
         yield get
         put(before)
 
+    @pytest.fixture
+    def block_threads(self, caller_threads, monkeypatch):
+        # The thread count at each block update of a fit.
+        seen, update = [], solver._update_block
+
+        def counted(*args):
+            seen.append(caller_threads())
+            return update(*args)
+
+        monkeypatch.setattr(solver, "_update_block", counted)
+        return seen
+
     def test_fit_and_relative_residual_restore(self, caller_threads):
         a = gen_dense(SynthSpec(m=60, n=40, true_rank=3, seed=1))
         f, _ = fit(a, SolverConfig(rank=3, k=3, max_sweeps=2, seed=0))
@@ -581,14 +594,14 @@ class TestOneBlasThread:
         relative_residual(a, f.U, f.V)
         assert caller_threads() == 3
 
-    def test_sweep_runs_at_one_thread_and_restores(self, caller_threads):
+    def test_sweep_runs_at_one_thread_and_restores(self, caller_threads, block_threads):
+        # Sweeps stepped one fit at a time from a given start.
         a = gen_dense(SynthSpec(m=60, n=40, true_rank=3, seed=1))
         factors = initialize(a, 3, 0, k=3)
-        seen = []
-        for side in "VU":
-            sweep(a, factors, side, observer=lambda *_: seen.append(caller_threads()))
+        for _ in range(2):
+            fit(a, SolverConfig(rank=3, k=3, max_sweeps=1), start=factors)
             assert caller_threads() == 3
-        assert seen and set(seen) == {1}
+        assert block_threads == [1] * 4
 
     def test_raising_fit_restores(self, caller_threads):
         a = gen_dense(SynthSpec(m=60, n=40, true_rank=3, seed=1))
@@ -618,18 +631,17 @@ class TestOneBlasThread:
         second.__exit__(None, None, None)
         assert caller_threads() == 3
 
-    def test_concurrent_calls_hold_and_restore(self, caller_threads):
-        # More threads than cores, switching often, each in a fit or a
-        # sweep pair: every block runs at one thread, the fits agree, and
-        # the count comes back once all have ended.
+    def test_concurrent_calls_hold_and_restore(self, caller_threads, block_threads):
+        # More threads than cores, switching often, each in a fit or in
+        # sweeps stepped from a start: every block runs at one thread, the
+        # fits agree, and the count comes back once all have ended.
         a = gen_dense(SynthSpec(m=200, n=150, true_rank=3, seed=2))
         cfg = SolverConfig(rank=6, k=2, max_sweeps=10, seed=0)
-        seen = []
 
         def sweeps():
             factors = initialize(a, 6, 1, k=2)
-            for side in "VU":
-                sweep(a, factors, side, observer=lambda *_: seen.append(caller_threads()))
+            for _ in range(2):
+                fit(a, SolverConfig(rank=6, k=2, max_sweeps=1), start=factors)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -643,7 +655,7 @@ class TestOneBlasThread:
         finally:
             sys.setswitchinterval(interval)
         assert caller_threads() == 3
-        assert seen and set(seen) == {1}
+        assert block_threads and set(block_threads) == {1}
         for f, t in results[1:]:
             assert f.U.data.tobytes() == results[0][0].U.data.tobytes()
             assert t.rel_residual == results[0][1].rel_residual
@@ -1014,9 +1026,11 @@ class TestSplitScreen:
         assert failed is None and fro2.hex() == chunk_sums(values).hex()
 
     def test_large_dense_fit_and_sweep_split(self, monkeypatch):
-        # With the module's chunk: fit, sweep and relative_residual each
-        # screen A in the same chunks, split between the two workers.  The
-        # products' shares are not recorded.
+        # With the module's chunk: fit, from a drawn start and from a given
+        # one, and relative_residual each screen A in the same chunks, split
+        # between the two workers; the given start's factors, one chunk
+        # each, are screened first, on the calling thread.  The products'
+        # shares are not recorded.
         monkeypatch.setattr(matrix, "_worker_count", lambda: 2)
         shares = record_screens(monkeypatch)
         a = DenseMatrix(np.random.default_rng(16).random((1100, 1000)))
@@ -1024,24 +1038,24 @@ class TestSplitScreen:
         assert chunks > 2 and a.data.size % matrix._SCREEN_CHUNK
         factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
         assert shares == [(chunks, 2)]
-        sweep(a, factors, "V")
-        assert shares == [(chunks, 2)] * 2
+        fit(a, SolverConfig(rank=2, k=1, max_sweeps=1), start=factors)
+        assert shares == [(chunks, 2), (1, 1), (1, 1), (chunks, 2)]
         relative_residual(a, factors.U, factors.V)
-        assert shares == [(chunks, 2)] * 3
+        assert shares == [(chunks, 2), (1, 1), (1, 1), (chunks, 2), (chunks, 2)]
 
     def test_small_input_runs_unsplit(self, workers, monkeypatch):
-        # An A of one chunk is screened on the calling thread, by fit and
-        # by sweep alike.
+        # An A of one chunk is screened on the calling thread, by fit from
+        # either start, and so are a given start's factors.
         shares = record_shares(monkeypatch, "_screen")
         a = DenseMatrix(np.random.default_rng(17).random((60, 40)))
         factors, _ = fit(a, SolverConfig(rank=2, k=1, max_sweeps=1, seed=0))
-        sweep(a, factors, "U")
-        assert shares == [1, 1]
+        fit(a, SolverConfig(rank=2, k=1, max_sweeps=1), start=factors)
+        assert shares == [1, 1, 1, 1]
 
 
 class TestSharedScreen:
-    """The CSR constructor checks its values with the screen that fit,
-    sweep and the Matrix Market reader use, :func:`matrix._screen`: a
+    """The CSR constructor checks its values with the screen that fit and
+    the Matrix Market reader use, :func:`matrix._screen`: a
     value whose square overflows and -0.0 pass, and NaN, either infinity
     and a negative value fail, finite first, then sign."""
 
@@ -1174,9 +1188,8 @@ class TestContainers:
         message = "^dense matrix entries must be finite$"
         with pytest.raises(ValueError, match=message):
             fit(a, SolverConfig(rank=2, k=1))
-        for direction in ("V", "U"):
-            with pytest.raises(ValueError, match=message):
-                sweep(a, factors, direction)
+        with pytest.raises(ValueError, match=message):
+            fit(a, SolverConfig(rank=2, k=1), start=factors)
         with pytest.raises(ValueError, match=message):
             relative_residual(a, factors.U, factors.V)
 
@@ -1194,9 +1207,8 @@ class TestContainers:
         arr[2, 1] = value
         with pytest.raises(ValueError, match=message):
             fit(a, SolverConfig(rank=2, k=1))
-        for direction in ("V", "U"):
-            with pytest.raises(ValueError, match=message):
-                sweep(a, factors, direction)
+        with pytest.raises(ValueError, match=message):
+            fit(a, SolverConfig(rank=2, k=1), start=factors)
 
     def test_dense_accepts_entries_whose_squares_overflow(self):
         # |A|^2, the finiteness screen, overflows here; the exact scan
@@ -1225,8 +1237,7 @@ class TestContainers:
                 assert frobenius_norm(a) == math.inf
                 for call in (
                     lambda: fit(a, SolverConfig(rank=1, k=1)),
-                    lambda: sweep(a, factors, "V"),
-                    lambda: sweep(a, factors, "U"),
+                    lambda: fit(a, SolverConfig(rank=1, k=1), start=factors),
                     lambda: relative_residual(a, factors.U, factors.V),
                 ):
                     with pytest.raises(FloatingPointError, match=message):
@@ -1264,9 +1275,8 @@ class TestContainers:
         pattern = f"^sparse matrix entries must be {message}$"
         with pytest.raises(ValueError, match=pattern):
             fit(A, SolverConfig(rank=2, k=1))
-        for direction in ("V", "U"):
-            with pytest.raises(ValueError, match=pattern):
-                sweep(A, factors, direction)
+        with pytest.raises(ValueError, match=pattern):
+            fit(A, SolverConfig(rank=2, k=1), start=factors)
         if message == "finite":
             with pytest.raises(ValueError, match=pattern):
                 relative_residual(A, factors.U, factors.V)

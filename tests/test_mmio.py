@@ -740,6 +740,41 @@ class TestFastParse:
                 # screen of the values read, one chunk, by one.
                 assert shares == [workers if block == 64 else 1, 1]
 
+    def test_declined_block_stops_the_guard(self, tmp_path, monkeypatch, tiers):
+        # A file of hundreds of 64-byte guard blocks whose first entry line
+        # ends in CR LF: the first block is declined, and no share starts
+        # after it, so each worker checks at most one block before the
+        # line reader takes the file.  A long switch interval keeps the
+        # GIL with the thread checking a block until it is done.
+        monkeypatch.setattr(mmio, "_GUARD_BLOCK", 64)
+        calls, plain_lines = [], mmio._plain_lines
+        monkeypatch.setattr(
+            mmio, "_plain_lines", lambda *args: calls.append(1) or plain_lines(*args)
+        )
+        rng = np.random.default_rng(6)
+        rows, cols = np.nonzero(rng.random((50, 40)) < 0.2)
+        path = tmp_path / "crlf.mtx"
+        written = SparseMatrixCSR.from_coo(50, 40, rows, cols, rng.random(rows.size))
+        write_matrix_market(written, path)
+        lines = path.read_bytes().split(b"\n")
+        size = next(i for i, ln in enumerate(lines) if i and not ln.startswith(b"%"))
+        lines[size + 1] += b"\r"
+        text = b"\n".join(lines)
+        path.write_bytes(text)
+        want = _outcome(mmio._read_by_lines, text)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(matrix, "_worker_count", lambda w=workers: w)
+                calls.clear()
+                tiers.clear()
+                assert _outcome(read_matrix_market, path) == want
+                assert tiers == ["_read_by_lines"]
+                assert 1 <= len(calls) <= workers, (workers, len(calls))
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("grammar", list(_LINE_PATTERNS), ids="-".join)
     def test_guard_equals_grammar(self, grammar):
         # mmio._plain_lines against the regular expression of its grammar,

@@ -13,7 +13,6 @@ from arknls.matrix import (
     DenseMatrix,
     SparseMatrixCSR,
     at_times,
-    frobenius_norm,
     gram,
     relative_residual,
     transposed,
@@ -30,7 +29,6 @@ from arknls.solver import (
     _half_sweep_flops,
     initialize,
     repair_block,
-    sweep,
     update_block_V,
 )
 from arknls.synth import SynthSpec, gen_dense, gen_sparse
@@ -49,6 +47,15 @@ def direct_objective(A, factors):
 def build_workspace(a, factors):
     # Fresh caches for a V-side pass: H = A^T U and M = U^T U.
     return BlockWorkspace(H=at_times(a, factors.U).data, M=gram(factors.U).data)
+
+
+def half_sweep(a, factors, side, observer=None):
+    """One half of a fit's sweep through the private driver, with the
+    coefficient Gram computed afresh, at one BLAS thread as in a fit;
+    returns the objective after it."""
+    with matrix_module._one_blas_thread():
+        fro2 = matrix_module._finite_fro2(a, nonnegative=True)
+        return solver_module._half_sweep(a, factors, side, fro2, observer)[0]
 
 
 def make_factors(u, v, k=3):
@@ -404,8 +411,8 @@ class TestShimThreshold:
 
 
 class TestCallerBuiltPair:
-    # sweep and the two shims take a FactorPair as the caller built it;
-    # one whose r or k does not fit its 4-column factors is refused,
+    # fit's start and the two shims take a FactorPair as the caller built
+    # it; one whose r or k does not fit its 4-column factors is refused,
     # naming r or k, before anything is written.
     @pytest.mark.parametrize(
         "r, k, message",
@@ -416,7 +423,7 @@ class TestCallerBuiltPair:
             (4, 0, "^block width k"),
         ],
     )
-    @pytest.mark.parametrize("entry", ["sweep", "repair_block", "update_block_V"])
+    @pytest.mark.parametrize("entry", ["fit", "repair_block", "update_block_V"])
     def test_mismatched_pair_rejected(self, r, k, message, entry):
         rng = np.random.default_rng(12)
         a = DenseMatrix(rng.random((10, 8)))
@@ -424,7 +431,7 @@ class TestCallerBuiltPair:
         f = FactorPair(U=DenseMatrix(u.copy()), V=DenseMatrix(v.copy()), r=r, k=k, q=0)
         ws = build_workspace(a, f)
         calls = {
-            "sweep": lambda: sweep(a, f),
+            "fit": lambda: fit(a, SolverConfig(rank=4, k=2), start=f),
             "repair_block": lambda: repair_block(f, ws, 0, a),
             "update_block_V": lambda: update_block_V(a, f, ws, 0),
         }
@@ -648,7 +655,7 @@ class TestSweep:
         for r, expected in [(3, 1), (7, 3)]:
             f = initialize(a, r, seed=0, k=3)
             seen = []
-            sweep(a, f, "V", observer=lambda side, b: seen.append(b))
+            half_sweep(a, f, "V", observer=lambda side, b: seen.append(b))
             assert len(seen) == expected
 
     def test_objective_matches_direct(self):
@@ -656,7 +663,7 @@ class TestSweep:
         a = DenseMatrix(rng.random((18, 14)))
         f = initialize(a, 5, seed=1, k=3)
         for direction in ("V", "U"):
-            obj = sweep(a, f, direction)
+            obj = half_sweep(a, f, direction)
             want = direct_objective(a, f)
             assert obj == pytest.approx(want, rel=1e-10)
 
@@ -667,27 +674,20 @@ class TestSweep:
         prev = direct_objective(a, f)
         for _ in range(10):
             for direction in ("V", "U"):
-                obj = sweep(a, f, direction)
+                obj = half_sweep(a, f, direction)
                 assert obj <= prev + 1e-10 * (1.0 + prev)
                 prev = obj
 
     @pytest.mark.parametrize("direction", ["V", "U"])
     def test_negative_dense_rejected(self, direction):
+        # A given start, nonnegative itself, does not skip the screen of
+        # A.  "U" fits the transposed view, whose V half is A's U half.
         rng = np.random.default_rng(0)
         a = DenseMatrix(rng.random((8, 6)) - 0.5)
-        f = initialize(a, 2, 0, k=1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            sweep(a, f, direction)
-
-    def test_direction_checked_before_the_data(self, monkeypatch):
-        # An unknown direction is reported as such, not as the NaN the
-        # data holds, and without reading the data.
-        arr = np.random.default_rng(0).random((8, 6))
-        f = initialize(DenseMatrix(arr.copy()), 2, 0, k=1)
-        arr[3, 2] = np.nan
-        monkeypatch.setattr(solver_module, "_finite_fro2", None)
-        with pytest.raises(ValueError, match='^direction must be "V" or "U"$'):
-            sweep(DenseMatrix(arr), f, "X")
+        data = a if direction == "V" else transposed(a)
+        f = initialize(DenseMatrix(np.abs(data.data)), 2, 0, k=1)
+        with pytest.raises(ValueError, match="^dense matrix entries must be nonnegative$"):
+            fit(data, SolverConfig(rank=2, k=1), start=f)
 
     @pytest.mark.parametrize("dead", [False, True], ids=["full", "dead_column"])
     @pytest.mark.parametrize("view", ["csr", "transposed"])
@@ -695,7 +695,7 @@ class TestSweep:
         # The CSR product's kernel checks no sizes, so a coefficient factor
         # with fewer rows than the data has would be read past its end.  On
         # the CSR matrix the U half's coefficient is V; on its transposed
-        # view, the V half's is U.  sweep rejects the factors before any
+        # view, the V half's is U.  fit rejects such a start before any
         # product, and the product itself rejects the short coefficient.
         a = gen_sparse(SynthSpec(m=300, n=40, true_rank=3, sparsity=0.2, seed=0))
         short = np.random.default_rng(1).random((10, 4))
@@ -703,12 +703,12 @@ class TestSweep:
         if dead:
             short[:, 1] = 0.0
         if view == "csr":
-            f, direction, data = make_factors(long, short, k=2), "U", transposed(a)
+            f, data = make_factors(long, short, k=2), transposed(a)
         else:
             a = transposed(a)
-            f, direction, data = make_factors(short, long, k=2), "V", a
+            f, data = make_factors(short, long, k=2), a
         with pytest.raises(ValueError, match="^factor dimensions do not conform"):
-            sweep(a, f, direction)
+            fit(a, SolverConfig(rank=4, k=2), start=f)
         with pytest.raises(ValueError, match="dimension mismatch"):
             at_times(data, DenseMatrix(short))
 
@@ -719,8 +719,9 @@ class TestSweep:
         self, kind, direction, short, monkeypatch
     ):
         # Unchecked, a 14-row V on a 20 x 15 A fails deep in numpy's
-        # broadcasting in the V direction.  The check runs before A's
-        # values are read.
+        # broadcasting in the V half.  The check runs before A's values
+        # are read.  "U" fits the transposed view from the swapped pair,
+        # whose V half is A's U half.
         rng = np.random.default_rng(21)
         d = rng.random((20, 15))
         i, j = np.nonzero(d)
@@ -729,9 +730,10 @@ class TestSweep:
         )
         u = rng.random((19 if short == "U" else 20, 3))
         v = rng.random((14 if short == "V" else 15, 3))
+        data, pair = (a, (u, v)) if direction == "V" else (transposed(a), (v, u))
         monkeypatch.setattr(solver_module, "_finite_fro2", None)
         with pytest.raises(ValueError, match="^factor dimensions do not conform"):
-            sweep(a, make_factors(u, v, k=1), direction)
+            fit(data, SolverConfig(rank=3, k=1), start=make_factors(*pair, k=1))
 
     def test_cache_consistency_through_sweep(self):
         # Mirror one half-sweep by hand and recompute the caches from
@@ -767,7 +769,7 @@ class TestSweep:
         rng = np.random.default_rng(16)
         a = DenseMatrix(rng.random((20, 15)))
         f = initialize(a, r, seed=5, k=k)
-        sweep(a, f, "V")
+        half_sweep(a, f, "V")
         assert len(calls) == r
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -822,7 +824,7 @@ class TestFit:
         for j in range(5):
             new = (h[:, j] - v_ref @ m[:, j] + v_ref[:, j] * m[j, j]) / m[j, j]
             v_ref[:, j] = np.maximum(new, 0.0)
-        sweep(a, f, "V")
+        half_sweep(a, f, "V")
         assert np.max(np.abs(f.V.data - v_ref)) <= 1e-12
 
     def test_deterministic(self):
@@ -904,20 +906,25 @@ class TestFit:
         [(40, 30, 5, 2), (300, 200, 30, 1), (300, 200, 30, 2), (300, 200, 30, 3)],
     )
     def test_fit_is_sweep_pairs(self, form, m, n, rank, k):
-        # fit runs the same half-sweep driver as sweep, V half first, and
-        # hands each half's Gram matrix to the next; sweep computes it
-        # afresh.  At r=30 a Gram handed over in the wrong memory order
-        # changes the last bits.
+        # A fit of 3 sweeps is 3 fits of one sweep, each a V-then-U pair of
+        # halves continued from the last one's factors.  The long fit hands
+        # each half's Gram matrix to the next; a continued fit computes its
+        # first half's afresh.  At r=30 a Gram handed over in the wrong
+        # memory order changes the last bits.
         s = gen_sparse(SynthSpec(m=m, n=n, true_rank=3, sparsity=0.5, seed=8))
         a = s if form == "sparse" else s.to_dense()
         f, trace = fit(a, SolverConfig(rank=rank, k=k, max_sweeps=3, seed=4))
         g = initialize(a, rank, seed=4, k=k)
+        step = SolverConfig(rank=rank, k=k, max_sweeps=1, seed=4)
+        events = 0
         for _ in range(3):
-            sweep(a, g, "V")
-            obj_u = sweep(a, g, "U")
+            h, t = fit(a, step, start=g)
+            assert h is g
+            events += t.repair_events
         assert np.array_equal(f.U.data, g.U.data)
         assert np.array_equal(f.V.data, g.V.data)
-        assert trace.final_residual == np.sqrt(obj_u) / frobenius_norm(a)
+        assert trace.final_residual == t.final_residual
+        assert trace.repair_events == events
 
     def test_one_objective_per_sweep(self, monkeypatch):
         # fit reads the objective after the U half only, so the V half
@@ -998,9 +1005,8 @@ class TestFit:
         arr[1099, 999] = -1e-300
         with pytest.raises(ValueError, match="^dense matrix entries must be nonnegative$"):
             fit(a, SolverConfig(rank=2, k=1, max_sweeps=1))
-        for direction in ("V", "U"):
-            with pytest.raises(ValueError, match="nonnegative"):
-                sweep(a, factors, direction)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit(a, SolverConfig(rank=2, k=1, max_sweeps=1), start=factors)
 
     def test_repairs_fire_in_overparameterized_runs(self):
         # Asking for far more rank than the data has drives columns to
@@ -1171,7 +1177,7 @@ class TestFit:
             f, trace = fit(s, cfg)
             g = initialize(s, 16, seed=1, k=k)
             g.U.data[:, 0] = 0.0
-            objs = [sweep(s, g, side) for side in "VUVU"]
+            objs = [half_sweep(s, g, side) for side in "VUVU"]
             return f, trace, g, objs
 
         new = run()
@@ -1196,7 +1202,7 @@ class TestFit:
         s, _ = holed_input()
         rank = 16
         g = initialize(s, rank, seed=1, k=k)
-        sweep(s, g, "V")
+        half_sweep(s, g, "V")
         dead = sum(not g.V.data[:, c].any() for c in range(rank))
         assert 2 * dead >= rank
         cfg = SolverConfig(rank=rank, k=k, max_sweeps=20, seed=1)
@@ -1209,6 +1215,173 @@ class TestFit:
         assert trace.rel_residual == trace_ref.rel_residual
         assert np.array_equal(f.U.data, f_ref.U.data)
         assert np.array_equal(f.V.data, f_ref.V.data)
+
+
+def count_screens(monkeypatch):
+    # Calls of the screen of A's values, through fit's own name for it.
+    calls = []
+    screen = solver_module._finite_fro2
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return screen(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_finite_fro2", counted)
+    return calls
+
+
+def degenerate_start(kind, k):
+    """The 60 x 45 planted rank-5 input and its r = 12 start at seed 3,
+    with column 4 zeroed, column 5 a copy of column 2, or column 6 a
+    scaled copy of column 1, 2^100 times U's and 2^-100 times V's."""
+    a = gen_dense(SynthSpec(m=60, n=45, true_rank=5, noise_std=0.01, seed=1))
+    f = initialize(a, 12, 3, k=k)
+    u, v = f.U.data, f.V.data
+    if kind == "zero":
+        u[:, 4] = v[:, 4] = 0.0
+    elif kind == "duplicate":
+        u[:, 5], v[:, 5] = u[:, 2], v[:, 2]
+    else:
+        u[:, 6], v[:, 6] = 2.0**100 * u[:, 1], 2.0**-100 * v[:, 1]
+    return a, f
+
+
+# The scaled-copy start sets a column pair 2^200 apart in scale; repairs
+# then rebuild columns of norm about 1e-31 whose targets carry about 1e30,
+# the scale drift behind the strict xfail in TestDataScale (CHANGES.md
+# FOUND on the degenerate-fit fuzz).
+SCALE_DRIFT = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="a scaled-copy column makes the trace rise twice",
+)
+
+
+class TestFitStart:
+    """fit from a given FactorPair, updated in place and returned."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_drawn_start_is_the_default_fit(self, form, k):
+        s, d = holed_input()
+        a = s if form == "sparse" else d
+        cfg = SolverConfig(rank=16, k=k, max_sweeps=20, seed=1)
+        f, trace = fit(a, cfg)
+        start = initialize(a, cfg.rank, cfg.seed, k=cfg.k)
+        g, given = fit(a, cfg, start=start)
+        assert g is start and given.repair_events == trace.repair_events > 0
+        assert g.U.data.tobytes() == f.U.data.tobytes()
+        assert g.V.data.tobytes() == f.V.data.tobytes()
+        assert given.rel_residual == trace.rel_residual
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_continued_fit_is_one_fit(self, form, k):
+        # Over rank: repairs fire in the first sweep and after it.  The
+        # seed of the continued fit's config is unused.
+        s, d = holed_input()
+        a = s if form == "sparse" else d
+        f, trace = fit(a, SolverConfig(rank=16, k=k, max_sweeps=15, seed=1))
+        g, first = fit(a, SolverConfig(rank=16, k=k, max_sweeps=1, seed=1))
+        g, second = fit(a, SolverConfig(rank=16, k=k, max_sweeps=14, seed=5), start=g)
+        assert first.repair_events > 0 and second.repair_events > 0
+        assert first.repair_events + second.repair_events == trace.repair_events
+        assert g.U.data.tobytes() == f.U.data.tobytes()
+        assert g.V.data.tobytes() == f.V.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("self_r", "^r = 3 but"),
+            ("self_k", "^block width k"),
+            ("config_r", "^start's r and k"),
+            ("config_k", "^start's r and k"),
+            ("over_rank", "^start's r and k"),
+            ("float_k", "^k must be an integer"),
+            ("rows_U", "^factor dimensions do not conform"),
+            ("rows_V", "^factor dimensions do not conform"),
+            ("array", "^start factors must be DenseMatrix"),
+            ("nan_U", "^start factor U entries must be finite$"),
+            ("inf_V", "^start factor V entries must be finite$"),
+            ("negative_V", "^start factor V entries must be nonnegative$"),
+        ],
+    )
+    def test_bad_start_rejected_before_A_is_read(self, change, message, monkeypatch):
+        # The factors hold u and v uncopied, so these show that nothing
+        # was written.
+        rng = np.random.default_rng(23)
+        a = DenseMatrix(rng.random((40, 30)))
+        u, v = rng.random((40, 4)), rng.random((30, 4))
+        r, k = 4, 2
+        if change == "self_r":
+            r = 3
+        elif change == "self_k":
+            k = 4
+        elif change == "config_r":
+            u, v, r = u[:, :3].copy(), v[:, :3].copy(), 3
+        elif change == "config_k":
+            k = 1
+        elif change == "over_rank":
+            a, v = DenseMatrix(a.data[:, :3].copy()), v[:3].copy()
+        elif change == "float_k":
+            k = 2.0
+        elif change == "rows_U":
+            u = u[:39].copy()
+        elif change == "rows_V":
+            v = np.vstack([v, v[:1]])
+        elif change != "array":
+            kind, name = change.split("_")
+            bad = {"nan": np.nan, "inf": np.inf, "negative": -1e-300}[kind]
+            (u if name == "U" else v)[3, 1] = bad
+        before = u.copy(), v.copy()
+        U = u if change == "array" else DenseMatrix(u)
+        start = FactorPair(U, DenseMatrix(v), r, k)
+        screens = count_screens(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            fit(a, SolverConfig(rank=4, k=2, max_sweeps=2), start=start)
+        assert screens == []
+        assert np.array_equal(u, before[0], equal_nan=True)
+        assert np.array_equal(v, before[1], equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "rank, k, message",
+        [(31, 3, "^rank 31 must lie in"), (4, 4, "^block width k")],
+    )
+    def test_invalid_rank_or_k_screens_nothing(self, rank, k, message, monkeypatch):
+        # A rank the start cannot have is reported before A is screened.
+        a = DenseMatrix(np.random.default_rng(24).random((40, 30)))
+        screens = count_screens(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            fit(a, SolverConfig(rank=rank, k=k))
+        assert screens == []
+        fit(a, SolverConfig(rank=4, k=2, max_sweeps=1))
+        assert screens == [a]
+
+    @pytest.mark.parametrize(
+        "kind, k",
+        [
+            ("zero", 1),
+            ("zero", 2),
+            ("zero", 3),
+            ("duplicate", 1),
+            ("duplicate", 2),
+            ("duplicate", 3),
+            ("scaled_copy", 1),
+            pytest.param("scaled_copy", 2, marks=SCALE_DRIFT),
+            pytest.param("scaled_copy", 3, marks=SCALE_DRIFT),
+        ],
+    )
+    def test_degenerate_start_fits(self, kind, k):
+        # Zero, duplicated and scaled-copy columns, the starts a fuzz of
+        # the solver's guarantees draws: nonnegative factors and a trace
+        # monotone within c03's slack.
+        a, start = degenerate_start(kind, k)
+        f, trace = fit(a, SolverConfig(rank=12, k=k, max_sweeps=30), start=start)
+        assert f.U.data.min() >= 0.0 and f.V.data.min() >= 0.0
+        res = trace.rel_residual
+        assert len(res) == 30
+        for lo, hi in zip(res[1:], res[:-1]):
+            assert lo <= hi + 1e-10 * (1.0 + hi), res
 
 
 def holed_input():
@@ -1276,7 +1449,7 @@ class TestGroupedFit:
         h = initialize(a, rank, seed=3, k=k)
         events = 0
         for side in "VUVUVU":
-            sweep(a, g, side)
+            half_sweep(a, g, side)
             data, coef, target = (a, h.U, h.V) if side == "V" else (
                 transposed(a), h.V, h.U
             )
