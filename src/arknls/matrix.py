@@ -231,7 +231,8 @@ class SparseMatrixCSR(SparseView):
         return cls(rows, cols, csr.indptr, csr.indices, csr.data)
 
     def to_dense(self) -> DenseMatrix:
-        return DenseMatrix(self.sp.toarray(order="F"))
+        """A new row-major :class:`DenseMatrix`, as scipy's ``toarray`` makes it."""
+        return DenseMatrix(self.sp.toarray())
 
 
 def _index_array(name, value) -> np.ndarray:
@@ -281,11 +282,13 @@ def gram(U: DenseMatrix) -> DenseMatrix:
     without BLAS forms the two products of each pair of entries alike.
     So the transpose of the row-major product holds the same values, and
     it is what is returned: a column-major view of the product, not a
-    copy, whose columns the solver reads and patches in place.
+    copy, whose columns the solver reads and patches in place.  An
+    overflow gives infinity, a breakdown its callers raise on, not a warning.
     """
     if U.cols < 1:
         raise ValueError("gram requires at least one column")
-    return DenseMatrix((U.data.T @ U.data).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DenseMatrix((U.data.T @ U.data).T)
 
 
 def at_times(A: MatrixRef, U: DenseMatrix) -> DenseMatrix:
@@ -805,13 +808,14 @@ def _trace_residual(fro2: float, H, X: DenseMatrix, M) -> tuple[float, np.ndarra
     """``|A - C X^T|^2 = |A|^2 - 2 <H, X> + <X^T X, M>`` from ``fro2 = |A|^2``,
     ``H = A^T C`` and ``M = C^T C``, clamped at zero (near an exact fit it
     can come out slightly negative), and ``X^T X`` from :func:`gram`.  A
-    non-finite value raises :class:`FloatingPointError`.
+    non-finite value, overflow included, raises :class:`FloatingPointError`.
     """
     # einsum sums the products without forming them, and its order does
     # not depend on the BLAS thread count as a ddot's may.
-    cross = float(np.einsum("ij,ij->", X.data, H))
-    x_gram = gram(X).data
-    value = fro2 - 2.0 * cross + float(np.sum(x_gram * M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = float(np.einsum("ij,ij->", X.data, H))
+        x_gram = gram(X).data
+        value = fro2 - 2.0 * cross + float(np.sum(x_gram * M))
     if not math.isfinite(value):
         raise FloatingPointError(f"numerical breakdown: squared residual is {value}")
     return max(value, 0.0), x_gram

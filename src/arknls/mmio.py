@@ -34,7 +34,7 @@ the same bytes, the second only when the first declined:
    accepts comment lines between entries, tabs, CRLF line ends and other
    lenient text.
 
-Both tiers return the same bits for the same file.
+Both tiers return the same bits for the same file; a dense result is row-major.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def read_matrix_market(path) -> MatrixRef:
     :class:`MatrixMarketError` naming the size line.  A file with at
     least one entry whose entry lines are all plain text (``v``, ``i j v``
     or ``i j`` by layout and field: single spaces, LF line ends,
-    digit-only indices, and values of digits with at most one dot and a
-    lower-case ``e`` exponent, unsigned) is parsed by scipy's compiled
+    digit-only indices, and values of digits with at most one dot and an
+    ``e`` or ``E`` exponent, unsigned) is parsed by scipy's compiled
     Matrix Market reader, and its result is checked as whole arrays:
     shape and entry count, and values finite and nonnegative by the one
     screen that the CSR constructor and :func:`arknls.fit` use too.  Any
@@ -200,10 +200,8 @@ def _read_header(numbered):
 # codes each non-digit byte as class * 2, plus 1 when the byte before it is
 # a non-digit too: twelve codes.  This bytes.translate table gives class * 2.
 _LF, _SP, _DOT, _EXP, _SIGN, _OTHER = range(6)
-_CODE = bytes(
-    2 * dict(zip(b"\n .e+-", (_LF, _SP, _DOT, _EXP, _SIGN, _SIGN))).get(byte, _OTHER)
-    for byte in range(256)
-)
+_CLASSES = dict(zip(b"\n .eE+-", (_LF, _SP, _DOT, _EXP, _EXP, _SIGN, _SIGN)))
+_CODE = bytes(2 * _CLASSES.get(byte, _OTHER) for byte in range(256))
 
 
 def _legal_steps(spaces: int, real: bool) -> dict:
@@ -287,9 +285,8 @@ def _read_plain(text, header):
     if array_layout:
         if matrix._screen(parsed.ravel(order="K"), nonnegative=True)[1]:
             return None
-        # mmread returns C order.  Fortran order, as the line reader gives,
-        # keeps fits bitwise: they differ in the last bits on C order.
-        return DenseMatrix(np.asfortranarray(parsed))
+        # Held in mmread's C order, as the line reader builds its result.
+        return DenseMatrix(parsed)
     entries = count
     if header.symmetry == "symmetric":
         # mmread appends the mirror of each off-diagonal entry after all
@@ -471,20 +468,19 @@ def _array_count(header) -> int:
 
 
 def _dense(values, header):
-    # Lays out the listed values column by column; symmetric storage lists
-    # the lower triangle.
+    # Lays out the values, listed column by column, in a row-major array,
+    # as mmread does; symmetric storage lists the lower triangle.
     m, n = header.dims
-    out = np.zeros((m, n), order="F")
     if header.symmetry == "general":
-        out[:, :] = values.reshape((m, n), order="F")
-    else:
-        pos = 0
-        for j in range(n):
-            span = m - j
-            col = values[pos : pos + span]
-            out[j:, j] = col
-            out[j, j:] = col
-            pos += span
+        return DenseMatrix(np.ascontiguousarray(values.reshape((m, n), order="F")))
+    out = np.zeros((m, n))
+    pos = 0
+    for j in range(n):
+        span = m - j
+        col = values[pos : pos + span]
+        out[j:, j] = col
+        out[j, j:] = col
+        pos += span
     return DenseMatrix(out)
 
 
@@ -499,8 +495,8 @@ def write_matrix_market(matrix: MatrixRef, path) -> None:
         if isinstance(matrix, DenseMatrix):
             handle.write("%%MatrixMarket matrix array real general\n")
             handle.write(f"{matrix.rows} {matrix.cols}\n")
-            values = matrix.data.ravel(order="F")
-            for start in range(0, values.size, _WRITE_CHUNK):
+            values = matrix.data.T.flat  # column by column, never copied whole
+            for start in range(0, matrix.data.size, _WRITE_CHUNK):
                 chunk = values[start : start + _WRITE_CHUNK].tolist()
                 handle.write("".join([f"{v:.17g}\n" for v in chunk]))
         else:

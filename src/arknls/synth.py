@@ -2,10 +2,10 @@
 
 Dense inputs are planted low-rank products ``W H^T`` with unit-norm W
 columns plus optional Gaussian noise, clamped at zero entrywise; only the
-product is returned, not its planted factors.  Sparse inputs take such a
-dense matrix and keep each entry with the requested probability, scaling
-survivors by fresh uniform weights; the result is no longer exactly low
-rank.
+product is returned (row-major, as numpy forms it), not its planted
+factors.  Sparse inputs take such a dense matrix and keep each entry with
+the requested probability, scaling survivors by fresh uniform weights;
+the result is no longer exactly low rank.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _planted_dense(spec: SynthSpec, rng) -> np.ndarray:
     if spec.noise_std > 0.0:
         a += gaussian_matrix(rng, spec.m, spec.n, spec.noise_std)
         np.maximum(a, 0.0, out=a)
-    return np.asfortranarray(a)
+    return a
 
 
 def gen_dense(spec: SynthSpec) -> DenseMatrix:

@@ -1172,6 +1172,18 @@ class TestRelativeResidual:
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             relative_residual(a, u, v)
 
+    @pytest.mark.parametrize("m, n, r", [(40, 30, 3), (1000, 600, 10)])
+    def test_gram_overflow_raises_breakdown(self, m, n, r):
+        # U^T U overflows, so the squared residual is infinite: the
+        # documented error is raised, not numpy's overflow warning, which
+        # the suite's filter would raise instead.
+        rng = np.random.default_rng(12)
+        a = DenseMatrix(rng.random((m, n)))
+        u = DenseMatrix(rng.random((m, r)) * 1e200)
+        v = DenseMatrix(rng.random((n, r)))
+        with pytest.raises(FloatingPointError, match="squared residual is inf"):
+            relative_residual(a, u, v)
+
 
 class TestContainers:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -1762,6 +1774,13 @@ class TestComputedResults:
                 data = result.data
                 assert data.ndim == 2 and data.dtype == np.float64, name
                 assert data.flags.c_contiguous or data.flags.f_contiguous, name
+
+    def test_data_matrices_keep_the_built_layout(self):
+        # A generated or densified data matrix is row-major, as numpy's
+        # product and scipy's toarray make it: no Fortran copy is made.
+        a = gen_dense(SynthSpec(m=12, n=10, true_rank=3, noise_std=0.01, seed=2))
+        s = random_sparse(np.random.default_rng(9), 30, 20, 0.2)
+        assert a.data.flags.c_contiguous and s.to_dense().data.flags.c_contiguous
 
     def test_nnls_block_gram_of_a_fortran_copy(self, built, monkeypatch):
         # nnls_block takes its Gram of a Fortran copy of a C-ordered G,

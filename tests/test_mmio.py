@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.io import mmwrite
+from scipy.sparse import coo_array
 
 from arknls import matrix, mmio
 from arknls.matrix import DenseMatrix, SparseMatrixCSR, transposed
@@ -470,7 +472,7 @@ class TestBulkParse:
         assert type(got) is type(want)
         if isinstance(want, DenseMatrix):
             pairs = [(got.data, want.data)]
-            assert got.data.flags.f_contiguous and want.data.flags.f_contiguous
+            assert got.data.flags.c_contiguous and want.data.flags.c_contiguous
         else:
             pairs = [
                 (got.row_offsets, want.row_offsets),
@@ -514,21 +516,23 @@ def _outcome(reader, source):
 _PLAIN_VALUES = (
     lambda rng: f"{rng.random():.17g}",
     lambda rng: repr(rng.random() * 10.0 ** int(rng.integers(-300, 300))),
+    lambda rng: repr(rng.random() * 10.0 ** int(rng.integers(-300, 300))).upper(),
     lambda rng: f"{rng.random():.5e}",
     lambda rng: f"{rng.random():.25f}",
     lambda rng: repr(int(rng.integers(1, 2**52)) * 5e-324),
     lambda rng: "000" + f"{rng.random():.17g}",
     lambda rng: str(
-        rng.choice(
-            ["0", "5e-324", "1e+300", "1.", ".5", "1.e5", "0e99", "1e-400", "007"]
-        )
+        rng.choice([
+            "0", "5e-324", "1e+300", "1.", ".5", "1.e5", "0e99", "1e-400", "007",
+            "1E5",
+        ])
     ),
 )
 
 # Value tokens the compiled reader would read where float() would not, or
 # differently, or that the reader turns away as not finite or negative.
 _ODD_VALUES = (
-    "1-2", "1e", "1.0e5e5", "1_0", "0x1p0", "+1", "-0", "-1.5", "1e400", "1E5",
+    "1-2", "1e", "1.0e5e5", "1_0", "0x1p0", "+1", "-0", "-1.5", "1e400", "1E5E5",
     "inf", "nan", ".", "e5", ".e5", "1e+", "1.2.3", "1e5.0", "1+e5", "1..5",
     "١",
 )
@@ -622,7 +626,7 @@ def _fuzz_file(rng, layout, field, symmetry):
 
 # Each grammar the guard checks, stated apart from it as a regular
 # expression of one entry line, by (layout, field).
-_VALUE = rb"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+_VALUE = rb"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _LINE_PATTERNS = {
     ("coordinate", "real"): rb"[0-9]+ [0-9]+ " + _VALUE + rb"\n",
     ("coordinate", "pattern"): rb"[0-9]+ [0-9]+\n",
@@ -739,6 +743,30 @@ class TestFastParse:
                 # default size, are taken by every worker, or by one; the
                 # screen of the values read, one chunk, by one.
                 assert shares == [workers if block == 64 else 1, 1]
+
+    @pytest.mark.parametrize("layout", ["coordinate", "array"])
+    def test_mmwrite_file_takes_fast_tier(self, tmp_path, tiers, layout):
+        # scipy's writer spells exponents with an upper-case E (scipy
+        # 1.17 writes 9.691483800703944E-2), which the guard admits as 'e'.
+        rng = np.random.default_rng(8)
+        a = rng.random((30, 20)) * 10.0 ** rng.integers(-300, 300, size=(30, 20))
+        a[rng.random(a.shape) < 0.7] = 0.0
+        path = tmp_path / "w.mtx"
+        mmwrite(path, coo_array(a) if layout == "coordinate" else a)
+        want = _outcome(mmio._read_by_lines, path.read_bytes())
+        tiers.clear()
+        assert _outcome(read_matrix_market, path) == want
+        assert tiers == ["mmread"]
+
+    def test_lone_cr_file_takes_line_reader(self, tmp_path, tiers):
+        # No LF at all, so counting LFs cannot find where the entries
+        # start; the line reader splits the lines at each CR.
+        text = _GENERAL + b"% c\n2 2 2\n1 1 0.5\n2 2 1e-300\n"
+        path = tmp_path / "cr.mtx"
+        path.write_bytes(text.replace(b"\n", b"\r"))
+        got = _outcome(read_matrix_market, path)
+        assert tiers == ["_read_by_lines"]
+        assert got == _outcome(mmio._read_by_lines, text)
 
     def test_declined_block_stops_the_guard(self, tmp_path, monkeypatch, tiers):
         # A file of hundreds of 64-byte guard blocks whose first entry line
@@ -1186,6 +1214,26 @@ class TestWrite:
             b"1.7976931348623157e+308\n"
             b"0\n"
         )
+
+    def test_dense_bytes_do_not_depend_on_memory_order(self, tmp_path, monkeypatch):
+        # gen_dense's matrices are row-major, a converted input's
+        # column-major: both write the same file, and neither is copied
+        # whole into the format's column order.
+        monkeypatch.setattr(mmio, "_WRITE_CHUNK", 100)
+        a = np.random.default_rng(5).random((300, 200))
+        written = []
+        for order in "CF":
+            held = DenseMatrix(np.require(a, requirements=order))
+            path = tmp_path / order
+            tracemalloc.start()
+            try:
+                write_matrix_market(held, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < a.nbytes / 4, (order, peak)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestRoundTrip:

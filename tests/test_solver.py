@@ -1289,6 +1289,16 @@ class TestFitStart:
         assert g.U.data.tobytes() == f.U.data.tobytes()
         assert g.V.data.tobytes() == f.V.data.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_start_whose_gram_overflows_raises_breakdown(self, k):
+        # U^T U overflows in the first half's coefficient Gram: the fit
+        # raises the documented error, not numpy's overflow warning.
+        a = DenseMatrix(np.random.default_rng(0).random((40, 30)))
+        start = initialize(a, 3, 0, k=k)
+        start.U.data[:] *= 1e200
+        with pytest.raises(FloatingPointError, match="numerical breakdown"):
+            fit(a, SolverConfig(rank=3, k=k, max_sweeps=2, seed=0), start=start)
+
     @pytest.mark.parametrize(
         "change, message",
         [
